@@ -490,20 +490,23 @@ let lazy_region t cp ~from ~target ~resume =
 
 (* --- parallel backend: level-synchronized BFS over a domain pool ---
 
-   Each level runs in two phases. Phase A (parallel): every frontier
-   state is expanded on some worker — decode, evaluate every guard,
-   apply, encode — against per-worker compiled actions and reusable
-   state buffers (the compiled closures carry private scratch, so they
-   must not be shared across domains); each successor is annotated with
-   a probe of the sharded visited set. Phase B (sequential, cheap):
-   successors are committed in frontier order × action order, which is
-   exactly the FIFO order of the lazy backend's single queue — so node
-   numbering, edge order, the explored count, and the overflow point are
-   all bit-identical to [lazy_region] at any job count. The storage
-   representation (flat shards, dense or packed keys) never affects the
-   commit order, so the determinism contract survives it. *)
+   Each level runs in two phases, over bounded blocks of the frontier
+   ({!Par.Chunked}). Phase A (parallel, read-only): every frontier state
+   is expanded on some worker — decode, evaluate every guard, apply,
+   encode — against per-worker compiled actions and reusable state
+   buffers (the compiled closures carry private scratch, so they must not
+   be shared across domains); each successor is annotated with a probe of
+   the visited table. The table is the engine's own {!Flatset} (the same
+   Direct or Probed storage the lazy backend uses), and phase A only
+   reads it: a probe mutates nothing, so concurrent readers need no lock.
+   Phase B (sequential, the only writer): successors are committed in
+   frontier order × action order, which is exactly the FIFO order of the
+   lazy backend's single queue — so node numbering, edge order, the
+   explored count, and the overflow point are all bit-identical to
+   [lazy_region] at any job count. *)
 
-(* Phase-A successor tags:
+(* Phase-A output, per frontier state: one (action, key, tag) triple per
+   enabled action, then [-1]. Tags:
    >= -1 : already-visited key carrying its node id (-1 = non-member);
    -2    : unseen at probe time, target fails (member when committed);
    -3    : unseen at probe time, target holds (non-member). *)
@@ -521,8 +524,8 @@ let parallel_region t cp ~from ~target ~resume =
   in
   let worker_buf = Array.init jobs (fun _ -> State.make env) in
   let worker_post = Array.init jobs (fun _ -> State.make env) in
-  let worker_out = Array.init jobs (fun _ -> Vec.create ()) in
-  let visited = Par.Shardmap.create () in
+  let chunks = Par.Chunked.create () in
+  let visited = make_visited t in
   let node_keys = Vec.create () in
   let nonmembers = Vec.create () in
   let terminals = Vec.create () in
@@ -533,7 +536,7 @@ let parallel_region t cp ~from ~target ~resume =
   let next_keys = Vec.create () and next_nodes = Vec.create () in
   let frontier_bytes () =
     Vec.bytes cur_keys + Vec.bytes cur_nodes + Vec.bytes next_keys
-    + Vec.bytes next_nodes
+    + Vec.bytes next_nodes + Par.Chunked.bytes chunks
   in
   (* First sighting of [key], known absent from [visited]: mirrors the
      lazy backend's [visit] exactly (count, budget check, numbering). *)
@@ -547,7 +550,7 @@ let parallel_region t cp ~from ~target ~resume =
         -1
       end
     in
-    Par.Shardmap.add visited key node;
+    Flatset.add visited key node;
     ignore (Vec.push next_keys key);
     ignore (Vec.push next_nodes node);
     node
@@ -555,13 +558,13 @@ let parallel_region t cp ~from ~target ~resume =
   (match resume with
   | Some snap ->
       let ex, frontier =
-        restore_region t cp snap ~add:(Par.Shardmap.add visited) ~node_keys
+        restore_region t cp snap ~add:(Flatset.add visited) ~node_keys
           ~nonmembers ~terminals ~edges
       in
       explored := ex;
       Array.iter
         (fun key ->
-          let node = Par.Shardmap.find_def visited key min_int in
+          let node = Flatset.find_def visited key min_int in
           if node = min_int then
             raise (Rt.Snapshot.Corrupt "frontier key missing from visited set");
           ignore (Vec.push next_keys key);
@@ -573,7 +576,7 @@ let parallel_region t cp ~from ~target ~resume =
           List.iter
             (fun s ->
               let key = encode_key t s in
-              if not (Par.Shardmap.mem visited key) then
+              if not (Flatset.mem visited key) then
                 ignore (visit_new key ~member:(not (target s))))
             l
       | All | Pred _ ->
@@ -608,6 +611,62 @@ let parallel_region t cp ~from ~target ~resume =
           [ ("discovered", Obs.Sink.I !explored) ]);
   let guard_on = Rt.Guard.active t.guard in
   let level = ref 0 in
+  (* phase A: expand frontier state [i] into [out] *)
+  let expand ~worker out i =
+    let acts = worker_actions.(worker) in
+    let buf = worker_buf.(worker) and post = worker_post.(worker) in
+    decode_key_into t (Vec.get cur_keys i) buf;
+    for a = 0 to n_actions - 1 do
+      let ca = acts.(a) in
+      if ca.Compile.enabled buf then begin
+        ca.Compile.apply_into buf post;
+        let dst_key = encode_key t post in
+        let tag =
+          let v = Flatset.find_def visited dst_key min_int in
+          if v <> min_int then v else if target post then -3 else -2
+        in
+        ignore (Vec.push out a);
+        ignore (Vec.push out dst_key);
+        ignore (Vec.push out tag)
+      end
+    done;
+    ignore (Vec.push out (-1))
+  in
+  (* phase B: commit the records of consecutive frontier states; [src]
+     is the frontier index of the next record *)
+  let src = ref 0 in
+  let commit out =
+    let p = ref 0 in
+    let len = Vec.len out in
+    while !p < len do
+      let src_node = Vec.get cur_nodes !src in
+      let m = ref 0 in
+      while Vec.get out !p >= 0 do
+        let a = Vec.get out !p in
+        let dst_key = Vec.get out (!p + 1) in
+        let tag = Vec.get out (!p + 2) in
+        p := !p + 3;
+        incr m;
+        let dst_node =
+          if tag >= -1 then tag
+          else
+            (* the same key may already have been committed earlier in
+               this level; only a miss here is a genuine first sighting *)
+            let v = Flatset.find_def visited dst_key min_int in
+            if v <> min_int then v
+            else visit_new dst_key ~member:(tag = -2)
+        in
+        if src_node >= 0 && dst_node >= 0 then begin
+          ignore (Vec.push edges src_node);
+          ignore (Vec.push edges dst_node);
+          ignore (Vec.push edges a)
+        end
+      done;
+      incr p;
+      if src_node >= 0 && !m = 0 then ignore (Vec.push terminals src_node);
+      incr src
+    done
+  in
   while Vec.len next_keys > 0 do
     (* cancellation point at the wave boundary: the pending next wave is
        exactly the lazy queue's remaining FIFO, so the snapshot format is
@@ -615,11 +674,11 @@ let parallel_region t cp ~from ~target ~resume =
     (if guard_on then
        match
          Rt.Guard.poll t.guard ~states:!explored
-           ~bytes:(Par.Shardmap.bytes visited + frontier_bytes ())
+           ~bytes:(Flatset.bytes visited + frontier_bytes ())
        with
        | None -> ()
        | Some reason ->
-           t.last_visited_bytes <- Par.Shardmap.bytes visited;
+           t.last_visited_bytes <- Flatset.bytes visited;
            t.last_frontier_bytes <- max !frontier_peak (frontier_bytes ());
            let frontier_size = Vec.len next_keys in
            let snapshot =
@@ -639,57 +698,8 @@ let parallel_region t cp ~from ~target ~resume =
     Vec.clear next_nodes;
     let len = Vec.len cur_keys in
     let explored_before = !explored in
-    let succs = Array.make len [||] in
-    Par.Pool.parallel_for pool ~n:len (fun ~worker lo hi ->
-        let acts = worker_actions.(worker) in
-        let buf = worker_buf.(worker) and post = worker_post.(worker) in
-        let out = worker_out.(worker) in
-        for i = lo to hi - 1 do
-          decode_key_into t (Vec.get cur_keys i) buf;
-          Vec.clear out;
-          for a = 0 to n_actions - 1 do
-            let ca = acts.(a) in
-            if ca.Compile.enabled buf then begin
-              ca.Compile.apply_into buf post;
-              let dst_key = encode_key t post in
-              let tag =
-                let v = Par.Shardmap.find_def visited dst_key min_int in
-                if v <> min_int then v
-                else if target post then -3
-                else -2
-              in
-              ignore (Vec.push out a);
-              ignore (Vec.push out dst_key);
-              ignore (Vec.push out tag)
-            end
-          done;
-          succs.(i) <- Vec.to_array out
-        done);
-    for i = 0 to len - 1 do
-      let src_node = Vec.get cur_nodes i in
-      let sc = succs.(i) in
-      let m = Array.length sc / 3 in
-      for j = 0 to m - 1 do
-        let a = sc.(3 * j) in
-        let dst_key = sc.((3 * j) + 1) in
-        let tag = sc.((3 * j) + 2) in
-        let dst_node =
-          if tag >= -1 then tag
-          else
-            (* the same key may already have been committed earlier in
-               this merge; only a miss here is a genuine first sighting *)
-            let v = Par.Shardmap.find_def visited dst_key min_int in
-            if v <> min_int then v
-            else visit_new dst_key ~member:(tag = -2)
-        in
-        if src_node >= 0 && dst_node >= 0 then begin
-          ignore (Vec.push edges src_node);
-          ignore (Vec.push edges dst_node);
-          ignore (Vec.push edges a)
-        end
-      done;
-      if src_node >= 0 && m = 0 then ignore (Vec.push terminals src_node)
-    done;
+    src := 0;
+    Par.Chunked.round chunks pool ~n:len ~expand ~commit;
     let fb = frontier_bytes () in
     if fb > !frontier_peak then frontier_peak := fb;
     if Obs.Ctx.enabled t.obs then begin
@@ -705,10 +715,10 @@ let parallel_region t cp ~from ~target ~resume =
     end;
     incr level
   done;
-  finish_region t ~visited_bytes:(Par.Shardmap.bytes visited)
+  finish_region t ~visited_bytes:(Flatset.bytes visited)
     ~frontier_bytes:!frontier_peak ~node_keys ~nonmembers ~terminals ~edges
     ~explored:!explored
-    ~node_of_key:(fun key -> Par.Shardmap.find_def visited key (-1))
+    ~node_of_key:(fun key -> Flatset.find_def visited key (-1))
 
 let dispatch_region t cp ~from ~target ~resume =
   match t.backend with

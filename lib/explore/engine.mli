@@ -19,13 +19,17 @@
       exploration budget.
 
     - {b Parallel} (level-synchronized multicore frontier search): the
-      lazy search split over a {!Par.Pool} of worker domains. Each BFS
-      level expands its frontier in parallel against a sharded visited
-      set ({!Par.Shardmap}), then commits discoveries sequentially in
-      frontier order × action order — exactly the lazy backend's FIFO
-      discovery order — so the resulting {!region} (node numbering, edge
-      order, explored count, even the overflow point) is bit-identical
-      to [Lazy] at any job count.
+      lazy search split over a {!Par.Pool} of worker domains, on the
+      same visited table ({!make_visited}: Direct or Probed, by the same
+      {!storage} rule). Each BFS level runs in two phases over bounded
+      blocks of the frontier ({!Par.Chunked}). In phase A the workers
+      expand frontier states and probe the table, which they only read,
+      so no probe takes a lock. In phase B, after the join, the caller
+      alone commits the discoveries, in frontier order × action order —
+      exactly the lazy backend's FIFO discovery order — so the resulting
+      {!region} (node numbering, edge order, explored count, even the
+      overflow point) and the visited-table bytes are bit-identical to
+      [Lazy] at any job count.
 
     All backends produce the same {!region} record, so every analysis
     (deadlock, cycle, SCC escape, closure) is written once against this
@@ -153,7 +157,8 @@ val storage_name : t -> string
 
 val storage_bytes : t -> int
 (** Flat-storage footprint of the most recent lazy/parallel search:
-    visited-table bytes plus the frontier queue's high-water bytes.
+    visited-table bytes plus the frontier's high-water bytes (the lazy
+    queue; the parallel wave vectors and phase-A output buffers).
     [0] before any search and for the eager backend (whose CSR cost is
     reported by {!Tsys}). Divide by [region.explored] for the
     bytes-per-state figure the E19 experiment reports. *)
@@ -171,8 +176,9 @@ val decode_key_into : t -> int -> Guarded.State.t -> unit
 val make_visited : t -> Flatset.t
 (** A fresh visited table following the engine's storage policy
     (direct-mapped over small dense ranges, open-addressing otherwise).
-    Layered searches built on the engine ({!Faultspan}) use this so one
-    [storage] knob governs the whole pipeline. *)
+    Every lazy and parallel search, and the layered searches built on
+    the engine ({!Faultspan}), use this so one [storage] knob governs
+    the whole pipeline. *)
 
 exception Region_overflow of int
 (** Raised when a lazy exploration visits more states than the engine's

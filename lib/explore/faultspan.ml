@@ -376,9 +376,11 @@ let compute_seq engine ?program ?envs ?budget ?resume ~faults ~from () =
    layer's fault phase — runs in two phases: phase A expands every source
    state on some worker domain (per-worker compiled actions and state
    buffers; the compiled closures carry private scratch), collecting the
-   successor keys that were unseen when probed in the sharded visited set;
-   phase B commits them sequentially in the order the sequential search
-   would have visited them. Two order quirks of [compute_seq] are
+   successor keys that were unseen when probed in the depth table — the
+   engine's own {!Flatset}, which phase A only reads; phase B, the only
+   writer, commits them sequentially in the order the sequential search
+   would have visited them ({!Par.Chunked} keeps phase A's output in
+   source order). Two order quirks of [compute_seq] are
    reproduced deliberately: program-closure waves are FIFO (wave order ×
    action order = the single queue's pop order), and the fault phase walks
    the layer's members in {e reverse} pop order, because the sequential
@@ -415,18 +417,18 @@ let compute_par engine ?program ?envs ?budget ?resume ~faults ~from () =
   let worker_fault = Array.init jobs (recompile faults) in
   let worker_buf = Array.init jobs (fun _ -> State.make env) in
   let worker_post = Array.init jobs (fun _ -> State.make env) in
-  let worker_out = Array.init jobs (fun _ -> Vec.create ()) in
-  let depth_of = Par.Shardmap.create () in
+  let chunks = Par.Chunked.create () in
+  let depth_of = Engine.make_visited engine in
   let keys = Vec.create () in
   let count = ref 0 in
   let level = ref 0 in
   let roots = ref 0 in
   let resume_fault = ref None in
   let visit level target key =
-    if not (Par.Shardmap.mem depth_of key) then begin
+    if not (Flatset.mem depth_of key) then begin
       incr count;
       if !count > cap then raise (Engine.Region_overflow !count);
-      Par.Shardmap.add depth_of key level;
+      Flatset.add depth_of key level;
       ignore (Vec.push keys key);
       ignore (Vec.push target key)
     end
@@ -437,40 +439,31 @@ let compute_par engine ?program ?envs ?budget ?resume ~faults ~from () =
      since an earlier commit of this very round may have claimed the key. *)
   let expand ~reverse worker_actions src level target =
     let len = Vec.len src in
-    let succs = Array.make len [||] in
-    Par.Pool.parallel_for pool ~n:len (fun ~worker lo hi ->
+    Par.Chunked.round chunks pool ~n:len
+      ~expand:(fun ~worker out i ->
         let acts = (worker_actions : Compile.action array array).(worker) in
         let buf = worker_buf.(worker) and post = worker_post.(worker) in
-        let out = worker_out.(worker) in
-        for i = lo to hi - 1 do
-          Engine.decode_key_into engine (Vec.get src i) buf;
-          Vec.clear out;
-          Array.iter
-            (fun (ca : Compile.action) ->
-              if ca.enabled buf then begin
-                ca.apply_into buf post;
-                let dst = Engine.encode_key engine post in
-                if not (Par.Shardmap.mem depth_of dst) then
-                  ignore (Vec.push out dst)
-              end)
-            acts;
-          succs.(i) <- Vec.to_array out
-        done);
-    if reverse then
-      for i = len - 1 downto 0 do
-        Array.iter (fun k -> visit level target k) succs.(i)
-      done
-    else
-      for i = 0 to len - 1 do
-        Array.iter (fun k -> visit level target k) succs.(i)
-      done
+        let i = if reverse then len - 1 - i else i in
+        Engine.decode_key_into engine (Vec.get src i) buf;
+        Array.iter
+          (fun (ca : Compile.action) ->
+            if ca.enabled buf then begin
+              ca.apply_into buf post;
+              let dst = Engine.encode_key engine post in
+              if not (Flatset.mem depth_of dst) then ignore (Vec.push out dst)
+            end)
+          acts)
+      ~commit:(fun out ->
+        for j = 0 to Vec.len out - 1 do
+          visit level target (Vec.get out j)
+        done)
   in
   let wave = Vec.create () and next_wave = Vec.create () in
   let members = Vec.create () and next_layer = Vec.create () in
   (match resume with
   | Some snap ->
       let phase, lvl, rts, _members_total, frontier, next_a, pending =
-        restore_span ~hash snap ~add:(Par.Shardmap.add depth_of) ~keys
+        restore_span ~hash snap ~add:(Flatset.add depth_of) ~keys
       in
       count := Vec.len keys;
       level := lvl;
@@ -509,8 +502,8 @@ let compute_par engine ?program ?envs ?budget ?resume ~faults ~from () =
           done);
       roots := !count));
   let live_bytes () =
-    Par.Shardmap.bytes depth_of + Vec.bytes wave + Vec.bytes next_wave
-    + Vec.bytes members + Vec.bytes next_layer
+    Flatset.bytes depth_of + Vec.bytes wave + Vec.bytes next_wave
+    + Vec.bytes members + Vec.bytes next_layer + Par.Chunked.bytes chunks
   in
   let interrupt reason ~phase ~frontier ~pending ~frontier_size =
     let snapshot =
@@ -519,7 +512,7 @@ let compute_par engine ?program ?envs ?budget ?resume ~faults ~from () =
         Some
           (build_span_snapshot ~hash ~phase ~level:!level ~roots:!roots
              ~layer_members:(Vec.len members) ~keys
-             ~depth_find:(fun k -> Par.Shardmap.find_def depth_of k (-1))
+             ~depth_find:(fun k -> Flatset.find_def depth_of k (-1))
              ~frontier ~next:(Vec.to_array next_layer) ~pending)
     in
     raise
@@ -577,21 +570,9 @@ let compute_par engine ?program ?envs ?budget ?resume ~faults ~from () =
     end
   done;
   let max_depth = !level in
-  (* fold the sharded table into the same flat representation the
-     sequential search builds, so the record is backend-agnostic *)
-  let depth_flat = Engine.make_visited engine in
-  Par.Shardmap.iter depth_of (fun k d -> Flatset.add depth_flat k d);
-  let histogram = histogram_of depth_flat max_depth in
+  let histogram = histogram_of depth_of max_depth in
   obs_done obs ~states:!count ~roots:!roots ~max_depth;
-  {
-    engine;
-    keys;
-    count = !count;
-    depth_of = depth_flat;
-    roots = !roots;
-    max_depth;
-    histogram;
-  }
+  { engine; keys; count = !count; depth_of; roots = !roots; max_depth; histogram }
 
 let compute engine ?program ?envs ?budget ?resume ~faults ~from () =
   match Engine.backend engine with

@@ -18,8 +18,14 @@
       exploration of huge spaces.
 
     Both are allocation-free on the probe path and both answer
-    {!bytes}, so engines report bytes/state uniformly. Not
-    thread-safe; the parallel backend shards {!Par.Shardmap} instead. *)
+    {!bytes}, so engines report bytes/state uniformly.
+
+    {b Concurrency}: the reads ({!mem}, {!find_def}, {!length},
+    {!iter}, {!bytes}) mutate nothing, so any number of domains may
+    call them at once while no domain writes. {!add} and {!remove}
+    (which may rehash a probed table) need exclusive access. The
+    parallel searches rely on exactly this: workers probe during a
+    fork/join round, and only the caller writes, between rounds. *)
 
 type t
 

@@ -15,8 +15,11 @@
     tombstones are reclaimed at the next rehash, and a rehash triggered
     mostly by tombstones keeps the capacity instead of doubling.
 
-    Not thread-safe: callers serialize access (see {!Shardmap} for the
-    sharded concurrent discipline). *)
+    {b Concurrency}: {!mem}, {!find_def}, {!find_opt}, {!length},
+    {!capacity}, {!iter}, {!bytes} and {!max_probe} mutate nothing, so
+    any number of domains may call them at once while no domain
+    writes. {!add} and {!remove} need exclusive access: [add] may
+    replace the backing array mid-probe of a concurrent reader. *)
 
 type t
 

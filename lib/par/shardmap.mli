@@ -1,8 +1,14 @@
 (** Sharded int→int hash maps for concurrent visited sets.
 
-    The parallel exploration backends key their visited sets by state
-    codes ({!Explore.Space.encode} dense ids, or bit-packed codes). A
-    [Shardmap.t] spreads those keys over a power-of-two number of
+    {b No engine uses this module any more.} The parallel searches
+    only read their visited table while workers run and write it alone
+    between rounds, so they probe the engine's lock-free
+    [Explore.Flatset] instead (see {!Flattbl}'s concurrency contract).
+    The module is kept because the benchmark replays its insert and
+    lookup costs; it goes when the benchmark stops measuring it.
+
+    Keys are state codes ({!Explore.Space.encode} dense ids, or
+    bit-packed codes). A [Shardmap.t] spreads those keys over a power-of-two number of
     shards — each a flat open-addressing {!Flattbl} behind its own
     mutex — so probes from many domains contend on different locks
     with high probability, and each entry costs two unboxed words

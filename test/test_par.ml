@@ -1,8 +1,9 @@
-(* Tests for the multicore subsystem: the Par substrate (pool, sharded
-   map, int vectors) and the determinism contract of everything built on
-   it — the parallel engine backend must be bit-identical to the lazy
-   one, parallel fault spans to sequential ones, and parallel storm
-   trials to the jobs=1 loop, all at any job count. *)
+(* Tests for the multicore subsystem: the Par substrate (pool,
+   chunk-ordered buffers, sharded map, int vectors) and the determinism
+   contract of everything built on it — the parallel engine backend
+   must be bit-identical to the lazy one, parallel fault spans to
+   sequential ones, and parallel storm trials to the jobs=1 loop, all
+   at any job count. *)
 
 module State = Guarded.State
 module Compile = Guarded.Compile
@@ -100,6 +101,47 @@ let test_pool_validation () =
   let pool = Par.Pool.create ~jobs:2 in
   Par.Pool.shutdown pool;
   Par.Pool.shutdown pool (* idempotent *)
+
+(* --- Par.Chunked --- *)
+
+let test_chunked_index_order () =
+  (* variable-length outputs over several blocks: the committed stream
+     is every index's output in index order, at any job count, and the
+     buffers stay bounded by a block, not by the range *)
+  let n = 20_000 in
+  let expected = Par.Ivec.create () in
+  for i = 0 to n - 1 do
+    for j = 0 to i mod 4 do
+      ignore (Par.Ivec.push expected ((10 * i) + j))
+    done
+  done;
+  List.iter
+    (fun jobs ->
+      Par.Pool.with_pool ~jobs @@ fun pool ->
+      let c = Par.Chunked.create () in
+      let got = Par.Ivec.create () in
+      (* the second round reuses the first round's buffers *)
+      for round = 1 to 2 do
+        Par.Ivec.clear got;
+        Par.Chunked.round c pool ~n
+          ~expand:(fun ~worker:_ out i ->
+            for j = 0 to i mod 4 do
+              ignore (Par.Ivec.push out ((10 * i) + j))
+            done)
+          ~commit:(fun out ->
+            for k = 0 to Par.Ivec.len out - 1 do
+              ignore (Par.Ivec.push got (Par.Ivec.get out k))
+            done);
+        Alcotest.(check (array int))
+          (Printf.sprintf "jobs=%d round %d: index order" jobs round)
+          (Par.Ivec.to_array expected) (Par.Ivec.to_array got)
+      done;
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs=%d: buffers smaller than the output" jobs)
+        true
+        (Par.Chunked.bytes c > 0
+        && Par.Chunked.bytes c < Par.Ivec.bytes expected))
+    [ 1; 2; 4 ]
 
 (* --- Par.Shardmap --- *)
 
@@ -435,6 +477,8 @@ let suite =
       test_pool_propagates_exception;
     Alcotest.test_case "pool: validation and shutdown" `Quick
       test_pool_validation;
+    Alcotest.test_case "chunked: commit in index order" `Quick
+      test_chunked_index_order;
     Alcotest.test_case "shardmap basics" `Quick test_shardmap_basics;
     Alcotest.test_case "shardmap concurrent adds" `Quick
       test_shardmap_concurrent_adds;

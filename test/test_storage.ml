@@ -2,9 +2,10 @@
    (dense / packed / wide encodings with typed overflow), the
    open-addressing tables (Flattbl / Flatset) against a boxed Hashtbl
    reference, the chunked frontier queue, Shardmap growth under
-   multi-domain contention, and the engine-level guarantees — probed,
-   direct, and packed-keyed searches all produce the same regions, at
-   the same overflow points. *)
+   multi-domain contention, concurrent reads of both Flatset
+   representations, and the engine-level guarantees — probed, direct,
+   and packed-keyed searches all produce the same regions, at the same
+   overflow points, reporting the same visited-table bytes. *)
 
 module State = Guarded.State
 module Compile = Guarded.Compile
@@ -394,6 +395,49 @@ let test_shardmap_contended_growth () =
   done;
   Alcotest.(check bool) "bytes accounted" true (Par.Shardmap.bytes m > 0)
 
+(* --- concurrent reads (the parallel backend's phase-A contract) --- *)
+
+let test_flatset_concurrent_reads () =
+  (* a populated table of either representation, probed from 4 domains
+     while nobody writes, answers exactly what a sequential probe does;
+     the probed table has been through growth and tombstones first *)
+  let size = 50_000 in
+  let populate t =
+    for k = 0 to size - 1 do
+      if k mod 3 <> 0 then Flatset.add t k (k mod 1000 - 1)
+    done;
+    for k = 0 to size - 1 do
+      if k mod 7 = 0 then Flatset.remove t k
+    done;
+    t
+  in
+  let tables =
+    [
+      ("direct", populate (Flatset.direct ~size));
+      ("probed", populate (Flatset.probed ()));
+    ]
+  in
+  (* probe keys include misses beyond the populated range *)
+  let n = 2 * size in
+  Par.Pool.with_pool ~jobs:4 @@ fun pool ->
+  List.iter
+    (fun (name, t) ->
+      let expected_find = Array.init n (fun k -> Flatset.find_def t k min_int) in
+      let expected_mem = Array.init n (fun k -> Flatset.mem t k) in
+      let found = Array.make n 0 and member = Array.make n false in
+      Par.Pool.parallel_for ~chunk:97 pool ~n (fun ~worker:_ lo hi ->
+          for k = lo to hi - 1 do
+            found.(k) <- Flatset.find_def t k min_int;
+            member.(k) <- Flatset.mem t k
+          done);
+      Alcotest.(check bool) (name ^ ": find_def agrees") true
+        (found = expected_find);
+      Alcotest.(check bool) (name ^ ": mem agrees") true
+        (member = expected_mem);
+      Alcotest.(check bool) (name ^ ": table populated") true
+        (Flatset.length t > size / 2))
+    tables
+
 (* --- engine-level storage invariance --- *)
 
 let check_identical name (a : Engine.region) (b : Engine.region) =
@@ -483,27 +527,64 @@ let test_engine_packed_keys () =
 
 let test_engine_storage_overflow_point () =
   (* the budget trips after the same number of visits whatever the
-     storage; the carried count must match across all combinations *)
+     storage and job count; the carried count must match across all
+     combinations *)
   let env, program, inv = token_ring_pieces () in
   let cp = Compile.program program in
-  let overflow storage backend =
+  let overflow storage backend jobs =
     match
       Engine.region
-        (Engine.create ~backend ~storage ~max_states:120 ~jobs:2 env)
+        (Engine.create ~backend ~storage ~max_states:120 ~jobs env)
         cp ~from:Engine.All ~target:inv
     with
     | exception Engine.Region_overflow n -> n
     | _ -> Alcotest.fail "must overflow a 120-state budget"
   in
-  let reference = overflow Engine.Probed Engine.Lazy in
+  let reference = overflow Engine.Probed Engine.Lazy 1 in
+  Alcotest.(check int) "lazy direct overflow point" reference
+    (overflow Engine.Direct Engine.Lazy 1);
   List.iter
-    (fun (storage, backend) ->
-      Alcotest.(check int) "overflow point" reference (overflow storage backend))
-    [
-      (Engine.Direct, Engine.Lazy);
-      (Engine.Probed, Engine.Parallel);
-      (Engine.Direct, Engine.Parallel);
-    ]
+    (fun jobs ->
+      List.iter
+        (fun storage ->
+          Alcotest.(check int)
+            (Printf.sprintf "parallel jobs=%d overflow point" jobs)
+            reference
+            (overflow storage Engine.Parallel jobs))
+        [ Engine.Probed; Engine.Direct ])
+    [ 1; 4 ]
+
+let test_engine_visited_bytes () =
+  (* the parallel backend keeps its visited set in the same Flatset the
+     lazy one does, filled in the same order: the reported table bytes
+     agree exactly under either storage, at any job count *)
+  let env, program, inv = token_ring_pieces () in
+  let cp = Compile.program program in
+  let visited_bytes storage backend jobs =
+    let obs = Obs.Ctx.create () in
+    let e = Engine.create ~backend ~storage ~jobs ~obs env in
+    ignore (Engine.region e cp ~from:Engine.All ~target:inv);
+    ( Obs.Metrics.gauge_value (Obs.Ctx.gauge obs "engine.visited_bytes"),
+      Engine.storage_bytes e )
+  in
+  List.iter
+    (fun storage ->
+      let lazy_bytes, lazy_storage = visited_bytes storage Engine.Lazy 1 in
+      Alcotest.(check bool) "lazy reports bytes" true (lazy_bytes > 0);
+      List.iter
+        (fun jobs ->
+          let par_bytes, par_storage =
+            visited_bytes storage Engine.Parallel jobs
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "%s jobs=%d: engine.visited_bytes"
+               (if storage = Engine.Direct then "direct" else "probed")
+               jobs)
+            lazy_bytes par_bytes;
+          Alcotest.(check bool) "storage bytes cover the visited table" true
+            (lazy_storage > lazy_bytes && par_storage > par_bytes))
+        [ 1; 4 ])
+    [ Engine.Direct; Engine.Probed ]
 
 let test_faultspan_storage_invariant () =
   let env, program, inv = token_ring_pieces () in
@@ -520,9 +601,9 @@ let test_faultspan_storage_invariant () =
         if !found = None && inv s then found := Some (State.copy s));
     Option.get !found
   in
-  let span storage backend =
+  let span ?(jobs = 1) storage backend =
     Faultspan.compute
-      (Engine.create ~backend ~storage ~jobs:2 env)
+      (Engine.create ~backend ~storage ~jobs env)
       ~program:cp ~budget:1 ~faults:fp
       ~from:(Engine.Seeds [ legit ])
       ()
@@ -534,8 +615,8 @@ let test_faultspan_storage_invariant () =
   in
   let states_of sp = List.map State.to_array (Faultspan.states sp) in
   List.iter
-    (fun (name, storage, backend) ->
-      let sp = span storage backend in
+    (fun (name, storage, backend, jobs) ->
+      let sp = span ~jobs storage backend in
       Alcotest.(check (pair (pair int int) (pair int (list int))))
         (name ^ ": span signature") (sig_of reference) (sig_of sp);
       (* member iteration order is part of the contract (certificates
@@ -545,10 +626,12 @@ let test_faultspan_storage_invariant () =
         true
         (states_of reference = states_of sp))
     [
-      ("lazy/direct", Engine.Direct, Engine.Lazy);
-      ("lazy/probed", Engine.Probed, Engine.Lazy);
-      ("par/direct", Engine.Direct, Engine.Parallel);
-      ("par/probed", Engine.Probed, Engine.Parallel);
+      ("lazy/direct", Engine.Direct, Engine.Lazy, 1);
+      ("lazy/probed", Engine.Probed, Engine.Lazy, 1);
+      ("par/direct jobs=1", Engine.Direct, Engine.Parallel, 1);
+      ("par/probed jobs=1", Engine.Probed, Engine.Parallel, 1);
+      ("par/direct jobs=4", Engine.Direct, Engine.Parallel, 4);
+      ("par/probed jobs=4", Engine.Probed, Engine.Parallel, 4);
     ];
   (* indexed access agrees with iter *)
   let buf = State.make env in
@@ -590,12 +673,16 @@ let suite =
       test_flatqueue_transfer_clear;
     Alcotest.test_case "shardmap growth under contention" `Quick
       test_shardmap_contended_growth;
+    Alcotest.test_case "flatset concurrent reads (4 domains)" `Quick
+      test_flatset_concurrent_reads;
     Alcotest.test_case "engine: storage-invariant regions" `Quick
       test_engine_storage_invariant;
     Alcotest.test_case "engine: packed keys agree with dense" `Quick
       test_engine_packed_keys;
     Alcotest.test_case "engine: overflow point storage-invariant" `Quick
       test_engine_storage_overflow_point;
+    Alcotest.test_case "engine: lazy and parallel visited bytes agree" `Quick
+      test_engine_visited_bytes;
     Alcotest.test_case "faultspan: storage-invariant spans" `Quick
       test_faultspan_storage_invariant;
   ]
