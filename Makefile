@@ -1,4 +1,4 @@
-.PHONY: all build test check smoke serve-smoke fuzz bench e19-smoke e20-smoke e21-smoke e22-smoke e23-smoke clean
+.PHONY: all build test check smoke serve-smoke fuzz bench e19-smoke e20-smoke e21-smoke e22-smoke e23-smoke perfpair clean
 
 all: build
 
@@ -74,6 +74,16 @@ e22-smoke:
 # (the full 5-node tier is `dune exec bench/main.exe -- e23`).
 e23-smoke:
 	dune exec bench/main.exe -- e23-smoke --metrics-out bench-e23-metrics.json
+
+# Paired benchmark runs: BASE (a git revision) against the working tree,
+# PAIRS alternating perfbench/run.py runs of workload W, with per-metric
+# medians, quartiles and win counts.
+# Example: make perfpair BASE=HEAD~1 W=tolerance PAIRS=10
+BASE ?= HEAD
+W ?= tolerance
+PAIRS ?= 10
+perfpair:
+	python3 tools/perfpair.py --base $(BASE) --workload $(W) --pairs $(PAIRS)
 
 clean:
 	dune clean

@@ -37,42 +37,60 @@ let of_closure_result env label = function
    loop with a BFS from its destination back to its source inside that
    component. Returned as the edge list of the cycle, fault edge first. *)
 let find_fault_cycle (region : Explore.Engine.region) ~first_fault_index =
+  let module G = Dgraph.Digraph in
   let g = region.Explore.Engine.graph in
+  let n = G.node_count g in
   let comp = (Dgraph.Scc.compute g).Dgraph.Scc.component in
-  match
-    List.find_opt
-      (fun (e : int Dgraph.Digraph.edge) ->
-        e.label >= first_fault_index && comp.(e.src) = comp.(e.dst))
-      (Dgraph.Digraph.edges g)
-  with
+  let ({ G.off; ends; _ } as csr) = G.out_csr g in
+  (* the first qualifying edge in CSR order, as an edge id *)
+  let rec first v k =
+    if v = n then None
+    else if k = off.(v + 1) then first (v + 1) k
+    else
+      let e = G.csr_edge csr k in
+      if G.edge_label g e >= first_fault_index && comp.(v) = comp.(ends.(k))
+      then Some (G.edge g e)
+      else first v (k + 1)
+  in
+  match first 0 0 with
   | None -> None
   | Some e when e.src = e.dst -> Some [ e ]
   | Some e ->
       let c = comp.(e.src) in
-      let parent = Array.make (Dgraph.Digraph.node_count g) None in
-      let seen = Array.make (Dgraph.Digraph.node_count g) false in
-      seen.(e.dst) <- true;
-      let q = Queue.create () in
-      Queue.add e.dst q;
+      (* BFS over an int-array queue; [parent.(w)] is the id of the edge
+         that first reached [w], or -1 *)
+      let parent = Array.make n (-1) in
+      let seen = Bytes.make n '\000' in
+      let queue = Array.make n 0 in
+      let head = ref 0 and tail = ref 1 in
+      Bytes.set seen e.dst '\001';
+      queue.(0) <- e.dst;
       let found = ref false in
-      while (not !found) && not (Queue.is_empty q) do
-        let v = Queue.pop q in
-        List.iter
-          (fun (e' : int Dgraph.Digraph.edge) ->
-            if (not !found) && (not seen.(e'.dst)) && comp.(e'.dst) = c
-            then begin
-              seen.(e'.dst) <- true;
-              parent.(e'.dst) <- Some e';
-              if e'.dst = e.src then found := true else Queue.add e'.dst q
-            end)
-          (Dgraph.Digraph.out_edges g v)
+      while (not !found) && !head < !tail do
+        let v = queue.(!head) in
+        incr head;
+        let k = ref off.(v) in
+        while (not !found) && !k < off.(v + 1) do
+          let w = ends.(!k) in
+          if Bytes.get seen w = '\000' && comp.(w) = c then begin
+            Bytes.set seen w '\001';
+            parent.(w) <- G.csr_edge csr !k;
+            if w = e.src then found := true
+            else begin
+              queue.(!tail) <- w;
+              incr tail
+            end
+          end;
+          incr k
+        done
       done;
       if not !found then None
       else begin
         let rec back v acc =
-          match parent.(v) with
-          | None -> acc
-          | Some (pe : int Dgraph.Digraph.edge) -> back pe.src (pe :: acc)
+          if parent.(v) < 0 then acc
+          else
+            let pe = G.edge g parent.(v) in
+            back pe.src (pe :: acc)
         in
         Some (e :: back e.src [])
       end

@@ -1,100 +1,132 @@
-let topological_order g =
+(* Kahn's algorithm over the out-index, one core for every query here.
+   [order] doubles as the FIFO queue: a node is appended when its last
+   in-edge is released, and the first [count] slots are the order found
+   ([count = n] iff the graph is acyclic). Successors are released in
+   reverse insertion order — the order [Digraph.iter_succ] walks — which
+   fixes the tie order. With [skip_self], self-loops are ignored. *)
+let kahn ~skip_self g =
   let n = Digraph.node_count g in
-  let indeg = Array.init n (fun i -> Digraph.in_degree g i) in
-  let queue = Queue.create () in
-  for i = 0 to n - 1 do
-    if indeg.(i) = 0 then Queue.add i queue
+  let { Digraph.off; ends; _ } = Digraph.out_csr g in
+  let indeg = Array.make n 0 in
+  for v = 0 to n - 1 do
+    for k = off.(v) to off.(v + 1) - 1 do
+      let w = ends.(k) in
+      if not (skip_self && w = v) then indeg.(w) <- indeg.(w) + 1
+    done
   done;
-  let order = ref [] in
-  let seen = ref 0 in
-  while not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
-    order := v :: !order;
-    incr seen;
-    Digraph.iter_succ g v (fun w ->
+  let order = Array.make n 0 in
+  let tail = ref 0 in
+  for v = 0 to n - 1 do
+    if indeg.(v) = 0 then begin
+      order.(!tail) <- v;
+      incr tail
+    end
+  done;
+  let head = ref 0 in
+  while !head < !tail do
+    let v = order.(!head) in
+    incr head;
+    for k = off.(v + 1) - 1 downto off.(v) do
+      let w = ends.(k) in
+      if not (skip_self && w = v) then begin
         indeg.(w) <- indeg.(w) - 1;
-        if indeg.(w) = 0 then Queue.add w queue)
+        if indeg.(w) = 0 then begin
+          order.(!tail) <- w;
+          incr tail
+        end
+      end
+    done
   done;
-  if !seen = n then Some (List.rev !order) else None
+  (order, !tail)
 
-let is_acyclic g = topological_order g <> None
+let topological_order g =
+  let order, count = kahn ~skip_self:false g in
+  if count = Digraph.node_count g then Some (Array.to_list order) else None
+
+let is_acyclic g = snd (kahn ~skip_self:false g) = Digraph.node_count g
 
 let is_acyclic_ignoring_self_loops g =
-  is_acyclic (Digraph.drop_self_loops g)
+  snd (kahn ~skip_self:true g) = Digraph.node_count g
+
+(* [dist.(w) = max (dist.(w), dist.(v) + 1)] along every edge [v -> w]
+   (self-loops skipped), relaxed in topological order so each [dist.(v)]
+   is final before it is read. *)
+let relax_forward g order ~init =
+  let n = Digraph.node_count g in
+  let { Digraph.off; ends; _ } = Digraph.out_csr g in
+  let dist = Array.make n init in
+  for i = 0 to n - 1 do
+    let v = order.(i) in
+    let d = dist.(v) + 1 in
+    for k = off.(v) to off.(v + 1) - 1 do
+      let w = ends.(k) in
+      if w <> v && dist.(w) < d then dist.(w) <- d
+    done
+  done;
+  dist
 
 let ranks g =
-  let core = Digraph.drop_self_loops g in
-  match topological_order core with
-  | None -> None
-  | Some order ->
-      let n = Digraph.node_count g in
-      let rank = Array.make n 1 in
-      List.iter
-        (fun v ->
-          List.iter
-            (fun p -> if p <> v then rank.(v) <- max rank.(v) (rank.(p) + 1))
-            (Digraph.pred core v))
-        order;
-      Some rank
+  let order, count = kahn ~skip_self:true g in
+  if count < Digraph.node_count g then None
+  else Some (relax_forward g order ~init:1)
 
 let longest_path_lengths g =
-  match topological_order g with
-  | None -> None
-  | Some order ->
-      let n = Digraph.node_count g in
-      let dist = Array.make n 0 in
-      List.iter
-        (fun v ->
-          List.iter
-            (fun p -> dist.(v) <- max dist.(v) (dist.(p) + 1))
-            (Digraph.pred g v))
-        order;
-      Some dist
+  let order, count = kahn ~skip_self:false g in
+  if count < Digraph.node_count g then None
+  else Some (relax_forward g order ~init:0)
 
 let find_cycle g =
   let n = Digraph.node_count g in
+  let { Digraph.off; ends; _ } = Digraph.out_csr g in
   (* Self-loops first: cheapest cycles to report. *)
-  let self = ref None in
-  for i = 0 to n - 1 do
-    if !self = None && Digraph.has_self_loop g i then self := Some [ i ]
-  done;
-  match !self with
+  let rec self v =
+    if v = n then None
+    else if Digraph.has_self_loop g v then Some [ v ]
+    else self (v + 1)
+  in
+  match self 0 with
   | Some _ as c -> c
   | None ->
-      (* Iterative DFS with colors; the frame stack doubles as the DFS path
-         from which the cycle is reconstructed. *)
-      let color = Array.make n 0 in
-      (* 0 white, 1 gray, 2 black *)
+      (* Iterative DFS with colors over two array stacks: [path] holds the
+         gray nodes root-first and [cursor] each one's next out-position,
+         so the cycle is read straight off the path. *)
+      let color = Bytes.make n '\000' (* 0 white, 1 gray, 2 black *) in
+      let path = Array.make n 0 and cursor = Array.make n 0 in
+      let depth = ref 0 in
       let result = ref None in
-      let visit root =
-        let frames = ref [ (root, ref (Digraph.succ g root)) ] in
-        color.(root) <- 1;
-        while !result = None && !frames <> [] do
-          match !frames with
-          | [] -> ()
-          | (v, succs) :: rest -> (
-              match !succs with
-              | [] ->
-                  color.(v) <- 2;
-                  frames := rest
-              | w :: ws ->
-                  succs := ws;
-                  if color.(w) = 1 then begin
-                    (* cycle: the gray frames from w up to v *)
-                    let path = List.map fst !frames in
-                    let rec cut = function
-                      | [] -> []
-                      | x :: tail -> if x = w then [ x ] else x :: cut tail
-                    in
-                    result := Some (List.rev (cut path))
-                  end
-                  else if color.(w) = 0 then begin
-                    color.(w) <- 1;
-                    frames := (w, ref (Digraph.succ g w)) :: !frames
-                  end)
-        done
+      let push v =
+        Bytes.set color v '\001';
+        path.(!depth) <- v;
+        cursor.(!depth) <- off.(v);
+        incr depth
       in
-      for v = 0 to n - 1 do
-        if color.(v) = 0 && !result = None then visit v
+      let root = ref 0 in
+      while !result = None && !root < n do
+        if Bytes.get color !root = '\000' then begin
+          push !root;
+          while !result = None && !depth > 0 do
+            let top = !depth - 1 in
+            let v = path.(top) and k = cursor.(top) in
+            if k = off.(v + 1) then begin
+              Bytes.set color v '\002';
+              decr depth
+            end
+            else begin
+              cursor.(top) <- k + 1;
+              let w = ends.(k) in
+              match Bytes.get color w with
+              | '\001' ->
+                  (* cycle: the gray path from w up to v *)
+                  let i = ref top in
+                  while path.(!i) <> w do
+                    decr i
+                  done;
+                  result := Some (Array.to_list (Array.sub path !i (!depth - !i)))
+              | '\000' -> push w
+              | _ -> ()
+            end
+          done
+        end;
+        incr root
       done;
       !result

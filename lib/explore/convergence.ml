@@ -28,33 +28,36 @@ let find_deadlock engine (region : Engine.region) =
   go 0
 
 (* The exact unfair analysis of an already-built region: converges iff no
-   member is terminal and the member graph is acyclic. *)
+   member is terminal and the member graph is acyclic. One Kahn pass both
+   decides acyclicity and yields the longest paths; the cycle search runs
+   only when a livelock witness must be named. *)
 let analyze_unfair engine (region : Engine.region) =
   match find_deadlock engine region with
   | Some f -> Error f
   | None -> (
-      match Dgraph.Topo.find_cycle region.graph with
-      | Some nodes ->
-          Error
-            (Livelock
-               (List.map
-                  (fun v -> Engine.decode_key engine region.node_key.(v))
-                  nodes))
-      | None ->
+      match Dgraph.Topo.longest_path_lengths region.graph with
+      | Some dist ->
           let region_states = Array.length region.node_key in
           let worst =
-            if region_states = 0 then 0
-            else
-              match Dgraph.Topo.longest_path_lengths region.graph with
-              | Some dist -> Array.fold_left max 0 dist + 1
-              | None -> assert false (* acyclic: find_cycle returned None *)
+            if region_states = 0 then 0 else Array.fold_left max 0 dist + 1
           in
           Ok
             {
               region_states;
               explored = region.explored;
               worst_case_steps = Some worst;
-            })
+            }
+      | None ->
+          let nodes =
+            match Dgraph.Topo.find_cycle region.graph with
+            | Some nodes -> nodes
+            | None -> assert false (* cyclic: Kahn could not order it *)
+          in
+          Error
+            (Livelock
+               (List.map
+                  (fun v -> Engine.decode_key engine region.node_key.(v))
+                  nodes)))
 
 let check_unfair ?resume engine cp ~from ~target =
   analyze_unfair engine (Engine.region ?resume engine cp ~from ~target)

@@ -380,12 +380,18 @@ let finish_region t ~visited_bytes ~frontier_bytes ~node_keys ~nonmembers:_
   for i = 0 to Vec.len terminals - 1 do
     terminal.(Vec.get terminals i) <- true
   done;
+  (* one pass from the committed triples straight into the graph's
+     arrays: no edge records, no second copy of the buffer *)
   let n_edges = Vec.len edges / 3 in
-  let graph =
-    Dgraph.Digraph.of_edges_f n_nodes ~n_edges (fun j ->
-        (Vec.get edges (3 * j), Vec.get edges ((3 * j) + 1),
-         Vec.get edges ((3 * j) + 2)))
-  in
+  let src = Array.make n_edges 0
+  and dst = Array.make n_edges 0
+  and label = Array.make n_edges 0 in
+  for j = 0 to n_edges - 1 do
+    src.(j) <- Vec.get edges (3 * j);
+    dst.(j) <- Vec.get edges ((3 * j) + 1);
+    label.(j) <- Vec.get edges ((3 * j) + 2)
+  done;
+  let graph = Dgraph.Digraph.of_arrays n_nodes ~src ~dst ~label in
   { graph; node_key; terminal; explored; node_of_key }
 
 let lazy_region t cp ~from ~target ~resume =
@@ -757,6 +763,11 @@ let region ?resume t cp ~from ~target =
       r.explored;
     Obs.Metrics.add (Obs.Ctx.counter t.obs "engine.region_nodes") nodes;
     Obs.Metrics.add (Obs.Ctx.counter t.obs "engine.region_edges") edges;
+    (* the region graph as handed back: edge arrays only, no index yet
+       (reported beside storage_bytes, never counted against budgets) *)
+    Obs.Metrics.set_max
+      (Obs.Ctx.gauge t.obs "engine.graph_bytes")
+      (Dgraph.Digraph.bytes r.graph);
     (* storage gauges are set post-hoc from totals, so they are as
        job-count-invariant as the search itself *)
     if t.last_visited_bytes > 0 then begin

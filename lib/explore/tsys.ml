@@ -105,15 +105,33 @@ let region_graph_full t ~member =
   for id = 0 to n - 1 do
     if state_to_node.(id) >= 0 then node_to_state.(state_to_node.(id)) <- id
   done;
-  let g = Dgraph.Digraph.create !node_count in
+  (* Two passes over the CSR rows of member states (count, then fill)
+     give exact-size edge arrays, already grouped by source node. *)
+  let m = ref 0 in
   Array.iteri
     (fun id node ->
       if node >= 0 then
-        iter_succ t id (fun ~action ~dst ->
-            if state_to_node.(dst) >= 0 then
-              Dgraph.Digraph.add_edge g ~src:node ~dst:state_to_node.(dst)
-                action))
+        for k = t.offsets.(id) to t.offsets.(id + 1) - 1 do
+          if state_to_node.(t.dsts.(k)) >= 0 then incr m
+        done)
     state_to_node;
+  let src = Array.make !m 0 and dst = Array.make !m 0
+  and label = Array.make !m 0 in
+  let e = ref 0 in
+  Array.iteri
+    (fun id node ->
+      if node >= 0 then
+        for k = t.offsets.(id) to t.offsets.(id + 1) - 1 do
+          let d = state_to_node.(t.dsts.(k)) in
+          if d >= 0 then begin
+            src.(!e) <- node;
+            dst.(!e) <- d;
+            label.(!e) <- t.acts.(k);
+            incr e
+          end
+        done)
+    state_to_node;
+  let g = Dgraph.Digraph.of_arrays !node_count ~src ~dst ~label in
   (g, node_to_state, fun id -> state_to_node.(id))
 
 let region_graph t ~member =

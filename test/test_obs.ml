@@ -215,10 +215,13 @@ let engine_trace jobs =
       let discovered =
         Metrics.value (Obs.Ctx.counter obs "engine.states_discovered")
       in
-      (result, discovered))
+      let graph_bytes =
+        Metrics.gauge_value (Obs.Ctx.gauge obs "engine.graph_bytes")
+      and edges = Metrics.value (Obs.Ctx.counter obs "engine.region_edges") in
+      (result, (discovered, graph_bytes, edges)))
 
 let test_trace_reconciles_with_metrics () =
-  let (result, discovered), trace = engine_trace 2 in
+  let (result, (discovered, _, _)), trace = engine_trace 2 in
   (match result with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "token-ring should converge");
@@ -245,11 +248,38 @@ let test_trace_stable_across_jobs () =
       trace;
     List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
   in
-  let (_, d1), t1 = engine_trace 1 in
-  let (_, d4), t4 = engine_trace 4 in
+  let (_, (d1, g1, e1)), t1 = engine_trace 1 in
+  let (_, (d4, g4, e4)), t4 = engine_trace 4 in
   Alcotest.(check int) "same discovery count" d1 d4;
+  Alcotest.(check int) "same region edges" e1 e4;
+  Alcotest.(check int) "same graph bytes" g1 g4;
+  Alcotest.(check bool) "graph has edges" true (e1 > 0);
+  Alcotest.(check bool) "at most 24 B per edge" true (g1 <= 24 * e1);
   Alcotest.(check (list (pair string int)))
     "identical event profile at jobs 1 and 4" (profile t1) (profile t4)
+
+(* engine.graph_bytes: the region graph as handed back costs 24 bytes per
+   edge (three int words), the same on every backend. *)
+let test_graph_bytes_every_backend () =
+  let tr = Token_ring.make ~nodes:4 ~k:4 in
+  let gauge backend =
+    let obs = Obs.Ctx.create () in
+    let engine = Engine.create ~backend ~jobs:2 ~obs (Token_ring.env tr) in
+    ignore
+      (Convergence.check_unfair engine
+         (Guarded.Compile.program (Token_ring.combined tr))
+         ~from:Engine.All
+         ~target:(fun s -> Token_ring.invariant tr s));
+    ( Metrics.gauge_value (Obs.Ctx.gauge obs "engine.graph_bytes"),
+      Metrics.value (Obs.Ctx.counter obs "engine.region_edges") )
+  in
+  let ((bytes, edges) as eager) = gauge Engine.Eager in
+  Alcotest.(check bool) "region has edges" true (edges > 0);
+  Alcotest.(check int) "24 B per edge" (24 * edges) bytes;
+  List.iter
+    (fun backend ->
+      Alcotest.(check (pair int int)) "same as eager" eager (gauge backend))
+    [ Engine.Lazy; Engine.Parallel ]
 
 let test_storm_trial_events () =
   let trials = 40 in
@@ -368,6 +398,8 @@ let suite =
       test_trace_reconciles_with_metrics;
     Alcotest.test_case "trace stable across jobs" `Quick
       test_trace_stable_across_jobs;
+    Alcotest.test_case "graph bytes: 24 B per edge on every backend" `Quick
+      test_graph_bytes_every_backend;
     Alcotest.test_case "storm trial events" `Quick test_storm_trial_events;
     Alcotest.test_case "certify span events" `Quick test_certify_span_events;
     Alcotest.test_case "progress every tick" `Quick test_progress_every_tick;

@@ -350,9 +350,14 @@ let prop_scc_members_consistent =
         Array.fold_left (fun acc ms -> acc + List.length ms) 0 scc.Dgraph.Scc.members
       in
       total = n
-      && Array.for_all
-           (fun _ -> true)
-           scc.Dgraph.Scc.members
+      && Array.for_all (fun ms -> ms <> []) scc.Dgraph.Scc.members
+      && (let listed = Array.make n false in
+          Array.for_all
+            (List.for_all (fun v ->
+                 let fresh = not listed.(v) in
+                 listed.(v) <- true;
+                 fresh))
+            scc.Dgraph.Scc.members)
       &&
       let ok = ref true in
       Array.iteri
