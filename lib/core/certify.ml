@@ -195,25 +195,24 @@ let tolerance ~engine ~program ~faults ?(envs = []) ~invariant ?from ?budget
            if ep = None then " and fault" else ", and fault"
          else "")
     in
-    let compile_acts (prog : Guarded.Compile.program)
-        (eprog : Guarded.Compile.program option)
-        (fprog : Guarded.Compile.program) =
+    let acts =
       let base =
-        match eprog with
-        | None -> prog.Guarded.Compile.actions
+        match ep with
+        | None -> cp.Guarded.Compile.actions
         | Some e ->
-            Array.append prog.Guarded.Compile.actions e.Guarded.Compile.actions
+            Array.append cp.Guarded.Compile.actions e.Guarded.Compile.actions
       in
-      if include_faults then Array.append base fprog.Guarded.Compile.actions
+      if include_faults then Array.append base fp.Guarded.Compile.actions
       else base
     in
     (* Stream the span by index in {!Explore.Faultspan.iter} order —
-       decode-on-demand into a scan buffer instead of materializing
-       |T| boxed states — stopping at the first violating action in
-       state order × action order. The order is the same for the
-       sequential and the chunk-ordered parallel scan, so both report
-       the same first violation. *)
-    let first_violation ~poll acts buf post lo hi =
+       decode-on-demand into a stepper instead of materializing |T| boxed
+       states — stopping at the first violating action in state order ×
+       action order. The order is the same for the sequential and the
+       chunk-ordered parallel scan, so both report the same first
+       violation. *)
+    let first_violation ~poll st lo hi =
+      let buf = Explore.Engine.stepper_state st in
       let violation = ref None in
       (try
          for i = lo to hi - 1 do
@@ -229,18 +228,21 @@ let tolerance ~engine ~program ~faults ?(envs = []) ~invariant ?from ?budget
                          frontier_size = 0;
                          snapshot = None;
                        }));
-           Explore.Faultspan.decode_nth_into span i buf;
+           Explore.Engine.load st (Explore.Faultspan.nth_key span i);
            Array.iter
              (fun (ca : Guarded.Compile.action) ->
                if ca.enabled buf then begin
-                 ca.apply_into buf post;
-                 if not (Explore.Faultspan.mem span post) then begin
+                 let inside =
+                   Explore.Faultspan.mem_key span (Explore.Engine.step st ca)
+                 in
+                 Explore.Engine.undo st;
+                 if not inside then begin
                    violation :=
                      Some
                        (Format.asprintf "%a  --[%s]-->  %a  (outside T)"
                           (Guarded.State.pp env) buf
                           (Guarded.Action.name ca.Guarded.Compile.source)
-                          (Guarded.State.pp env) post);
+                          (Guarded.State.pp env) (ca.apply buf));
                    raise Exit
                  end
                end)
@@ -253,9 +255,7 @@ let tolerance ~engine ~program ~faults ?(envs = []) ~invariant ?from ?budget
     let jobs = Explore.Engine.jobs engine in
     let violation =
       if Explore.Engine.backend engine <> Explore.Engine.Parallel || jobs = 1
-      then
-        first_violation ~poll:guard_on (compile_acts cp ep fp)
-          (Guarded.State.make env) (Guarded.State.make env) 0 n
+      then first_violation ~poll:guard_on (Explore.Engine.stepper engine) 0 n
       else begin
         (* Chunk-boundary cancellation point: worker loops do not raise
            across the pool, so the parallel scan checks once up front and
@@ -274,32 +274,15 @@ let tolerance ~engine ~program ~faults ?(envs = []) ~invariant ?from ?budget
                    })
         end;
         Par.Pool.use ?pool:(Explore.Engine.pool engine) ~jobs @@ fun pool ->
-        (* Compiled actions carry private scratch, so each worker domain
-           recompiles its own copies; decode buffers are per-worker too. *)
-        let worker_acts =
-          Array.init (Par.Pool.jobs pool) (fun w ->
-              if w = 0 then compile_acts cp ep fp
-              else
-                compile_acts
-                  (Guarded.Compile.program cp.Guarded.Compile.source)
-                  (Option.map
-                     (fun (e : Guarded.Compile.program) ->
-                       Guarded.Compile.program e.Guarded.Compile.source)
-                     ep)
-                  (Guarded.Compile.program fp.Guarded.Compile.source))
-        in
-        let worker_buf =
-          Array.init (Par.Pool.jobs pool) (fun _ -> Guarded.State.make env)
-        in
-        let worker_post =
-          Array.init (Par.Pool.jobs pool) (fun _ -> Guarded.State.make env)
+        let worker_st =
+          Array.init (Par.Pool.jobs pool) (fun _ ->
+              Explore.Engine.stepper engine)
         in
         (* Chunk-ordered reduce: the first Some is the violation the
            sequential scan would have reported. *)
         Par.Pool.map_reduce pool ~n
           ~map:(fun ~worker lo hi ->
-            first_violation ~poll:false worker_acts.(worker)
-              worker_buf.(worker) worker_post.(worker) lo hi)
+            first_violation ~poll:false worker_st.(worker) lo hi)
           (fun acc v -> match acc with Some _ -> acc | None -> v)
           None
       end

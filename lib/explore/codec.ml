@@ -152,6 +152,10 @@ let decode_packed_into t code s =
     State.set_index s i (d + t.lows.(i))
   done
 
+let places t ~packed =
+  if packed then Array.map (fun sh -> 1 lsl sh) t.shifts
+  else Array.copy t.weights
+
 let encode_wide t s =
   require_wide t;
   let lo = ref 0 and hi = ref 0 in

@@ -89,6 +89,13 @@ val encode_packed : t -> Guarded.State.t -> int
 
 val decode_packed_into : t -> int -> Guarded.State.t -> unit
 
+val places : t -> packed:bool -> int array
+(** Per-slot place value of a one-word code: the dense [weight_i], or
+    [1 lsl shift_i] when [packed]. Both layouts are positional, so a
+    state whose slot [i] changes from [old] to [v] (both in the domain)
+    has code [code + (v - old) * place_i]: the domain's low value
+    cancels, and no field carries into its neighbour. Fresh array. *)
+
 val encode_wide : t -> Guarded.State.t -> int * int
 (** [(lo, hi)]: word-aligned fields, low word first.
     @raise Overflow when not {!wide_ok}.

@@ -64,26 +64,20 @@ let check_unfair ?resume engine cp ~from ~target =
 
 (* Weak-fairness escape criterion for one SCC: an action enabled at every
    state of the component whose execution always leaves the component.
-   Decode/post buffers are reused across all (node, action) pairs. *)
+   One stepper serves all (node, action) pairs. *)
 let scc_has_uniform_exit engine cp (region : Engine.region)
     (scc : Dgraph.Scc.t) comp members =
-  let env = Engine.env engine in
-  let buf = State.make env in
-  let post = State.make env in
+  let st = Engine.stepper engine in
+  let buf = Engine.stepper_state st in
   let in_same_component node =
     node >= 0 && scc.Dgraph.Scc.component.(node) = comp
   in
   let action_works (ca : Compile.action) =
     List.for_all
       (fun node ->
-        Engine.decode_key_into engine region.node_key.(node) buf;
+        Engine.load st region.node_key.(node);
         ca.enabled buf
-        &&
-        begin
-          ca.apply_into buf post;
-          not
-            (in_same_component (region.node_of_key (Engine.encode_key engine post)))
-        end)
+        && not (in_same_component (region.node_of_key (Engine.step st ca))))
       members
   in
   Array.exists action_works cp.Compile.actions

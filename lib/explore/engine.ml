@@ -147,6 +147,64 @@ let decode_key t key =
   decode_key_into t key s;
   s
 
+(* --- successor stepping ---
+
+   An action writes only the slots in its [Compile.slots], and both key
+   layouts are positional, so firing it in place on a decoded state moves
+   the key by [(new - old) * place] per written slot. [step] evaluates
+   every right-hand side first (a [Domain_violation] leaves the buffer as
+   it was), then writes them and records the overwritten values; [undo]
+   puts those back. No copy of the state, no re-encode. *)
+
+type stepper = {
+  engine : t;
+  buf : State.t;
+  places : int array;  (* per-slot place value of the engine's keys *)
+  mutable key : int;  (* key of the state [load]ed into [buf] *)
+  vals : int array;  (* right-hand sides of the action being fired *)
+  fired : int array;  (* slots written by the pending step ... *)
+  olds : int array;  (* ... and the values they held *)
+  mutable n_fired : int;
+}
+
+let stepper t =
+  let n = Codec.slots t.codec in
+  { engine = t; buf = State.make (env t);
+    places = Codec.places t.codec ~packed:t.packed; key = 0;
+    vals = Array.make n 0; fired = Array.make n 0; olds = Array.make n 0;
+    n_fired = 0 }
+
+let stepper_state st = st.buf
+
+let load st key =
+  decode_key_into st.engine key st.buf;
+  st.key <- key;
+  st.n_fired <- 0
+
+let step st (ca : Compile.action) =
+  let slots = ca.Compile.slots and rhs = ca.Compile.rhs in
+  let n = Array.length slots in
+  for k = 0 to n - 1 do
+    st.vals.(k) <- rhs.(k) st.buf
+  done;
+  let key = ref st.key in
+  for k = 0 to n - 1 do
+    let i = slots.(k) in
+    let old = State.get_index st.buf i and v = st.vals.(k) in
+    st.fired.(k) <- i;
+    st.olds.(k) <- old;
+    State.set_index st.buf i v;
+    key := !key + ((v - old) * st.places.(i))
+  done;
+  st.n_fired <- n;
+  !key
+
+let undo st =
+  for k = st.n_fired - 1 downto 0 do
+    State.set_index st.buf st.fired.(k) st.olds.(k)
+  done;
+  st.n_fired <- 0
+
 let make_visited t =
   let direct =
     match t.backend with
@@ -404,20 +462,21 @@ let lazy_region t cp ~from ~target ~resume =
   let edges = Vec.create () in
   let queue = Flatqueue.create () in
   let explored = ref 0 in
-  let visit key s =
-    if not (Flatset.mem visited key) then begin
-      incr explored;
-      check_budget t !explored;
-      let node =
-        if target s then begin
-          ignore (Vec.push nonmembers key);
-          -1
-        end
-        else Vec.push node_keys key
-      in
-      Flatset.add visited key node;
-      Flatqueue.push queue key
-    end
+  (* first sighting of [key], known absent from [visited]; returns its
+     node id *)
+  let visit_new key s =
+    incr explored;
+    check_budget t !explored;
+    let node =
+      if target s then begin
+        ignore (Vec.push nonmembers key);
+        -1
+      end
+      else Vec.push node_keys key
+    in
+    Flatset.add visited key node;
+    Flatqueue.push queue key;
+    node
   in
   (match resume with
   | Some snap ->
@@ -427,9 +486,11 @@ let lazy_region t cp ~from ~target ~resume =
       in
       explored := ex;
       Array.iter (fun key -> Flatqueue.push queue key) frontier
-  | None -> seed_roots t ~from visit);
-  let buf = State.make (env t) in
-  let post = State.make (env t) in
+  | None ->
+      seed_roots t ~from (fun key s ->
+          if not (Flatset.mem visited key) then ignore (visit_new key s)));
+  let st = stepper t in
+  let buf = stepper_state st in
   let pops = ref 0 in
   let guard_on = Rt.Guard.active t.guard in
   while not (Flatqueue.is_empty queue) do
@@ -467,23 +528,24 @@ let lazy_region t cp ~from ~target ~resume =
     if Obs.Ctx.enabled t.obs && !pops land 8191 = 0 then
       Obs.Ctx.tick t.obs ~label:"engine.lazy" ~states:!explored
         ~frontier:(Flatqueue.length queue) ();
-    decode_key_into t key buf;
+    load st key;
     let src_node = Flatset.find_def visited key (-2) in
     let out_degree = ref 0 in
     for a = 0 to n_actions - 1 do
       let ca = actions.(a) in
       if ca.Compile.enabled buf then begin
         incr out_degree;
-        ca.Compile.apply_into buf post;
-        let dst_key = encode_key t post in
-        visit dst_key post;
-        if src_node >= 0 then begin
-          let dst_node = Flatset.find_def visited dst_key (-2) in
-          if dst_node >= 0 then begin
-            ignore (Vec.push edges src_node);
-            ignore (Vec.push edges dst_node);
-            ignore (Vec.push edges a)
-          end
+        let dst_key = step st ca in
+        (* one probe per successor; [target] reads the stepped buffer *)
+        let dst_node =
+          let v = Flatset.find_def visited dst_key min_int in
+          if v <> min_int then v else visit_new dst_key buf
+        in
+        undo st;
+        if src_node >= 0 && dst_node >= 0 then begin
+          ignore (Vec.push edges src_node);
+          ignore (Vec.push edges dst_node);
+          ignore (Vec.push edges a)
         end
       end
     done;
@@ -498,13 +560,13 @@ let lazy_region t cp ~from ~target ~resume =
 
    Each level runs in two phases, over bounded blocks of the frontier
    ({!Par.Chunked}). Phase A (parallel, read-only): every frontier state
-   is expanded on some worker — decode, evaluate every guard, apply,
-   encode — against per-worker compiled actions and reusable state
-   buffers (the compiled closures carry private scratch, so they must not
-   be shared across domains); each successor is annotated with a probe of
-   the visited table. The table is the engine's own {!Flatset} (the same
-   Direct or Probed storage the lazy backend uses), and phase A only
-   reads it: a probe mutates nothing, so concurrent readers need no lock.
+   is expanded on some worker — decode, evaluate every guard, step each
+   enabled action — on a per-worker {!stepper} (the compiled closures are
+   pure, so every worker shares the program's); each successor is
+   annotated with a probe of the visited table. The table is the
+   engine's own {!Flatset} (the same Direct or Probed storage the lazy
+   backend uses), and phase A only reads it: a probe mutates nothing, so
+   concurrent readers need no lock.
    Phase B (sequential, the only writer): successors are committed in
    frontier order × action order, which is exactly the FIFO order of the
    lazy backend's single queue — so node numbering, edge order, the
@@ -519,17 +581,10 @@ let lazy_region t cp ~from ~target ~resume =
 
 let parallel_region t cp ~from ~target ~resume =
   let space = t.space in
-  let env = Space.env space in
   let n_actions = Array.length cp.Compile.actions in
   Par.Pool.use ?pool:t.pool ~jobs:t.jobs @@ fun pool ->
-  let jobs = Par.Pool.jobs pool in
-  let worker_actions =
-    Array.init jobs (fun w ->
-        if w = 0 then cp.Compile.actions
-        else (Compile.program cp.Compile.source).Compile.actions)
-  in
-  let worker_buf = Array.init jobs (fun _ -> State.make env) in
-  let worker_post = Array.init jobs (fun _ -> State.make env) in
+  let actions = cp.Compile.actions in
+  let worker_st = Array.init (Par.Pool.jobs pool) (fun _ -> stepper t) in
   let chunks = Par.Chunked.create () in
   let visited = make_visited t in
   let node_keys = Vec.create () in
@@ -595,7 +650,7 @@ let parallel_region t cp ~from ~target ~resume =
           let classes = Bytes.make n '\000' in
           let packed_key = if t.packed then Array.make n 0 else [||] in
           Par.Pool.parallel_for pool ~n (fun ~worker lo hi ->
-              let buf = worker_buf.(worker) in
+              let buf = stepper_state worker_st.(worker) in
               for id = lo to hi - 1 do
                 Space.decode_into space id buf;
                 if p buf then begin
@@ -619,18 +674,18 @@ let parallel_region t cp ~from ~target ~resume =
   let level = ref 0 in
   (* phase A: expand frontier state [i] into [out] *)
   let expand ~worker out i =
-    let acts = worker_actions.(worker) in
-    let buf = worker_buf.(worker) and post = worker_post.(worker) in
-    decode_key_into t (Vec.get cur_keys i) buf;
+    let st = worker_st.(worker) in
+    let buf = stepper_state st in
+    load st (Vec.get cur_keys i);
     for a = 0 to n_actions - 1 do
-      let ca = acts.(a) in
+      let ca = actions.(a) in
       if ca.Compile.enabled buf then begin
-        ca.Compile.apply_into buf post;
-        let dst_key = encode_key t post in
+        let dst_key = step st ca in
         let tag =
           let v = Flatset.find_def visited dst_key min_int in
-          if v <> min_int then v else if target post then -3 else -2
+          if v <> min_int then v else if target buf then -3 else -2
         in
+        undo st;
         ignore (Vec.push out a);
         ignore (Vec.push out dst_key);
         ignore (Vec.push out tag)
@@ -816,8 +871,8 @@ let iter_reachable t cp ~from f =
         end
       in
       seed_roots t ~from (fun key _ -> visit key);
-      let buf = State.make (env t) in
-      let post = State.make (env t) in
+      let st = stepper t in
+      let buf = stepper_state st in
       let guard_on = Rt.Guard.active t.guard in
       let pops = ref 0 in
       while not (Flatqueue.is_empty queue) do
@@ -838,13 +893,13 @@ let iter_reachable t cp ~from f =
                     }));
         let key = Flatqueue.pop queue in
         incr pops;
-        decode_key_into t key buf;
+        load st key;
         f buf;
         Array.iter
           (fun (ca : Compile.action) ->
             if ca.enabled buf then begin
-              ca.apply_into buf post;
-              visit (encode_key t post)
+              visit (step st ca);
+              undo st
             end)
           actions
       done;

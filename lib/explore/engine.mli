@@ -12,8 +12,8 @@
       [max_states] cap (2M by default).
 
     - {b Lazy} (on-the-fly frontier search): generate successors on demand
-      with the compiled actions on a reusable state buffer, keeping a
-      hashed visited set keyed by {!Space.encode}. Only discovered states
+      by stepping the compiled actions in place on a reusable state buffer
+      ({!stepper}), keeping a hashed visited set keyed by {!Space.encode}. Only discovered states
       cost anything, so instances far beyond the eager cap get verdicts as
       long as the {e reachable region} from the given roots stays under the
       exploration budget.
@@ -173,6 +173,40 @@ val decode_key : t -> int -> Guarded.State.t
 val decode_key_into : t -> int -> Guarded.State.t -> unit
 (** Allocation-free {!decode_key} into a caller buffer. *)
 
+(** {2 Successor stepping}
+
+    A stepper fires actions in place on a decoded state and derives each
+    successor's key from the slots the action writes ({!Guarded.Compile}'s
+    [slots] and [rhs]): [key + Σ (new - old) · place_i], with the place
+    values of {!Codec.places} for the engine's key layout. Every keyed
+    successor loop (the lazy and parallel searches, {!Faultspan}, the
+    certification scans) runs on it; the eager {!Tsys} build and the
+    simulators keep [apply_into], so the fuzz oracles compare the two
+    paths. *)
+
+type stepper
+(** A state buffer plus the scratch one pending step needs. Not
+    thread-safe: give each worker domain its own. *)
+
+val stepper : t -> stepper
+
+val stepper_state : stepper -> Guarded.State.t
+(** The buffer: the [load]ed state, or its successor between {!step} and
+    {!undo}. Read it; do not write it. *)
+
+val load : stepper -> int -> unit
+(** Decode an engine key into the buffer, dropping any pending step. *)
+
+val step : stepper -> Guarded.Compile.action -> int
+(** [step st ca] fires [ca] in place on the loaded state (the caller has
+    checked its guard) and returns the successor's key, equal to
+    {!encode_key} of the post-state. Call {!undo} before the next step.
+    @raise Guarded.State.Domain_violation, with the buffer unchanged,
+    when a right-hand side leaves its domain. *)
+
+val undo : stepper -> unit
+(** Restore the loaded state after a {!step}. *)
+
 val make_visited : t -> Flatset.t
 (** A fresh visited table following the engine's storage policy
     (direct-mapped over small dense ranges, open-addressing otherwise).
@@ -256,7 +290,8 @@ val iter_reachable :
   (Guarded.State.t -> unit) ->
   unit
 (** Visit every state reachable from the roots, once each, in BFS order.
-    The state is a shared buffer. @raise Region_overflow over budget. *)
+    The state is a shared buffer: copy it to retain it, and do not write
+    it. @raise Region_overflow over budget. *)
 
 val ball :
   Guarded.Env.t ->

@@ -22,6 +22,8 @@ let mem t s =
   | key -> Flatset.mem t.depth_of key
   | exception Invalid_argument _ -> false
 
+let mem_key t key = Flatset.mem t.depth_of key
+
 let depth t s =
   match Engine.encode_key t.engine s with
   | key ->
@@ -195,6 +197,16 @@ let queue_to_array q =
       incr i);
   a
 
+(* The 0-cost closure phase fires the program's actions, then the
+   environment's: env actions extend the span like program steps and never
+   consume fault budget. *)
+let closure_actions program envs =
+  let actions_of = function
+    | None -> [||]
+    | Some (cp : Compile.program) -> cp.Compile.actions
+  in
+  Array.append (actions_of program) (actions_of envs)
+
 (* Layered 0-1 BFS: program edges cost 0 (stay in the current layer), fault
    edges cost 1 (feed the next layer). Layers are processed in order, so the
    layer a state is first seen in is its minimal fault count. *)
@@ -205,13 +217,7 @@ let compute_seq engine ?program ?envs ?budget ?resume ~faults ~from () =
   let space = Engine.space engine in
   let cap = Engine.max_states engine in
   let hash = span_hash engine ?program ?envs ?budget ~faults () in
-  (* Environment actions ride the 0-cost closure phase: they extend the
-     span like program steps and never consume fault budget. *)
-  let actions_of = function
-    | None -> [||]
-    | Some (cp : Compile.program) -> cp.Compile.actions
-  in
-  let prog_actions = Array.append (actions_of program) (actions_of envs) in
+  let prog_actions = closure_actions program envs in
   let fault_actions = (faults : Compile.program).Compile.actions in
   let depth_of = Engine.make_visited engine in
   let keys = Vec.create () in
@@ -267,8 +273,8 @@ let compute_seq engine ?program ?envs ?budget ?resume ~faults ~from () =
           Space.iter space (fun id s ->
               if p s then visit 0 cur (key_of_id engine id s)));
       roots := !count));
-  let buf = State.make (Space.env space) in
-  let post = State.make (Space.env space) in
+  let st = Engine.stepper engine in
+  let buf = Engine.stepper_state st in
   let live_bytes () =
     Flatset.bytes depth_of + Flatqueue.bytes cur + Flatqueue.bytes next
   in
@@ -297,13 +303,12 @@ let compute_seq engine ?program ?envs ?budget ?resume ~faults ~from () =
              interrupt reason ~phase:1 ~frontier:[||]
                ~pending:(Array.sub order j (n - j))
                ~frontier_size:(n - j));
-      let key = order.(j) in
-      Engine.decode_key_into engine key buf;
+      Engine.load st order.(j);
       Array.iter
         (fun (ca : Compile.action) ->
           if ca.enabled buf then begin
-            ca.apply_into buf post;
-            visit (!level + 1) next (Engine.encode_key engine post)
+            visit (!level + 1) next (Engine.step st ca);
+            Engine.undo st
           end)
         fault_actions
     done
@@ -342,12 +347,12 @@ let compute_seq engine ?program ?envs ?budget ?resume ~faults ~from () =
           incr pops;
           layer_members := key :: !layer_members;
           incr n_members;
-          Engine.decode_key_into engine key buf;
+          Engine.load st key;
           Array.iter
             (fun (ca : Compile.action) ->
               if ca.enabled buf then begin
-                ca.apply_into buf post;
-                visit !level cur (Engine.encode_key engine post)
+                visit !level cur (Engine.step st ca);
+                Engine.undo st
               end)
             prog_actions
         done;
@@ -374,8 +379,8 @@ let compute_seq engine ?program ?envs ?budget ?resume ~faults ~from () =
 (* Parallel variant of the same layered search, for engines on the
    [Parallel] backend. Each expansion round — a program-closure wave or a
    layer's fault phase — runs in two phases: phase A expands every source
-   state on some worker domain (per-worker compiled actions and state
-   buffers; the compiled closures carry private scratch), collecting the
+   state on some worker domain (on a per-worker {!Engine.stepper}; the
+   compiled actions are pure and shared), collecting the
    successor keys that were unseen when probed in the depth table — the
    engine's own {!Flatset}, which phase A only reads; phase B, the only
    writer, commits them sequentially in the order the sequential search
@@ -393,30 +398,15 @@ let compute_par engine ?program ?envs ?budget ?resume ~faults ~from () =
   let guard = Engine.guard engine in
   let guard_on = Rt.Guard.active guard in
   let space = Engine.space engine in
-  let env = Space.env space in
   let cap = Engine.max_states engine in
   let hash = span_hash engine ?program ?envs ?budget ~faults () in
   Par.Pool.use ?pool:(Engine.pool engine) ~jobs:(Engine.jobs engine)
   @@ fun pool ->
-  let jobs = Par.Pool.jobs pool in
-  let recompile (cp : Compile.program) w =
-    if w = 0 then cp.Compile.actions
-    else (Compile.program cp.Compile.source).Compile.actions
+  let prog_actions = closure_actions program envs in
+  let fault_actions = (faults : Compile.program).Compile.actions in
+  let worker_st =
+    Array.init (Par.Pool.jobs pool) (fun _ -> Engine.stepper engine)
   in
-  (* env actions join the closure set, after the program's (same order
-     as the sequential search's joined array) *)
-  let worker_prog =
-    Array.init jobs (fun w ->
-        let p =
-          match program with None -> [||] | Some cp -> recompile cp w
-        in
-        match envs with
-        | None -> p
-        | Some cp -> Array.append p (recompile cp w))
-  in
-  let worker_fault = Array.init jobs (recompile faults) in
-  let worker_buf = Array.init jobs (fun _ -> State.make env) in
-  let worker_post = Array.init jobs (fun _ -> State.make env) in
   let chunks = Par.Chunked.create () in
   let depth_of = Engine.make_visited engine in
   let keys = Vec.create () in
@@ -433,26 +423,26 @@ let compute_par engine ?program ?envs ?budget ?resume ~faults ~from () =
       ignore (Vec.push target key)
     end
   in
-  (* Expand [src] with per-worker [actions], then commit the candidates in
-     source order ([~reverse] for the fault phase) × action order. Phase A
-     drops successors already visited when probed; the commit re-probes,
-     since an earlier commit of this very round may have claimed the key. *)
-  let expand ~reverse worker_actions src level target =
+  (* Expand [src] with [actions], then commit the candidates in source
+     order ([~reverse] for the fault phase) × action order. Phase A drops
+     successors already visited when probed; the commit re-probes, since
+     an earlier commit of this very round may have claimed the key. *)
+  let expand ~reverse actions src level target =
     let len = Vec.len src in
     Par.Chunked.round chunks pool ~n:len
       ~expand:(fun ~worker out i ->
-        let acts = (worker_actions : Compile.action array array).(worker) in
-        let buf = worker_buf.(worker) and post = worker_post.(worker) in
+        let st = worker_st.(worker) in
+        let buf = Engine.stepper_state st in
         let i = if reverse then len - 1 - i else i in
-        Engine.decode_key_into engine (Vec.get src i) buf;
+        Engine.load st (Vec.get src i);
         Array.iter
           (fun (ca : Compile.action) ->
             if ca.enabled buf then begin
-              ca.apply_into buf post;
-              let dst = Engine.encode_key engine post in
+              let dst = Engine.step st ca in
+              Engine.undo st;
               if not (Flatset.mem depth_of dst) then ignore (Vec.push out dst)
             end)
-          acts)
+          actions)
       ~commit:(fun out ->
         for j = 0 to Vec.len out - 1 do
           visit level target (Vec.get out j)
@@ -487,7 +477,7 @@ let compute_par engine ?program ?envs ?budget ?resume ~faults ~from () =
           let classes = Bytes.make n '\000' in
           let packed_key = if packed then Array.make n 0 else [||] in
           Par.Pool.parallel_for pool ~n (fun ~worker lo hi ->
-              let buf = worker_buf.(worker) in
+              let buf = Engine.stepper_state worker_st.(worker) in
               for id = lo to hi - 1 do
                 Space.decode_into space id buf;
                 if p buf then begin
@@ -534,7 +524,7 @@ let compute_par engine ?program ?envs ?budget ?resume ~faults ~from () =
         (* finish the interrupted fault phase: [pending] is already in
            processing order, so expand it forward *)
         let pv = Vec.of_array pending in
-        expand ~reverse:false worker_fault pv (!level + 1) next_layer
+        expand ~reverse:false fault_actions pv (!level + 1) next_layer
     | None ->
         while Vec.len wave > 0 do
           (* wave-boundary cancellation point: the pending wave is the
@@ -544,7 +534,7 @@ let compute_par engine ?program ?envs ?budget ?resume ~faults ~from () =
           for i = 0 to Vec.len wave - 1 do
             ignore (Vec.push members (Vec.get wave i))
           done;
-          expand ~reverse:false worker_prog wave !level next_wave;
+          expand ~reverse:false prog_actions wave !level next_wave;
           Vec.clear wave;
           Vec.swap wave next_wave
         done;
@@ -558,7 +548,7 @@ let compute_par engine ?program ?envs ?budget ?resume ~faults ~from () =
              let n = Vec.len members in
              let pending = Array.init n (fun j -> Vec.get members (n - 1 - j)) in
              poll_boundary ~phase:1 ~frontier:[||] ~pending ~frontier_size:n);
-          expand ~reverse:true worker_fault members (!level + 1) next_layer
+          expand ~reverse:true fault_actions members (!level + 1) next_layer
         end);
     obs_layer obs ~layer:!level ~members:(Vec.len members)
       ~discovered:(!count - count_before) ~total:!count;

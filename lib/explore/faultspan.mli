@@ -75,6 +75,10 @@ val depth_histogram : t -> int array
 val mem : t -> Guarded.State.t -> bool
 (** Span membership. States outside the variable domains are not members. *)
 
+val mem_key : t -> int -> bool
+(** Span membership of an engine key ({!Engine.encode_key}, or a
+    {!Engine.step} result). *)
+
 val depth : t -> Guarded.State.t -> int option
 (** Fault layer of a member state; [None] for non-members. *)
 
@@ -90,7 +94,7 @@ val nth_key : t -> int -> int
 val decode_nth_into : t -> int -> Guarded.State.t -> unit
 (** Decode the [i]-th member (iter order) into a caller buffer —
     allocation-free indexed access for streaming scans
-    ({!Core.Certify}'s closure check). *)
+    ({!Core.Certify}'s environment-closure check). *)
 
 val states : t -> Guarded.State.t list
 (** All members as fresh states — usable as [Engine.Seeds] roots for

@@ -4,6 +4,8 @@ type action = {
   index : int;
   source : Action.t;
   enabled : guard;
+  slots : int array;
+  rhs : (State.t -> int) array;
   apply : State.t -> State.t;
   apply_into : State.t -> State.t -> unit;
 }
@@ -75,44 +77,38 @@ and pred (b : Expr.boolean) : guard =
 
 let action ~index (a : Action.t) : action =
   let enabled = pred (Action.guard a) in
-  let compiled_assigns =
-    List.map
+  let assigns = Array.of_list (Action.assigns a) in
+  let slots = Array.map (fun (v, _) -> Var.index v) assigns in
+  let rhs =
+    Array.map
       (fun (v, e) ->
-        let f = num e in
-        let i = Var.index v in
-        let d = Var.domain v in
-        (v, i, d, f))
-      (Action.assigns a)
-    |> Array.of_list
+        let f = num e and d = Var.domain v in
+        (* every domain is the interval [first, first + size - 1] *)
+        let lo = Domain.first d in
+        let hi = lo + Domain.size d - 1 in
+        fun s ->
+          let x = f s in
+          if x < lo || x > hi then raise (State.Domain_violation (v, x));
+          x)
+      assigns
   in
-  let n_assigns = Array.length compiled_assigns in
-  let scratch = Array.make (max 1 n_assigns) 0 in
-  let eval_rhs src =
-    for k = 0 to n_assigns - 1 do
-      let v, _, d, f = compiled_assigns.(k) in
-      let x = f src in
-      if not (Domain.mem d x) then raise (State.Domain_violation (v, x));
-      scratch.(k) <- x
+  (* [src] and [dst] never alias, so each right-hand side still reads the
+     pre-state: the assignment stays simultaneous *)
+  let write src dst =
+    for k = 0 to Array.length slots - 1 do
+      State.set_index dst slots.(k) (rhs.(k) src)
     done
   in
   let apply_into src dst =
-    eval_rhs src;
     State.blit ~src ~dst;
-    for k = 0 to n_assigns - 1 do
-      let _, i, _, _ = compiled_assigns.(k) in
-      State.set_index dst i scratch.(k)
-    done
+    write src dst
   in
   let apply src =
-    eval_rhs src;
     let dst = State.copy src in
-    for k = 0 to n_assigns - 1 do
-      let _, i, _, _ = compiled_assigns.(k) in
-      State.set_index dst i scratch.(k)
-    done;
+    write src dst;
     dst
   in
-  { index; source = a; enabled; apply; apply_into }
+  { index; source = a; enabled; slots; rhs; apply; apply_into }
 
 let program (p : Program.t) : program =
   let actions =

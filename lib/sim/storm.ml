@@ -151,15 +151,10 @@ let trials ?(max_steps = 100_000) ?fault_budget ?jobs ?pool
      done
    else
      Par.Pool.use ?pool ~jobs @@ fun pool ->
-     (* Compiled actions carry private scratch buffers, so each worker
-        domain gets its own recompilation of the program. *)
-     let worker_cp =
-       Array.init (Par.Pool.jobs pool) (fun w ->
-           if w = 0 then cp else Compile.program cp.Compile.source)
-     in
-     Par.Pool.parallel_for pool ~n:trials (fun ~worker lo hi ->
+     (* compiled actions are pure closures, shared by every worker *)
+     Par.Pool.parallel_for pool ~n:trials (fun ~worker:_ lo hi ->
          for i = lo to hi - 1 do
-           run_trial worker_cp.(worker) i
+           run_trial cp i
          done));
   let converged = ref [] in
   let failures = ref 0 in

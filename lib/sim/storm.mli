@@ -59,8 +59,8 @@ val trials :
     [jobs] (default [1]) spreads the trials over that many worker domains;
     [pool] (default none) borrows a caller-owned shared {!Par.Pool} instead
     of spawning a transient one (and supplies the default [jobs]).
-    Every trial's PRNG stream is split off [rng] up front in trial order and
-    the program is recompiled per worker, so the [result] — step counts,
+    Every trial's PRNG stream is split off [rng] up front in trial order
+    and each trial runs on its own state buffers, so the [result] — step counts,
     failures, fault counts, quantiles — is bit-identical at any job count.
     When [jobs > 1], [prepare], [daemon], [stop], and [fault] must be safe
     to call from concurrent domains (the built-in faults and daemons are:

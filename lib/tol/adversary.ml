@@ -61,18 +61,11 @@ let pp_verdict env ppf = function
 let worst_case engine ~program ?envs ~span ~invariant () =
   let env = Engine.env engine in
   let n = Faultspan.count span in
-  let base_acts =
+  let acts =
     let p = (program : Compile.program).Compile.actions in
     match envs with
     | None -> p
     | Some (e : Compile.program) -> Array.append p e.Compile.actions
-  in
-  let recompiled () =
-    let p = (Compile.program program.Compile.source).Compile.actions in
-    match envs with
-    | None -> p
-    | Some e ->
-        Array.append p (Compile.program e.Compile.source).Compile.actions
   in
   (* span index of every member key, iter order *)
   let idx_of = Hashtbl.create (2 * n) in
@@ -84,9 +77,10 @@ let worst_case engine ~program ?envs ~span ~invariant () =
   let escaped = Bytes.make n '\000' in
   (* per non-S state: deduped span indices of its non-S successors *)
   let succs = Array.make n [||] in
-  let expand ~(acts : Compile.action array) buf post scratch lo hi =
+  let expand st scratch lo hi =
+    let buf = Engine.stepper_state st in
     for i = lo to hi - 1 do
-      Faultspan.decode_nth_into span i buf;
+      Engine.load st (Faultspan.nth_key span i);
       if invariant buf then Bytes.unsafe_set in_s i '\001'
       else begin
         let cnt = ref 0 in
@@ -94,9 +88,11 @@ let worst_case engine ~program ?envs ~span ~invariant () =
           (fun (ca : Compile.action) ->
             if ca.Compile.enabled buf then begin
               Bytes.unsafe_set has_succ i '\001';
-              ca.Compile.apply_into buf post;
-              if not (invariant post) then begin
-                match Hashtbl.find_opt idx_of (Engine.encode_key engine post) with
+              let key = Engine.step st ca in
+              let outside_s = not (invariant buf) in
+              Engine.undo st;
+              if outside_s then begin
+                match Hashtbl.find_opt idx_of key with
                 | Some j ->
                     let dup = ref false in
                     for k = 0 to !cnt - 1 do
@@ -107,8 +103,6 @@ let worst_case engine ~program ?envs ~span ~invariant () =
                       incr cnt
                     end
                 | None -> Bytes.unsafe_set escaped i '\001'
-                | exception Invalid_argument _ ->
-                    Bytes.unsafe_set escaped i '\001'
               end
             end)
           acts;
@@ -118,25 +112,16 @@ let worst_case engine ~program ?envs ~span ~invariant () =
   in
   let jobs = Engine.jobs engine in
   (if jobs <= 1 then
-     expand ~acts:base_acts (State.make env) (State.make env)
-       (Array.make (Array.length base_acts) 0)
-       0 n
+     expand (Engine.stepper engine) (Array.make (Array.length acts) 0) 0 n
    else
      Par.Pool.use ?pool:(Engine.pool engine) ~jobs @@ fun pool ->
      let j = Par.Pool.jobs pool in
-     (* compiled actions carry private scratch: one recompilation per
-        worker domain *)
-     let worker_acts =
-       Array.init j (fun w -> if w = 0 then base_acts else recompiled ())
-     in
-     let worker_buf = Array.init j (fun _ -> State.make env) in
-     let worker_post = Array.init j (fun _ -> State.make env) in
+     let worker_st = Array.init j (fun _ -> Engine.stepper engine) in
      let worker_scratch =
-       Array.init j (fun w -> Array.make (Array.length worker_acts.(w)) 0)
+       Array.init j (fun _ -> Array.make (Array.length acts) 0)
      in
      Par.Pool.parallel_for pool ~n (fun ~worker lo hi ->
-         expand ~acts:worker_acts.(worker) worker_buf.(worker)
-           worker_post.(worker) worker_scratch.(worker) lo hi));
+         expand worker_st.(worker) worker_scratch.(worker) lo hi));
   let outside = ref 0 in
   for i = 0 to n - 1 do
     if Bytes.unsafe_get in_s i = '\000' then incr outside

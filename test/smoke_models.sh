@@ -10,8 +10,10 @@ set -u
 CLI="${CLI:-dune exec bin/nonmask_cli.exe --}"
 failed=0
 tmp="${TMPDIR:-/tmp}"
-t1="$tmp/nonmask_smoke_fmt1.$$"
-t2="$tmp/nonmask_smoke_fmt2.$$"
+# fmt files keep the .nm suffix: the CLI tells a model file from a
+# built-in protocol name by it
+t1="$tmp/nonmask_smoke_fmt1.$$.nm"
+t2="$tmp/nonmask_smoke_fmt2.$$.nm"
 out_a="$tmp/nonmask_smoke_model_a.$$"
 out_b="$tmp/nonmask_smoke_model_b.$$"
 trap 'rm -f "$t1" "$t2" "$out_a" "$out_b"' EXIT

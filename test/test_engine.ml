@@ -282,6 +282,118 @@ let test_lazy_beyond_eager_cap () =
       Alcotest.(check bool) "tiny fraction explored" true (explored < 100_000)
   | Error _ -> Alcotest.fail "dijkstra 8/13 converges from radius-1 faults"
 
+(* --- successor stepping: Engine.step against apply_into + encode_key ---
+
+   Each case draws a generated model (program and fault actions) and
+   random in-domain states from one seed, then runs on a dense-keyed and
+   a packed-keyed engine, whose place values differ. *)
+
+let step_cases seed f =
+  let rng = Prng.create seed in
+  let m = Gen.Generate.model rng in
+  let actions =
+    Array.of_list
+      (List.mapi
+         (fun index a -> Compile.action ~index a)
+         (Array.to_list (Guarded.Program.actions m.Gen.Spec.program)
+         @ m.Gen.Spec.fault_actions))
+  in
+  List.for_all
+    (fun packed_keys ->
+      let e =
+        Engine.create ~backend:Engine.Lazy ~packed_keys m.Gen.Spec.env
+      in
+      let space = Engine.space e in
+      List.for_all
+        (fun _ ->
+          let s = Space.decode space (Prng.int rng (Space.size space)) in
+          let st = Engine.stepper e in
+          Engine.load st (Engine.encode_key e s);
+          f e actions st s)
+        (List.init 16 Fun.id))
+    [ false; true ]
+
+let seed_arb = QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000)
+
+let prop_step_key =
+  QCheck.Test.make ~name:"step key = encode_key of apply_into" ~count:200
+    seed_arb (fun seed ->
+      step_cases seed (fun e actions st s ->
+          let post = State.make (Engine.env e) in
+          Array.for_all
+            (fun (ca : Compile.action) ->
+              (not (ca.enabled s))
+              ||
+              begin
+                ca.apply_into s post;
+                let key = Engine.step st ca in
+                let ok =
+                  key = Engine.encode_key e post
+                  && State.equal (Engine.stepper_state st) post
+                in
+                Engine.undo st;
+                ok
+              end)
+            actions))
+
+let prop_step_undo =
+  QCheck.Test.make ~name:"undo restores the stepped buffer" ~count:200
+    seed_arb (fun seed ->
+      step_cases seed (fun _ actions st s ->
+          Array.for_all
+            (fun (ca : Compile.action) ->
+              (not (ca.enabled s))
+              ||
+              begin
+                ignore (Engine.step st ca);
+                Engine.undo st;
+                State.equal (Engine.stepper_state st) s
+              end)
+            actions))
+
+(* A twin of [ca] that first flips every other variable (a write that
+   changes the state, when the domain has two values or more) and then
+   assigns [ca]'s last target its right-hand side shifted by the domain's
+   size. Generated right-hand sides are clamped into their domains, so
+   the shifted one always leaves it. *)
+let unclamped env (ca : Compile.action) =
+  match List.rev (Guarded.Action.assigns ca.Compile.source) with
+  | [] -> None
+  | (v, e) :: _ ->
+      let flip w =
+        let lo = Guarded.Domain.first (Guarded.Var.domain w) in
+        let next = lo + 1 in
+        Guarded.Expr.(w, Ite (Cmp (Eq, Var w, Const lo), Const next, Const lo))
+      in
+      let others =
+        List.filter
+          (fun w -> not (Guarded.Var.equal w v))
+          (Array.to_list (Guarded.Env.vars env))
+      in
+      let size = Guarded.Domain.size (Guarded.Var.domain v) in
+      let a =
+        Guarded.Action.make ~name:"unclamped"
+          ~guard:(Guarded.Action.guard ca.Compile.source)
+          (List.map flip others @ [ (v, Guarded.Expr.(Add (e, Const size))) ])
+      in
+      Some (Compile.action ~index:ca.Compile.index a)
+
+let prop_step_domain_violation =
+  QCheck.Test.make ~name:"step: Domain_violation leaves buffer untouched"
+    ~count:200 seed_arb (fun seed ->
+      step_cases seed (fun e actions st s ->
+          Array.for_all
+            (fun ca ->
+              match unclamped (Engine.env e) ca with
+              | None -> true
+              | Some ca when not (ca.Compile.enabled s) -> true
+              | Some ca -> (
+                  match Engine.step st ca with
+                  | _ -> false
+                  | exception State.Domain_violation _ ->
+                      State.equal (Engine.stepper_state st) s))
+            actions))
+
 let suite =
   [
     Alcotest.test_case "space roundtrip (exhaustive)" `Quick
@@ -308,3 +420,5 @@ let suite =
     Alcotest.test_case "equivalence: closure" `Quick test_equiv_closure;
     Alcotest.test_case "lazy past the eager cap" `Slow test_lazy_beyond_eager_cap;
   ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_step_key; prop_step_undo; prop_step_domain_violation ]
