@@ -283,18 +283,24 @@ let build_region_snapshot t cp ~explored ~node_keys ~nonmembers ~terminals
     ~edges ~frontier =
   let n_members = Vec.len node_keys in
   let n_actions = Array.length cp.Compile.actions in
-  let n_edges = Vec.len edges / 3 in
+  let n_edges = Edgebuf.length edges in
   let node_bits = bits_for n_members and act_bits = bits_for n_actions in
   let packed = (2 * node_bits) + act_bits <= 62 in
-  let edges_arr =
-    if packed then
-      Array.init n_edges (fun j ->
-          let s = Vec.get edges (3 * j)
-          and d = Vec.get edges ((3 * j) + 1)
-          and a = Vec.get edges ((3 * j) + 2) in
-          (((s lsl node_bits) lor d) lsl act_bits) lor a)
-    else Vec.to_array edges
-  in
+  (* one word per edge when packed, else the (src, dst, action) triples
+     interleaved *)
+  let edges_arr = Array.make (if packed then n_edges else 3 * n_edges) 0 in
+  let j = ref 0 in
+  Edgebuf.iter edges (fun s d a ->
+      if packed then begin
+        edges_arr.(!j) <- (((s lsl node_bits) lor d) lsl act_bits) lor a;
+        incr j
+      end
+      else begin
+        edges_arr.(!j) <- s;
+        edges_arr.(!j + 1) <- d;
+        edges_arr.(!j + 2) <- a;
+        j := !j + 3
+      end);
   {
     Rt.Snapshot.kind = kind_region;
     config_hash = region_hash t cp;
@@ -363,13 +369,23 @@ let restore_region t cp snap ~add ~node_keys ~nonmembers ~terminals ~edges =
     let nmask = (1 lsl node_bits) - 1 and amask = (1 lsl act_bits) - 1 in
     Array.iter
       (fun w ->
-        ignore (Vec.push edges ((w lsr (act_bits + node_bits)) land nmask));
-        ignore (Vec.push edges ((w lsr act_bits) land nmask));
-        ignore (Vec.push edges (w land amask)))
+        Edgebuf.push edges
+          ((w lsr (act_bits + node_bits)) land nmask)
+          ((w lsr act_bits) land nmask)
+          (w land amask))
       edges_arr
   end
-  else Array.iter (fun v -> ignore (Vec.push edges v)) edges_arr;
-  if Vec.len edges <> 3 * n_edges then
+  else begin
+    if Array.length edges_arr mod 3 <> 0 then
+      raise (Rt.Snapshot.Corrupt "inconsistent edge count");
+    for j = 0 to (Array.length edges_arr / 3) - 1 do
+      Edgebuf.push edges
+        edges_arr.(3 * j)
+        edges_arr.((3 * j) + 1)
+        edges_arr.((3 * j) + 2)
+    done
+  end;
+  if Edgebuf.length edges <> n_edges then
     raise (Rt.Snapshot.Corrupt "inconsistent edge count");
   (explored, frontier)
 
@@ -428,8 +444,8 @@ let seed_roots t ~from visit =
             if p s then visit (Codec.encode_packed t.codec s) s)
       else Space.iter space (fun id s -> if p s then visit id s)
 
-let finish_region t ~visited_bytes ~frontier_bytes ~node_keys ~nonmembers:_
-    ~terminals ~edges ~explored ~node_of_key =
+let finish_region t ~visited_bytes ~frontier_bytes ~node_keys ~terminals
+    ~edges ~explored ~node_of_key =
   t.last_visited_bytes <- visited_bytes;
   t.last_frontier_bytes <- frontier_bytes;
   let node_key = Vec.to_array node_keys in
@@ -438,18 +454,8 @@ let finish_region t ~visited_bytes ~frontier_bytes ~node_keys ~nonmembers:_
   for i = 0 to Vec.len terminals - 1 do
     terminal.(Vec.get terminals i) <- true
   done;
-  (* one pass from the committed triples straight into the graph's
-     arrays: no edge records, no second copy of the buffer *)
-  let n_edges = Vec.len edges / 3 in
-  let src = Array.make n_edges 0
-  and dst = Array.make n_edges 0
-  and label = Array.make n_edges 0 in
-  for j = 0 to n_edges - 1 do
-    src.(j) <- Vec.get edges (3 * j);
-    dst.(j) <- Vec.get edges ((3 * j) + 1);
-    label.(j) <- Vec.get edges ((3 * j) + 2)
-  done;
-  let graph = Dgraph.Digraph.of_arrays n_nodes ~src ~dst ~label in
+  (* the committed edge blocks go straight into the graph's exact arrays *)
+  let graph = Edgebuf.to_graph edges n_nodes in
   { graph; node_key; terminal; explored; node_of_key }
 
 let lazy_region t cp ~from ~target ~resume =
@@ -459,7 +465,7 @@ let lazy_region t cp ~from ~target ~resume =
   let node_keys = Vec.create () in
   let nonmembers = Vec.create () in
   let terminals = Vec.create () in
-  let edges = Vec.create () in
+  let edges = Edgebuf.create () in
   let queue = Flatqueue.create () in
   let explored = ref 0 in
   (* first sighting of [key], known absent from [visited]; returns its
@@ -542,18 +548,15 @@ let lazy_region t cp ~from ~target ~resume =
           if v <> min_int then v else visit_new dst_key buf
         in
         undo st;
-        if src_node >= 0 && dst_node >= 0 then begin
-          ignore (Vec.push edges src_node);
-          ignore (Vec.push edges dst_node);
-          ignore (Vec.push edges a)
-        end
+        if src_node >= 0 && dst_node >= 0 then
+          Edgebuf.push edges src_node dst_node a
       end
     done;
     if src_node >= 0 && !out_degree = 0 then ignore (Vec.push terminals src_node)
   done;
   finish_region t ~visited_bytes:(Flatset.bytes visited)
-    ~frontier_bytes:(Flatqueue.peak_bytes queue) ~node_keys ~nonmembers
-    ~terminals ~edges ~explored:!explored
+    ~frontier_bytes:(Flatqueue.peak_bytes queue) ~node_keys ~terminals ~edges
+    ~explored:!explored
     ~node_of_key:(fun key -> Flatset.find_def visited key (-1))
 
 (* --- parallel backend: level-synchronized BFS over a domain pool ---
@@ -590,7 +593,7 @@ let parallel_region t cp ~from ~target ~resume =
   let node_keys = Vec.create () in
   let nonmembers = Vec.create () in
   let terminals = Vec.create () in
-  let edges = Vec.create () in
+  let edges = Edgebuf.create () in
   let explored = ref 0 in
   let frontier_peak = ref 0 in
   let cur_keys = Vec.create () and cur_nodes = Vec.create () in
@@ -717,11 +720,8 @@ let parallel_region t cp ~from ~target ~resume =
             if v <> min_int then v
             else visit_new dst_key ~member:(tag = -2)
         in
-        if src_node >= 0 && dst_node >= 0 then begin
-          ignore (Vec.push edges src_node);
-          ignore (Vec.push edges dst_node);
-          ignore (Vec.push edges a)
-        end
+        if src_node >= 0 && dst_node >= 0 then
+          Edgebuf.push edges src_node dst_node a
       done;
       incr p;
       if src_node >= 0 && !m = 0 then ignore (Vec.push terminals src_node);
@@ -777,7 +777,7 @@ let parallel_region t cp ~from ~target ~resume =
     incr level
   done;
   finish_region t ~visited_bytes:(Flatset.bytes visited)
-    ~frontier_bytes:!frontier_peak ~node_keys ~nonmembers ~terminals ~edges
+    ~frontier_bytes:!frontier_peak ~node_keys ~terminals ~edges
     ~explored:!explored
     ~node_of_key:(fun key -> Flatset.find_def visited key (-1))
 

@@ -1,6 +1,11 @@
 open Lexer
 
-type state = { toks : located array; mutable pos : int; src : Source.t }
+type state = {
+  toks : located array;
+  mutable pos : int;
+  mutable depth : int;  (* expression nesting levels open at [pos] *)
+  src : Source.t;
+}
 
 let current p = p.toks.(p.pos)
 let peek_tok p = (current p).tok
@@ -11,6 +16,22 @@ let peek2 p =
 
 let advance p = if p.pos < Array.length p.toks - 1 then p.pos <- p.pos + 1
 let failp p message = Err.fail p.src (loc p) message
+
+(* Expression nesting limit. Brackets (grouping, calls, indexing), [~],
+   unary minus, [=>] and quantifiers each open one level. It bounds the
+   recursion on hostile input, and with it the parser's one backtracking
+   point, which re-scans a parenthesised prefix once per open level. *)
+let max_nesting = 512
+
+(* Parse [f ()] one level deeper; [l] is where the level opens. *)
+let nested p l f =
+  if p.depth >= max_nesting then
+    Err.fail p.src l
+      (Printf.sprintf "expression nested more than %d levels deep" max_nesting);
+  p.depth <- p.depth + 1;
+  let r = f () in
+  p.depth <- p.depth - 1;
+  r
 
 let eat p tok =
   if peek_tok p = tok then advance p
@@ -70,7 +91,7 @@ and parse_unary p =
       | INT n ->
           advance p;
           Ast.Int (l, -n)
-      | _ -> Ast.Neg (l, parse_unary p))
+      | _ -> Ast.Neg (l, nested p l (fun () -> parse_unary p)))
   | _ -> parse_num_atom p
 
 and parse_num_atom p =
@@ -84,24 +105,25 @@ and parse_num_atom p =
       match peek_tok p with
       | LPAREN ->
           advance p;
-          let args = parse_args p in
+          let args = nested p l (fun () -> parse_args p) in
           Ast.Call (l, name, args)
       | LBRACKET ->
           advance p;
-          let idx = parse_nexp p in
+          let idx = nested p l (fun () -> parse_nexp p) in
           eat p RBRACKET;
           Ast.Ref (l, name, Some idx)
       | _ -> Ast.Ref (l, name, None))
   | KW_MIN ->
       advance p;
       eat p LPAREN;
-      Ast.Call (l, "min", parse_args p)
+      Ast.Call (l, "min", nested p l (fun () -> parse_args p))
   | KW_MAX ->
       advance p;
       eat p LPAREN;
-      Ast.Call (l, "max", parse_args p)
+      Ast.Call (l, "max", nested p l (fun () -> parse_args p))
   | LPAREN -> (
       advance p;
+      nested p l @@ fun () ->
       match peek_tok p with
       | KW_IF ->
           advance p;
@@ -149,7 +171,7 @@ and parse_bexp p =
   match peek_tok p with
   | IMPLIES ->
       advance p;
-      Ast.Implies (l, lhs, parse_bexp p)
+      Ast.Implies (l, lhs, nested p l (fun () -> parse_bexp p))
   | IFF ->
       advance p;
       Ast.Iff (l, lhs, parse_disj p)
@@ -178,7 +200,7 @@ and parse_neg p =
   | NOT ->
       let l = loc p in
       advance p;
-      Ast.Not (l, parse_neg p)
+      Ast.Not (l, nested p l (fun () -> parse_neg p))
   | _ -> parse_bool_atom p
 
 and parse_bool_atom p =
@@ -192,24 +214,25 @@ and parse_bool_atom p =
       Ast.Bool (l, false)
   | LPAREN when peek2 p = KW_FORALL || peek2 p = KW_EXISTS ->
       advance p;
-      let q = parse_quant_body p l in
+      let q = nested p l (fun () -> parse_quant_body p l) in
       eat p RPAREN;
       q
   | KW_FORALL | KW_EXISTS ->
       (* unparenthesized quantifier: the body extends as far right as an
          expression can (like if-then-else), so it only appears as the
          trailing form of a formula *)
-      parse_quant_body p l
+      nested p l (fun () -> parse_quant_body p l)
   | LPAREN -> (
       (* backtracking: a '(' opens either a numeric atom of a comparison
          or a parenthesized boolean *)
-      let saved = p.pos in
+      let saved = p.pos and depth = p.depth in
       match parse_comparison p with
       | cmp -> cmp
       | exception Err.Error _ ->
           p.pos <- saved;
+          p.depth <- depth;
           advance p;
-          let b = parse_bexp p in
+          let b = nested p l (fun () -> parse_bexp p) in
           eat p RPAREN;
           b)
   | _ -> parse_comparison p
@@ -603,7 +626,7 @@ let parse_item p =
            (token_to_string t))
 
 let parse src =
-  let p = { toks = Lexer.lex src; pos = 0; src } in
+  let p = { toks = Lexer.lex src; pos = 0; depth = 0; src } in
   let l = loc p in
   eat p KW_MODEL;
   let name = parse_name p ~stop:item_start in

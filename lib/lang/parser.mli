@@ -26,8 +26,12 @@ bind        ::= IDENT ["[" (IDENT "in" iset | nexp) "]"] "=" nexp
     [min(a, b)], [max(a, b)], [(if b then a else c)], family indexing
     [x\[e\]], topology calls [parent(e)], [succ(e)], [pred(e)], and
     parenthesized quantifiers [(forall j in S: b)]. Names may contain
-    dashes ([bump-y]). *)
+    dashes ([bump-y]).
+
+    Expressions nest at most 512 levels: each bracket pair (grouping,
+    call, index), [~], unary minus, [=>] and quantifier opens one. *)
 
 val parse : Source.t -> Ast.model
-(** @raise Err.Error on any lexical or syntax error, located with a
-    caret snippet. *)
+(** @raise Err.Error on any lexical or syntax error, or on an
+    expression nested past the limit, located with a caret snippet (at
+    the opening token of the first level past it). *)

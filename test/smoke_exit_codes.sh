@@ -28,7 +28,7 @@ out_full="$tmp/nonmask_smoke_full.$$"
 out_resumed="$tmp/nonmask_smoke_resumed.$$"
 nm="$tmp/nonmask_smoke_model.$$"
 frontier="$tmp/nonmask_smoke_frontier.$$"
-trap 'rm -f "$stderr_file" "$ckpt" "$ckpt.tmp" "$ckpt.trunc" "$ckpt.garbage" "$ckpt.ph" "$out_full" "$out_resumed" "$nm.syntax.nm" "$nm.unknown.nm" "$nm.domain.nm" "$nm.divzero.nm" "$nm.sensor.nm" "$nm.sensor2.nm" "$nm.sensor.fmt1" "$nm.sensor.fmt2" "$frontier"' EXIT
+trap 'rm -f "$stderr_file" "$ckpt" "$ckpt.tmp" "$ckpt.trunc" "$ckpt.garbage" "$ckpt.ph" "$out_full" "$out_resumed" "$nm.syntax.nm" "$nm.unknown.nm" "$nm.domain.nm" "$nm.divzero.nm" "$nm.nesting.nm" "$nm.sensor.nm" "$nm.sensor2.nm" "$nm.sensor.fmt1" "$nm.sensor.fmt2" "$frontier"' EXIT
 
 expect() {
   want="$1"
@@ -126,7 +126,8 @@ expect 0 certify examples/models/token_ring.nm --faults corrupt:k=1
 expect 0 check examples/models/token_ring.nm --param N=3 --param K=4
 # 1: malformed input exits 1 with a located message on stderr — never an
 # exception trace. One file per failure class of the pipeline: lexer/
-# parser syntax, unknown variable, out-of-domain constant, zero divisor.
+# parser syntax, unknown variable, out-of-domain constant, zero divisor,
+# and a guard nested past the parser's limit (10,000 parentheses).
 cat >"$nm.syntax.nm" <<'EOF'
 model broken
 var x : 0..2
@@ -154,7 +155,14 @@ action step:
   x / 0 = 0 -> x := 1
 invariant x = 0
 EOF
-for bad in syntax unknown domain divzero; do
+awk 'BEGIN {
+  printf "model broken\nvar x : 0..2\nvar y : 0..2\naction step:\n  "
+  for (i = 0; i < 10000; i++) printf "("
+  printf "x = y"
+  for (i = 0; i < 10000; i++) printf ")"
+  printf " -> x := 1\ninvariant x = 0\n"
+}' >"$nm.nesting.nm"
+for bad in syntax unknown domain divzero nesting; do
   expect 1 check "$nm.$bad.nm"
   grep -Eq '(^|[ "])[^ ]*\.nm:[0-9]+:[0-9]+:' "$stderr_file"
   note2=$?

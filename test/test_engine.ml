@@ -282,6 +282,45 @@ let test_lazy_beyond_eager_cap () =
       Alcotest.(check bool) "tiny fraction explored" true (explored < 100_000)
   | Error _ -> Alcotest.fail "dijkstra 8/13 converges from radius-1 faults"
 
+(* --- allocation per region edge ---
+
+   The lazy and parallel searches append each committed edge to blocks
+   and copy the blocks once into the graph's exact arrays: 24 B per edge
+   in the blocks, 24 B in the graph, plus a few for the node tables. A
+   doubling buffer of interleaved triples copied out at the end costs 80
+   and more. The region is token_ring.nm at N=5, K=5 under program ∪
+   corrupt:k=1 faults from every state: 71,912 edges. Allocation counts
+   are deterministic for a single-domain search. *)
+
+let test_region_alloc_per_edge () =
+  let em =
+    Lang.Driver.compile_file
+      ~params:[ ("N", 5); ("K", 5) ]
+      (Test_lang.model_path "token_ring.nm")
+  in
+  let faults = Sim.Fault.actions (Sim.Fault.corrupt em.Lang.Elab.env ~k:1) in
+  let cp =
+    Compile.program (Guarded.Program.add_actions em.Lang.Elab.program faults)
+  in
+  let per_edge backend =
+    let engine = Engine.create ~backend ~jobs:1 em.Lang.Elab.env in
+    let run () =
+      Engine.region engine cp ~from:Engine.All ~target:em.Lang.Elab.invariant
+    in
+    ignore (run ());
+    let before = Gc.allocated_bytes () in
+    let r = run () in
+    let allocated = Gc.allocated_bytes () -. before in
+    let edges = Dgraph.Digraph.edge_count r.Engine.graph in
+    Alcotest.(check int) "region edges" 71_912 edges;
+    allocated /. float edges
+  in
+  let lazy_b = per_edge Engine.Lazy and par_b = per_edge Engine.Parallel in
+  if lazy_b > 56. then
+    Alcotest.failf "lazy: %.1f B per edge (at most 56)" lazy_b;
+  if par_b > 70. then
+    Alcotest.failf "parallel at jobs 1: %.1f B per edge (at most 70)" par_b
+
 (* --- successor stepping: Engine.step against apply_into + encode_key ---
 
    Each case draws a generated model (program and fault actions) and
@@ -422,3 +461,7 @@ let suite =
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_step_key; prop_step_undo; prop_step_domain_violation ]
+  @ [
+      Alcotest.test_case "region allocation per edge" `Quick
+        test_region_alloc_per_edge;
+    ]

@@ -360,6 +360,69 @@ let test_elab_errors () =
     \  4 | init x = 9\n\
     \    |          ^"
 
+(* --- nesting limit ---------------------------------------------------
+
+   Expressions nest at most Parser's 512 levels. Deeper input fails with
+   a located error at the opening token of the first level past the
+   limit, and fails fast: the parser's backtracking over a parenthesised
+   prefix costs time quadratic in the depth, which the limit caps. *)
+
+let nested_guard ~depth body =
+  Printf.sprintf
+    "model m\nvar x : 0..3\nvar y : 0..3\naction a:\n  %s%s%s -> x := y\n\
+     invariant x >= 0\n"
+    (String.make depth '(') body (String.make depth ')')
+
+let test_nesting_limit () =
+  let t0 = Unix.gettimeofday () in
+  (match
+     Lang.Driver.compile_string ~file:"m.nm"
+       (nested_guard ~depth:10_000 "x = y")
+   with
+  | (_ : Lang.Elab.t) -> Alcotest.fail "10,000 levels must be rejected"
+  | exception Lang.Err.Error e ->
+      Alcotest.(check (pair int int))
+        "line:col of the 513th '('" (5, 3 + 512)
+        (e.Lang.Err.line, e.Lang.Err.col);
+      Alcotest.(check string) "message"
+        "expression nested more than 512 levels deep" e.Lang.Err.msg);
+  let dt = Unix.gettimeofday () -. t0 in
+  if dt > 2.0 then Alcotest.failf "rejecting 10,000 levels took %.2f s" dt;
+  (* the limit is exact: 512 parenthesised levels parse, 513 do not *)
+  ignore (Lang.Driver.compile_string (nested_guard ~depth:512 "x = y"));
+  (match Lang.Driver.compile_string (nested_guard ~depth:513 "x = y") with
+  | _ -> Alcotest.fail "513 levels must be rejected"
+  | exception Lang.Err.Error _ -> ())
+
+(* A few hundred levels of each nesting form still parse, to a guard
+   that holds exactly where its flat spelling does. *)
+let test_nesting_below_limit () =
+  let guard_table body =
+    let em = Lang.Driver.compile_string (nested_guard ~depth:0 body) in
+    let a = (Compile.program em.Lang.Elab.program).Compile.actions.(0) in
+    let acc = ref [] in
+    Explore.Space.iter (Explore.Space.create em.Lang.Elab.env) (fun _ s ->
+        acc := a.Compile.enabled s :: !acc);
+    !acc
+  in
+  let n = 300 in
+  let rep k s = String.concat "" (List.init k (fun _ -> s)) in
+  List.iter
+    (fun (name, body, flat) ->
+      Alcotest.(check (list bool)) name (guard_table flat) (guard_table body))
+    [
+      ("parentheses", rep n "(" ^ "x = y" ^ rep n ")", "x = y");
+      ("numeric parentheses", "x = " ^ rep n "(" ^ "y" ^ rep n ")", "x = y");
+      ("not", rep n "~" ^ "(x = y)", "x = y");
+      ("unary minus", "x = " ^ rep n "- " ^ "y", "x = y");
+      ("implies", rep n "x = y => " ^ "x = y", "true");
+      ( "quantifier",
+        String.concat ""
+          (List.init n (fun i -> Printf.sprintf "(forall i%d in 0..0: " i))
+        ^ "x = y" ^ rep n ")",
+        "x = y" );
+    ]
+
 (* --- exporter goldens ------------------------------------------------ *)
 
 let test_export_goldens () =
@@ -395,4 +458,7 @@ let suite =
     Alcotest.test_case "errors: elaborator goldens" `Quick test_elab_errors;
     Alcotest.test_case "golden: TLA+ and DOT exports" `Quick
       test_export_goldens;
+    Alcotest.test_case "errors: nesting limit" `Quick test_nesting_limit;
+    Alcotest.test_case "nesting: 300 levels still parse" `Quick
+      test_nesting_below_limit;
   ]

@@ -290,6 +290,34 @@ let test_server_ping_and_hostile_lines () =
   let r = request_exn c (job_request ~op:"ping" ()) in
   checkb "daemon alive after garbage" true (is_ok r)
 
+(* A model nested past the parser's limit (10,000 parentheses in one
+   guard, a 20 KB request) is compiled on the reader thread: it must come
+   back as a located bad-request reply at once, and the daemon must keep
+   answering. *)
+let test_server_deep_nesting_rejected () =
+  with_server @@ fun _server address ->
+  let c = connect_exn address in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let depth = 10_000 in
+  let model =
+    Printf.sprintf
+      "model deep\nvar x : 0..3\nvar y : 0..3\naction a:\n\
+      \  %sx = y%s -> x := y\n\
+       invariant x >= 0\n"
+      (String.make depth '(') (String.make depth ')')
+  in
+  let reply = request_exn ~timeout:30. c (job_request ~op:"check" ~model ()) in
+  checkb "rejected" true (not (is_ok reply));
+  checkb "code bad-request" true (field "code" reply = Json.Str "bad-request");
+  (match field "error" reply with
+  | Json.Str msg ->
+      checkb "located nesting message" true
+        (Astring_contains.contains msg
+           ":5:515: expression nested more than 512 levels deep")
+  | _ -> Alcotest.fail "error is not a string");
+  let pong = request_exn c (job_request ~op:"ping" ()) in
+  checkb "daemon alive after deep model" true (is_ok pong)
+
 let test_server_cache_roundtrip () =
   with_server @@ fun server address ->
   let c = connect_exn address in
@@ -619,4 +647,6 @@ let suite =
       test_server_hard_drain_cancels;
     Alcotest.test_case "server: soft drain finishes queued jobs" `Quick
       test_server_soft_drain_finishes_queued;
+    Alcotest.test_case "server: over-nested model rejected in-protocol" `Quick
+      test_server_deep_nesting_rejected;
   ]

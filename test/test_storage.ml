@@ -3,7 +3,8 @@
    open-addressing tables (Flattbl / Flatset) against a boxed Hashtbl
    reference, the chunked frontier queue, Shardmap growth under
    multi-domain contention, concurrent reads of both Flatset
-   representations, and the engine-level guarantees — probed, direct,
+   representations, the region edge buffer across its block
+   boundaries, and the engine-level guarantees — probed, direct,
    and packed-keyed searches all produce the same regions, at the same
    overflow points, reporting the same visited-table bytes. *)
 
@@ -15,6 +16,7 @@ module Engine = Explore.Engine
 module Faultspan = Explore.Faultspan
 module Flatset = Explore.Flatset
 module Flatqueue = Explore.Flatqueue
+module Edgebuf = Explore.Edgebuf
 module Flattbl = Par.Flattbl
 
 let env_of_sizes sizes =
@@ -643,6 +645,43 @@ let test_faultspan_storage_invariant () =
       incr i);
   Alcotest.(check int) "indexed count" (Faultspan.count reference) !i
 
+(* --- Edgebuf: lengths at and around the block-size boundaries --- *)
+
+let prop_edgebuf_boundaries =
+  let first = Edgebuf.first_block and cap = Edgebuf.max_block in
+  let lengths =
+    [ 0; 1; first - 1; first; first + 1; cap - 1; cap; cap + 1; (5 * cap) + 3 ]
+  in
+  QCheck.Test.make ~name:"edgebuf: to_graph and iter across block sizes"
+    ~count:100
+    (QCheck.make
+       ~print:(fun (m, seed) -> Printf.sprintf "length=%d seed=%d" m seed)
+       QCheck.Gen.(pair (oneofl lengths) (int_bound 1_000_000)))
+    (fun (m, seed) ->
+      let rng = Prng.create seed in
+      let n = 1 + Prng.int rng 50 in
+      let src = Array.init m (fun _ -> Prng.int rng n) in
+      let dst = Array.init m (fun _ -> Prng.int rng n) in
+      let label = Array.init m (fun _ -> Prng.int rng 1000 - 500) in
+      let b = Edgebuf.create () in
+      for e = 0 to m - 1 do
+        Edgebuf.push b src.(e) dst.(e) label.(e)
+      done;
+      let g = Edgebuf.to_graph b n in
+      let reference = Dgraph.Digraph.of_arrays n ~src ~dst ~label in
+      let visited = ref [] in
+      Edgebuf.iter b (fun s d l -> visited := (s, d, l) :: !visited);
+      (* bytes first: walking the graph below builds its CSR index *)
+      Dgraph.Digraph.bytes g = 24 * m
+      && Edgebuf.length b = m
+      && Dgraph.Digraph.node_count g = n
+      && Dgraph.Digraph.edge_count g = m
+      && List.init m (Dgraph.Digraph.edge g)
+         = List.init m (Dgraph.Digraph.edge reference)
+      && Dgraph.Digraph.edges g = Dgraph.Digraph.edges reference
+      && List.rev !visited
+         = List.init m (fun e -> (src.(e), dst.(e), label.(e))))
+
 let suite =
   [
     Alcotest.test_case "codec: fuzz roundtrips (200 seeds)" `Quick
@@ -686,3 +725,4 @@ let suite =
     Alcotest.test_case "faultspan: storage-invariant spans" `Quick
       test_faultspan_storage_invariant;
   ]
+  @ List.map QCheck_alcotest.to_alcotest [ prop_edgebuf_boundaries ]
