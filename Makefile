@@ -27,6 +27,7 @@ smoke:
 	sh -c 'dune exec bin/nonmask_cli.exe -- check dijkstra --nodes 12 -k 13 --engine lazy --ball 2 --budget-states 2000 --checkpoint-out /tmp/nonmask-smoke-ckpt.snap; [ $$? -eq 5 ]'
 	dune exec bin/nonmask_cli.exe -- check dijkstra --nodes 12 -k 13 --engine lazy --ball 2 --resume /tmp/nonmask-smoke-ckpt.snap
 	sh test/smoke_exit_codes.sh
+	sh test/smoke_models.sh
 	sh test/smoke_serve.sh
 
 # Serve daemon smoke on its own: lifecycle over a Unix socket, cold

@@ -55,9 +55,9 @@ type instance = {
   legitimate : unit -> Guarded.State.t;
   certify : (engine:Explore.Engine.t -> Nonmask.Certify.t) option;
   cgraphs : Nonmask.Cgraph.t list;
-  declared_fault : Sim.Fault.t option;
-      (* the fault actions a .nm model declares, if any — the default
-         fault class for certify/storm on that model *)
+  declared_faults : Guarded.Action.t list;
+      (* the fault actions a .nm model declares ([] for built-in
+         protocols) — the default fault class when --faults is absent *)
   declared_envs : Guarded.Action.t list;
       (* the environment actions a .nm model declares ([] for built-in
          protocols) — threaded into tolerance certification *)
@@ -93,7 +93,7 @@ let build_instance proto ~shape ~size ~nodes ~k ~seed =
       let d = Protocols.Diffusing.make (tree_of ~shape ~size ~seed) in
       {
         i_name = Printf.sprintf "diffusing %s-%d" shape size;
-        declared_fault = None;
+        declared_faults = [];
         declared_envs = [];
         env = Protocols.Diffusing.env d;
         program = Protocols.Diffusing.combined d;
@@ -106,7 +106,7 @@ let build_instance proto ~shape ~size ~nodes ~k ~seed =
       let d = Protocols.Diffusing_lowatomic.make (tree_of ~shape ~size ~seed) in
       {
         i_name = Printf.sprintf "lowatomic %s-%d" shape size;
-        declared_fault = None;
+        declared_faults = [];
         declared_envs = [];
         env = Protocols.Diffusing_lowatomic.env d;
         program = Protocols.Diffusing_lowatomic.program d;
@@ -119,7 +119,7 @@ let build_instance proto ~shape ~size ~nodes ~k ~seed =
       let tr = Protocols.Token_ring.make ~nodes ~k in
       {
         i_name = Printf.sprintf "token-ring %d (K=%d)" nodes k;
-        declared_fault = None;
+        declared_faults = [];
         declared_envs = [];
         env = Protocols.Token_ring.env tr;
         program = Protocols.Token_ring.combined tr;
@@ -132,7 +132,7 @@ let build_instance proto ~shape ~size ~nodes ~k ~seed =
       let dr = Protocols.Dijkstra_ring.make ~nodes ~k in
       {
         i_name = Printf.sprintf "dijkstra %d (K=%d)" nodes k;
-        declared_fault = None;
+        declared_faults = [];
         declared_envs = [];
         env = Protocols.Dijkstra_ring.env dr;
         program = Protocols.Dijkstra_ring.program dr;
@@ -151,7 +151,7 @@ let build_instance proto ~shape ~size ~nodes ~k ~seed =
       let d = Protocols.Xyz_demo.make variant in
       {
         i_name = proto;
-        declared_fault = None;
+        declared_faults = [];
         declared_envs = [];
         env = Protocols.Xyz_demo.env d;
         program = Protocols.Xyz_demo.program d;
@@ -171,7 +171,7 @@ let build_instance proto ~shape ~size ~nodes ~k ~seed =
       let a = Protocols.Atomic_action.make (tree_of ~shape ~size ~seed) in
       {
         i_name = Printf.sprintf "atomic %s-%d" shape size;
-        declared_fault = None;
+        declared_faults = [];
         declared_envs = [];
         env = Protocols.Atomic_action.env a;
         program = Protocols.Atomic_action.program a;
@@ -188,7 +188,7 @@ let build_instance proto ~shape ~size ~nodes ~k ~seed =
       let nr = Protocols.Naive_ring.make ~nodes in
       {
         i_name = Printf.sprintf "naive-ring %d" nodes;
-        declared_fault = None;
+        declared_faults = [];
         declared_envs = [];
         env = Protocols.Naive_ring.env nr;
         program = Protocols.Naive_ring.program nr;
@@ -201,7 +201,7 @@ let build_instance proto ~shape ~size ~nodes ~k ~seed =
       let r = Protocols.Reset.make (tree_of ~shape ~size ~seed) in
       {
         i_name = Printf.sprintf "reset %s-%d" shape size;
-        declared_fault = None;
+        declared_faults = [];
         declared_envs = [];
         env = Protocols.Reset.env r;
         program = Protocols.Reset.program r;
@@ -227,7 +227,7 @@ let build_instance proto ~shape ~size ~nodes ~k ~seed =
       let st = Protocols.Spanning_tree.make ~root:0 g in
       {
         i_name = Printf.sprintf "spanning-tree %s-%d" shape size;
-        declared_fault = None;
+        declared_faults = [];
         declared_envs = [];
         env = Protocols.Spanning_tree.env st;
         program = Protocols.Spanning_tree.program st;
@@ -263,20 +263,16 @@ let parse_model_file path =
 
 let nm_instance ~params path =
   let em = compile_model ~params path in
-  let declared_fault =
-    match em.Lang.Elab.fault_actions with
-    | [] -> None
-    | acts -> Some (Sim.Fault.of_actions "declared faults" ~burst:1 acts)
-  in
   {
     i_name = em.Lang.Elab.name;
     env = em.Lang.Elab.env;
     program = em.Lang.Elab.program;
     invariant = em.Lang.Elab.invariant;
-    legitimate = (fun () -> em.Lang.Elab.init);
+    (* a copy per call: storm and simulate inject faults into it *)
+    legitimate = (fun () -> Guarded.State.copy em.Lang.Elab.init);
     certify = None;
     cgraphs = [];
-    declared_fault;
+    declared_faults = em.Lang.Elab.fault_actions;
     declared_envs = em.Lang.Elab.env_actions;
   }
 
@@ -721,24 +717,20 @@ let report_overflow i = function
       exit exit_region_overflow
   | e -> raise e
 
-(* --faults SPEC: a fault class in action form. *)
-let parse_fault_spec env spec =
-  let bad () =
-    failwith
-      (Printf.sprintf "bad fault spec %S (corrupt | corrupt:k=N | scramble)"
-         spec)
-  in
-  match String.split_on_char ':' spec with
-  | [ "corrupt" ] -> Sim.Fault.corrupt env ~k:1
-  | [ "corrupt"; ks ] -> (
-      match String.split_on_char '=' ks with
-      | [ "k"; n ] -> (
-          match int_of_string_opt n with
-          | Some k when k > 0 -> Sim.Fault.corrupt env ~k
-          | _ -> bad ())
-      | _ -> bad ())
-  | [ "scramble" ] -> Sim.Fault.scramble env
-  | _ -> bad ()
+(* A Sim.Fault.resolve result, or the CLI's error for a bad --faults SPEC. *)
+let fault_or_bad_spec = function
+  | Ok f -> f
+  | Error spec ->
+      failwith
+        (Printf.sprintf "bad fault spec %S (%s)" spec Sim.Fault.spec_syntax)
+
+(* A storm flag checked by its Sim.Storm range rule. *)
+let storm_flag flag check show v =
+  match check v with
+  | Ok v -> v
+  | Error why -> failwith (Printf.sprintf "%s %s (got %s)" flag why (show v))
+
+let trials_flag = storm_flag "--trials" Sim.Storm.check_trials string_of_int
 
 let with_instance f proto shape size nodes k seed params =
   try
@@ -810,9 +802,9 @@ let certify_cmd =
       (* --faults wins; a .nm model's declared fault actions are the
          default fault class when the flag is absent. *)
       let fault_opt =
-        match fault_spec with
-        | Some spec -> Some (parse_fault_spec i.env spec)
-        | None -> i.declared_fault
+        fault_or_bad_spec
+          (Sim.Fault.resolve i.env ~spec:fault_spec
+             ~declared:i.declared_faults)
       in
       if (checkpoint_out <> None || resume_file <> None) && fault_opt = None
       then
@@ -967,29 +959,6 @@ let report_arg =
            line, flushed as each point completes — an interrupted sweep \
            (exit 5) leaves the partial curve behind.")
 
-let tolerance_point_json (p : Tol.Sweep.point) =
-  Obs.Json.Obj
-    ([
-       ("budget", Obs.Json.Int p.Tol.Sweep.budget);
-       ("span_states", Obs.Json.Int p.Tol.Sweep.span_states);
-       ("span_roots", Obs.Json.Int p.Tol.Sweep.span_roots);
-       ("max_depth", Obs.Json.Int p.Tol.Sweep.max_depth);
-       ("certified", Obs.Json.Bool p.Tol.Sweep.certified);
-       ( "worst_case",
-         match p.Tol.Sweep.worst_case with
-         | Some w -> Obs.Json.Int w
-         | None -> Obs.Json.Null );
-       ("reused", Obs.Json.Bool p.Tol.Sweep.reused);
-     ]
-    @
-    match p.Tol.Sweep.adversary with
-    | None -> []
-    | Some r -> (
-        match r.Tol.Adversary.verdict with
-        | Tol.Adversary.Bounded w -> [ ("adversary_bound", Obs.Json.Int w) ]
-        | Tol.Adversary.Unbounded _ ->
-            [ ("adversary_bound", Obs.Json.Str "unbounded") ]))
-
 let tolerance_cmd =
   let run proto shape size nodes k seed params backend max_states jobs
       fault_spec budget_max budgets_csv adversary report ball trace_out
@@ -997,10 +966,9 @@ let tolerance_cmd =
     try
       let i = load_instance proto ~shape ~size ~nodes ~k ~seed ~params in
       let fault =
-        match (fault_spec, i.declared_fault) with
-        | Some spec, _ -> parse_fault_spec i.env spec
-        | None, Some f -> f
-        | None, None -> parse_fault_spec i.env "corrupt:k=1"
+        fault_or_bad_spec
+          (Sim.Fault.resolve_or_corrupt i.env ~spec:fault_spec
+             ~declared:i.declared_faults)
       in
       let budgets =
         match budgets_csv with
@@ -1059,7 +1027,7 @@ let tolerance_cmd =
            | None -> ()
            | Some oc ->
                output_string oc
-                 (Obs.Json.to_string (tolerance_point_json p));
+                 (Obs.Json.to_string (Tol.Sweep.point_json p));
                output_char oc '\n';
                flush oc
          in
@@ -1196,6 +1164,9 @@ let faults_arg =
 
 let simulate_cmd =
   let run i seed trials faults =
+    let trials = trials_flag trials in
+    if faults < 0 then
+      failwith (Printf.sprintf "--faults must be non-negative (got %d)" faults);
     let cp = Compile.program i.program in
     let fault =
       if faults = 0 then Sim.Fault.scramble i.env
@@ -1261,6 +1232,14 @@ let storm_cmd =
       fault_budget max_steps jobs trace_out metrics_out progress deadline
       trial_timeout trial_retries =
     try
+      let trials = trials_flag trials in
+      let rate =
+        storm_flag "--rate" Sim.Storm.check_rate (Printf.sprintf "%g") rate
+      in
+      let max_steps =
+        storm_flag "--max-steps" Sim.Storm.check_max_steps string_of_int
+          max_steps
+      in
       let i = load_instance proto ~shape ~size ~nodes ~k ~seed ~params in
       let obs =
         obs_setup ~trace_out ~metrics_out ~progress
@@ -1272,10 +1251,9 @@ let storm_cmd =
       let watchdog = make_watchdog ~trial_timeout ~trial_retries in
       let cp = Compile.program i.program in
       let fault =
-        match (fault_spec, i.declared_fault) with
-        | Some spec, _ -> parse_fault_spec i.env spec
-        | None, Some f -> f
-        | None, None -> parse_fault_spec i.env "corrupt:k=1"
+        fault_or_bad_spec
+          (Sim.Fault.resolve_or_corrupt i.env ~spec:fault_spec
+             ~declared:i.declared_faults)
       in
       let fault_budget =
         match fault_budget with Some b when b >= 0 -> Some b | _ -> None

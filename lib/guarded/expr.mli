@@ -7,7 +7,8 @@
       constraint-graph definition (Section 4) is stated in terms of the
       variables an action reads and writes;
     - programs and constraints can be pretty-printed in notation close to
-      the paper's, and re-parsed by {!Dsl}.
+      the paper's, and re-parsed as the expressions of a [.nm] model
+      ([Lang.Parser]).
 
     [num] is integer-valued, [boolean] is a state predicate. Division and
     modulus follow OCaml semantics and raise [Division_by_zero] on a zero

@@ -42,7 +42,7 @@ let eat p tok =
 
 (* --- numeric expressions ---
    Precedence, loosest first: additive, multiplicative, unary minus,
-   atoms — the same scheme as Guarded.Dsl, so Guarded.Expr.pp output
+   atoms — the precedence Guarded.Expr.pp prints with, so its output
    reparses. *)
 
 let rec parse_nexp p = parse_additive p

@@ -21,7 +21,8 @@ lhs         ::= IDENT ["[" nexp "]"]
 bind        ::= IDENT ["[" (IDENT "in" iset | nexp) "]"] "=" nexp
     v}
 
-    Expressions follow {!Guarded.Dsl}: [~ /\ \/ => <=>] over comparisons
+    Expressions are the paper's guarded-command notation, the syntax
+    {!Guarded.Expr.pp} prints: [~ /\ \/ => <=>] over comparisons
     [= <> < <= > >=] of numeric expressions [+ - * / mod], with
     [min(a, b)], [max(a, b)], [(if b then a else c)], family indexing
     [x\[e\]], topology calls [parent(e)], [succ(e)], [pred(e)], and

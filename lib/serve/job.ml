@@ -85,6 +85,11 @@ let positive name n =
   if n > 0 then Ok n
   else Error (Printf.sprintf "option %s: must be positive" name)
 
+(* A value checked by a shared range rule, its reason prefixed with the
+   option's name. *)
+let in_range name check v =
+  Result.map_error (Printf.sprintf "option %s: %s" name) (check v)
+
 let non_negative name n =
   if n >= 0 then Ok n
   else Error (Printf.sprintf "option %s: must be non-negative" name)
@@ -128,16 +133,15 @@ let options_of_json fields =
           Ok { o with seed = n }
       | "trials" ->
           let* n = as_int name value in
-          let* n = non_negative name n in
+          let* n = in_range name Sim.Storm.check_trials n in
           Ok { o with trials = n }
       | "rate" ->
           let* f = as_float name value in
-          if f < 0. || f > 1. then
-            Error "option rate: must be within [0, 1]"
-          else Ok { o with rate = f }
+          let* f = in_range name Sim.Storm.check_rate f in
+          Ok { o with rate = f }
       | "max_steps" ->
           let* n = as_int name value in
-          let* n = positive name n in
+          let* n = in_range name Sim.Storm.check_max_steps n in
           Ok { o with max_steps = n }
       | "faults" ->
           let* s = as_string name value in
@@ -178,25 +182,6 @@ let options_of_json fields =
           Ok { o with budget_bytes = Some n }
       | name -> Error (Printf.sprintf "unknown option %S" name))
     (Ok defaults) fields
-
-(* Same grammar as the CLI's --faults SPEC. *)
-let parse_fault_spec env spec =
-  let bad () =
-    Error
-      (Printf.sprintf
-         "option faults: bad spec %S (corrupt | corrupt:k=N | scramble)" spec)
-  in
-  match String.split_on_char ':' spec with
-  | [ "corrupt" ] -> Ok (Sim.Fault.corrupt env ~k:1)
-  | [ "corrupt"; ks ] -> (
-      match String.split_on_char '=' ks with
-      | [ "k"; n ] -> (
-          match int_of_string_opt n with
-          | Some k when k > 0 -> Ok (Sim.Fault.corrupt env ~k)
-          | _ -> bad ())
-      | _ -> bad ())
-  | [ "scramble" ] -> Ok (Sim.Fault.scramble env)
-  | _ -> bad ()
 
 type prepared = {
   op : Proto.op;
@@ -297,26 +282,26 @@ let prepare (req : Proto.request) =
                   (* Resolve the fault class up front so a bad spec (or a
                      certify job with no fault class at all) is rejected
                      inline, before it ever occupies the executor. *)
+                  let env = em.Lang.Elab.env
+                  and spec = opts.faults
+                  and declared = em.Lang.Elab.fault_actions in
+                  let bad_spec s =
+                    Printf.sprintf "option faults: bad spec %S (%s)" s
+                      Sim.Fault.spec_syntax
+                  in
                   let fault_result =
-                    match (op, opts.faults) with
-                    | (Proto.Certify | Proto.Tolerance | Proto.Storm), Some spec
-                      ->
-                        Result.map Option.some
-                          (parse_fault_spec em.Lang.Elab.env spec)
-                    | (Proto.Certify | Proto.Tolerance | Proto.Storm), None -> (
-                        match em.Lang.Elab.fault_actions with
-                        | [] when op = Proto.Certify ->
+                    match op with
+                    | Proto.Certify -> (
+                        match Sim.Fault.resolve env ~spec ~declared with
+                        | Ok None ->
                             Error
                               "certify: the model declares no faults; pass \
                                options.faults"
-                        | [] ->
-                            Result.map Option.some
-                              (parse_fault_spec em.Lang.Elab.env "corrupt:k=1")
-                        | acts ->
-                            Ok
-                              (Some
-                                 (Sim.Fault.of_actions "declared faults"
-                                    ~burst:1 acts)))
+                        | r -> Result.map_error bad_spec r)
+                    | Proto.Tolerance | Proto.Storm ->
+                        Sim.Fault.resolve_or_corrupt env ~spec ~declared
+                        |> Result.map Option.some
+                        |> Result.map_error bad_spec
                     | _ -> Ok None
                   in
                   match fault_result with
@@ -462,30 +447,6 @@ let run_tolerance ~pool ~obs ~guard (em : Lang.Elab.t) fault o =
       ~name:(Printf.sprintf "%s under %s" em.name fault.Sim.Fault.name)
       ()
   in
-  let point_json (p : Tol.Sweep.point) =
-    Obs.Json.Obj
-      ([
-         ("budget", Obs.Json.Int p.Tol.Sweep.budget);
-         ("span_states", Obs.Json.Int p.Tol.Sweep.span_states);
-         ("span_roots", Obs.Json.Int p.Tol.Sweep.span_roots);
-         ("max_depth", Obs.Json.Int p.Tol.Sweep.max_depth);
-         ("certified", Obs.Json.Bool p.Tol.Sweep.certified);
-         ( "worst_case",
-           match p.Tol.Sweep.worst_case with
-           | Some w -> Obs.Json.Int w
-           | None -> Obs.Json.Null );
-         ("reused", Obs.Json.Bool p.Tol.Sweep.reused);
-       ]
-      @
-      match p.Tol.Sweep.adversary with
-      | None -> []
-      | Some r -> (
-          match r.Tol.Adversary.verdict with
-          | Tol.Adversary.Bounded w ->
-              [ ("adversary_bound", Obs.Json.Int w) ]
-          | Tol.Adversary.Unbounded _ ->
-              [ ("adversary_bound", Obs.Json.Str "unbounded") ]))
-  in
   let span_total =
     List.fold_left
       (fun acc (p : Tol.Sweep.point) ->
@@ -496,7 +457,9 @@ let run_tolerance ~pool ~obs ~guard (em : Lang.Elab.t) fault o =
      returned frontier is always a complete, cacheable curve *)
   ok_outcome ~exit_code:0 ~states:span_total ~status:"done"
     [
-      ("points", Obs.Json.List (List.map point_json frontier.Tol.Sweep.points));
+      ( "points",
+        Obs.Json.List (List.map Tol.Sweep.point_json frontier.Tol.Sweep.points)
+      );
       ( "cliff",
         match frontier.Tol.Sweep.cliff with
         | Some c -> Obs.Json.Int c

@@ -134,4 +134,31 @@ let of_actions name ~burst actions =
     burst;
   }
 
+let spec_syntax = "corrupt | corrupt:k=N | scramble"
+
+let of_spec env spec =
+  match String.split_on_char ':' spec with
+  | [ "corrupt" ] -> Some (corrupt env ~k:1)
+  | [ "corrupt"; ks ] -> (
+      match String.split_on_char '=' ks with
+      | [ "k"; n ] -> (
+          match int_of_string_opt n with
+          | Some k when k > 0 -> Some (corrupt env ~k)
+          | _ -> None)
+      | _ -> None)
+  | [ "scramble" ] -> Some (scramble env)
+  | _ -> None
+
+let resolve env ~spec ~declared =
+  match (spec, declared) with
+  | Some s, _ -> (
+      match of_spec env s with Some f -> Ok (Some f) | None -> Error s)
+  | None, [] -> Ok None
+  | None, acts -> Ok (Some (of_actions "declared faults" ~burst:1 acts))
+
+let resolve_or_corrupt env ~spec ~declared =
+  Result.map
+    (function Some f -> f | None -> corrupt env ~k:1)
+    (resolve env ~spec ~declared)
+
 let pp ppf f = Format.pp_print_string ppf f.name

@@ -75,4 +75,34 @@ val of_actions : string -> burst:int -> Guarded.Action.t list -> t
     performs up to [burst] steps, each executing a uniformly chosen enabled
     action (stopping early when none is enabled). *)
 
+(** {1 Fault classes by name}
+
+    The CLI's [--faults SPEC] flag and a serve request's [faults] option
+    name fault classes in one grammar and resolve them by one rule. *)
+
+val spec_syntax : string
+(** ["corrupt | corrupt:k=N | scramble"], for error messages. *)
+
+val of_spec : Guarded.Env.t -> string -> t option
+(** [corrupt] is [corrupt ~k:1], [corrupt:k=N] is [corrupt ~k:N] for
+    [N > 0], [scramble] is {!scramble}; [None] for anything else. *)
+
+val resolve :
+  Guarded.Env.t ->
+  spec:string option ->
+  declared:Guarded.Action.t list ->
+  (t option, string) result
+(** The fault class a request names: [spec] wins; without it, a model's
+    [declared] fault actions, as {!of_actions} ["declared faults"] with
+    [burst = 1]; without those, [None]. [Error spec] when [spec] is not
+    in the {!of_spec} grammar. *)
+
+val resolve_or_corrupt :
+  Guarded.Env.t ->
+  spec:string option ->
+  declared:Guarded.Action.t list ->
+  (t, string) result
+(** {!resolve}, falling back to [corrupt ~k:1] when the request names no
+    fault class — the default of tolerance sweeps and storms. *)
+
 val pp : Format.formatter -> t -> unit

@@ -68,6 +68,13 @@ let run_storm ~max_steps ~fault_budget ~deadline ~rng ~daemon ~init ~stop
   in
   loop 0 0
 
+let check_trials n = if n >= 0 then Ok n else Error "must be non-negative"
+
+let check_rate r =
+  if r >= 0. && r <= 1. then Ok r else Error "must be within [0, 1]"
+
+let check_max_steps n = if n > 0 then Ok n else Error "must be positive"
+
 let trials ?(max_steps = 100_000) ?fault_budget ?jobs ?pool
     ?(obs = Obs.Ctx.disabled) ?(guard = Rt.Guard.inert) ?watchdog ~rng ~trials
     ~daemon ~prepare ~stop ~fault ~rate cp =

@@ -29,6 +29,22 @@ type result = {
       (** Total replacement attempts launched after a timed-out attempt. *)
 }
 
+(** {1 Option ranges}
+
+    The ranges a storm request must respect, shared by the CLI's flags
+    and a serve request's options. Each returns the value, or the
+    reason it is out of range (["must be non-negative"], ...), which the
+    caller prefixes with the option's name. *)
+
+val check_trials : int -> (int, string) Stdlib.result
+(** [trials >= 0]. *)
+
+val check_rate : float -> (float, string) Stdlib.result
+(** [0 <= rate <= 1]; NaN is rejected. *)
+
+val check_max_steps : int -> (int, string) Stdlib.result
+(** [max_steps > 0]. *)
+
 val trials :
   ?max_steps:int ->
   ?fault_budget:int ->

@@ -58,6 +58,29 @@ let point_fields p =
       | Adversary.Bounded w -> [ ("adversary_bound", I w) ]
       | Adversary.Unbounded _ -> [ ("adversary_bound", S "unbounded") ])
 
+let point_json p =
+  Obs.Json.Obj
+    ([
+       ("budget", Obs.Json.Int p.budget);
+       ("span_states", Obs.Json.Int p.span_states);
+       ("span_roots", Obs.Json.Int p.span_roots);
+       ("max_depth", Obs.Json.Int p.max_depth);
+       ("certified", Obs.Json.Bool p.certified);
+       ( "worst_case",
+         match p.worst_case with
+         | Some w -> Obs.Json.Int w
+         | None -> Obs.Json.Null );
+       ("reused", Obs.Json.Bool p.reused);
+     ]
+    @
+    match p.adversary with
+    | None -> []
+    | Some r -> (
+        match r.Adversary.verdict with
+        | Adversary.Bounded w -> [ ("adversary_bound", Obs.Json.Int w) ]
+        | Adversary.Unbounded _ ->
+            [ ("adversary_bound", Obs.Json.Str "unbounded") ]))
+
 let cliff_of points =
   let rec go prev = function
     | [] -> None

@@ -46,6 +46,14 @@ val range : max:int -> int list
 val adversary_bound : Adversary.result -> int option
 (** The finite bound, if the verdict is [Bounded]. *)
 
+val point_json : point -> Obs.Json.t
+(** One point as the JSON object both front ends emit — a line of the
+    CLI's [tolerance --report] file and an element of a serve tolerance
+    reply's [points]: [budget], [span_states], [span_roots], [max_depth],
+    [certified], [worst_case] ([null] when unavailable), [reused], and —
+    when the sweep ran the adversary — [adversary_bound] (an integer or
+    ["unbounded"]). *)
+
 val run :
   engine:Explore.Engine.t ->
   program:Guarded.Program.t ->

@@ -74,6 +74,17 @@ expect 1 check token-ring --nodes 3 -k 3 --engine turbo
 expect 1 check token-ring --nodes 3 -k 3 --engine parallel --jobs 0
 expect 1 check token-ring --nodes 3 -k 3 --jobs -2
 expect 1 storm token-ring --nodes 3 -k 4 --jobs many
+# 1: storm/simulate option ranges — the Sim.Storm rules serve applies to
+# its trials/rate/max_steps options (trials >= 0, 0 <= rate <= 1 and not
+# NaN, max_steps > 0), plus simulate's non-negative --faults K
+expect 1 storm token-ring --nodes 4 -k 5 --trials=-3
+expect 1 storm examples/models/xyz.nm --trials=-1
+expect 1 simulate token-ring --nodes 4 -k 5 --trials 3 --faults=-2
+expect 1 simulate token-ring --nodes 4 -k 5 --trials=-3
+expect 1 storm token-ring --nodes 4 -k 5 --rate 5
+expect 1 storm token-ring --nodes 4 -k 5 --rate=-1
+expect 1 storm token-ring --nodes 4 -k 5 --rate nan
+expect 1 storm token-ring --nodes 4 -k 5 --max-steps 0
 # 1: fuzz flag validation — generators need at least two variables, and a
 # negative trial count is meaningless
 expect 1 fuzz --seed 42 --count 10 --max-vars 1

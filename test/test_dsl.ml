@@ -1,6 +1,8 @@
-(* Tests for the concrete syntax: lexing/parsing of expressions, actions,
-   declarations, whole programs — and the roundtrip law
-   [parse (print p) = p] over every protocol program in the library. *)
+(* Tests for the guarded-command notation as the .nm front end parses
+   it: expressions, actions, declarations, whole models, located errors
+   — and the roundtrip law over every protocol program in the library:
+   a program printed with Guarded.Expr's printer and wrapped in a model
+   compiles back to the same guards and right-hand sides. *)
 
 module Env = Guarded.Env
 module Domain = Guarded.Domain
@@ -8,21 +10,40 @@ module State = Guarded.State
 module Expr = Guarded.Expr
 module Action = Guarded.Action
 module Program = Guarded.Program
-module Dsl = Guarded.Dsl
 module Var = Guarded.Var
 
+let compile src = Lang.Driver.compile_string src
+
+(* The variables of [xy_model], declared in the same order with the same
+   domains: they compare equal to the compiled model's own. *)
 let mk_env () =
   let env = Env.create () in
   let x = Env.fresh env "x" (Domain.range (-5) 5) in
   let y = Env.fresh env "y" (Domain.range (-5) 5) in
   (env, x, y)
 
+(* A two-variable model whose one action carries [bexp] as its guard. *)
+let xy_model bexp =
+  Printf.sprintf
+    "model t\nvar x : -5..5\nvar y : -5..5\naction a: %s -> skip\n\
+     invariant true\n"
+    bexp
+
+let guard_of bexp =
+  Action.guard (Program.action_at (compile (xy_model bexp)).program 0)
+
+(* A numeric expression rides in the guard as [<nexp> = 0]. *)
+let num_of nexp =
+  match guard_of (nexp ^ " = 0") with
+  | Expr.Cmp (Expr.Eq, e, Expr.Const 0) -> e
+  | b -> Alcotest.failf "%s = 0 compiled to %s" nexp (Expr.to_string b)
+
 (* --- expressions --- *)
 
 let test_parse_num_basics () =
-  let env, x, y = mk_env () in
+  let _, x, y = mk_env () in
   let check src expected =
-    let e = Dsl.parse_num_exn env src in
+    let e = num_of src in
     if not (Expr.equal_num e expected) then
       Alcotest.failf "%s parsed as %s" src (Expr.num_to_string e)
   in
@@ -42,9 +63,9 @@ let test_parse_num_basics () =
     (Expr.ite Expr.(var x = var y) (Expr.int 1) (Expr.int 0))
 
 let test_parse_bexp_basics () =
-  let env, x, y = mk_env () in
+  let _, x, y = mk_env () in
   let check src expected =
-    let b = Dsl.parse_bexp_exn env src in
+    let b = guard_of src in
     if not (Expr.equal b expected) then
       Alcotest.failf "%s parsed as %s" src (Expr.to_string b)
   in
@@ -66,34 +87,44 @@ let test_parse_bexp_basics () =
     Expr.(var x = int 1 && (var y = int 2 || var x = int 3))
 
 let test_parse_action () =
-  let env, x, y = mk_env () in
-  let a = Dsl.parse_action_exn env "step: x < y -> x, y := x + 1, y - 1" in
+  let _, x, y = mk_env () in
+  let p =
+    (compile
+       {|model t
+var x : -5..5
+var y : -5..5
+action step: x < y -> x, y := x + 1, y - 1
+action noop: x = 0 -> skip
+action bump-y[j in 2..2]: true -> y := 0
+invariant true
+|})
+      .program
+  in
+  let a = Program.action_at p 0 in
   Alcotest.(check string) "name" "step" (Action.name a);
   Alcotest.(check bool) "guard" true
     (Expr.equal (Action.guard a) Expr.(var x < var y));
   Alcotest.(check int) "two assignments" 2 (List.length (Action.assigns a));
-  let skip = Dsl.parse_action_exn env "noop: x = 0 -> skip" in
+  let skip = Program.action_at p 1 in
   Alcotest.(check int) "skip" 0 (List.length (Action.assigns skip));
-  let dashed = Dsl.parse_action_exn env "bump-y.2: true -> y := 0" in
+  let dashed = Program.action_at p 2 in
   Alcotest.(check string) "dashed name" "bump-y.2" (Action.name dashed)
 
 let test_parse_program () =
   let src =
     {|
-    program updown
+    model updown
     var x : 0..3
     var b : bool
     var c : color{green,red}
-    begin
-      up: x < 3 /\ b = 1 -> x := x + 1
-      []
-      down: x > 0 -> x, b := x - 1, 0
-      []
-      paint: c = 0 -> c := 1
-    end
+    action up: x < 3 /\ b = 1 -> x := x + 1
+    action down: x > 0 -> x, b := x - 1, 0
+    action paint: c = 0 -> c := 1
+    invariant true
     |}
   in
-  let env, p = Dsl.parse_program_exn src in
+  let em = compile src in
+  let env = em.env and p = em.program in
   Alcotest.(check string) "name" "updown" (Program.name p);
   Alcotest.(check int) "three actions" 3 (Program.action_count p);
   Alcotest.(check int) "three vars" 3 (Env.var_count env);
@@ -112,84 +143,161 @@ let test_parse_program () =
 let test_parse_comments_and_multi_decl () =
   let src =
     {|
-    program demo (* a (* nested *) comment *)
-    var a, b : 0..1;
-    begin
-      t: a = 0 -> a := 1
-    end
+    model demo (* a (* nested *) comment *)
+    var a : 0..1, b : 0..1;
+    action t: a = 0 -> a := 1
+    invariant true
     |}
   in
-  let env, p = Dsl.parse_program_exn src in
-  Alcotest.(check int) "two vars" 2 (Env.var_count env);
-  Alcotest.(check int) "one action" 1 (Program.action_count p)
+  let em = compile src in
+  Alcotest.(check int) "two vars" 2 (Env.var_count em.env);
+  Alcotest.(check int) "one action" 1 (Program.action_count em.program)
 
 let test_parse_empty_program () =
-  let _, p = Dsl.parse_program_exn "program nothing\nbegin\nend" in
-  Alcotest.(check int) "no actions" 0 (Program.action_count p)
+  let em = compile "model nothing\nvar x : 0..1\ninvariant true" in
+  Alcotest.(check int) "no actions" 0 (Program.action_count em.program)
+
+let compile_error src =
+  match compile src with
+  | exception Lang.Err.Error e -> Some e
+  | _ -> None
 
 let test_parse_errors () =
-  let env, _, _ = mk_env () in
-  let expect_error src =
-    match Dsl.parse_bexp env src with
-    | Error _ -> ()
-    | Ok b -> Alcotest.failf "%s should not parse (got %s)" src (Expr.to_string b)
+  let expect_error bexp =
+    if compile_error (xy_model bexp) = None then
+      Alcotest.failf "%s should not parse" bexp
   in
   expect_error "x +";
   expect_error "x = ";
   expect_error "unknownvar = 1";
   expect_error "x = 1 /\\";
   expect_error "x = 1 extra";
-  (match Dsl.parse_program "program p var x : 5..2 begin end" with
-  | Error e -> Alcotest.(check bool) "line info" true (e.Dsl.line >= 1)
-  | Ok _ -> Alcotest.fail "empty range should be rejected");
-  match Dsl.parse_program "program p begin q: true -> skip [] q: true -> skip end" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "duplicate action names should be rejected"
+  (match compile_error "model p\nvar x : 5..2\ninvariant true" with
+  | Some e -> Alcotest.(check bool) "line info" true (e.Lang.Err.line >= 1)
+  | None -> Alcotest.fail "empty range should be rejected");
+  match
+    compile_error
+      "model p\nvar x : 0..1\naction q: true -> skip\n\
+       action q: true -> skip\ninvariant true"
+  with
+  | Some _ -> ()
+  | None -> Alcotest.fail "duplicate action names should be rejected"
 
 let test_error_position () =
-  match Dsl.parse_program "program p\nvar x : bool\nbegin\n  a: x @ 1 -> skip\nend" with
-  | Error e ->
-      Alcotest.(check int) "line" 4 e.Dsl.line;
+  match
+    compile_error
+      "model p\nvar x : bool\n(* actions *)\naction a: x @ 1 -> skip\n\
+       invariant true"
+  with
+  | Some e ->
+      Alcotest.(check int) "line" 4 e.Lang.Err.line;
       Alcotest.(check bool) "message mentions char" true
-        (Astring_contains.contains e.Dsl.message "'@'")
-  | Ok _ -> Alcotest.fail "@ is not a token"
+        (Astring_contains.contains e.Lang.Err.msg "'@'")
+  | None -> Alcotest.fail "@ is not a token"
 
 (* --- the roundtrip law --- *)
 
-let var_signature env =
-  Array.to_list (Env.vars env)
-  |> List.map (fun v -> (Var.name v, Var.index v, Var.domain v))
+(* .nm identifiers carry no dots: [x.0] is written [x_0], [copy.3]
+   [copy_3]. *)
+let nm_name = String.map (fun c -> if c = '.' then '_' else c)
 
-let action_equal a b =
-  String.equal (Action.name a) (Action.name b)
-  && Expr.equal (Action.guard a) (Action.guard b)
-  && List.length (Action.assigns a) = List.length (Action.assigns b)
-  && List.for_all2
-       (fun (v1, e1) (v2, e2) ->
-         String.equal (Var.name v1) (Var.name v2) && Expr.equal_num e1 e2)
-       (Action.assigns a) (Action.assigns b)
+let domain_text = function
+  | Domain.Bool -> "bool"
+  | Domain.Range { lo; hi } -> Printf.sprintf "%d..%d" lo hi
+  | Domain.Enum { name; labels } ->
+      Printf.sprintf "%s{%s}" name (String.concat "," (Array.to_list labels))
+
+(* [p] as a .nm model: one [var] line per variable and one action per
+   program action, each guard and right-hand side printed by
+   [Expr.to_string] over the renamed variables. Returns the model text
+   and the renaming, so expected expressions print the same way. *)
+let model_of_program p =
+  let env' = Env.create () in
+  let renamed =
+    Array.map
+      (fun v -> Env.fresh env' (nm_name (Var.name v)) (Var.domain v))
+      (Env.vars (Program.env p))
+  in
+  let rename v = Some (Expr.Var renamed.(Var.index v)) in
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf "model roundtrip\n";
+  Array.iter
+    (fun v ->
+      Printf.bprintf buf "var %s : %s\n" (Var.name v)
+        (domain_text (Var.domain v)))
+    renamed;
+  Array.iter
+    (fun a ->
+      let lhs, rhs =
+        List.split
+          (List.map
+             (fun (v, e) ->
+               ( Var.name renamed.(Var.index v),
+                 Expr.num_to_string (Expr.subst_num rename e) ))
+             (Action.assigns a))
+      in
+      Printf.bprintf buf "action %s: %s -> %s\n" (nm_name (Action.name a))
+        (Expr.to_string (Expr.subst rename (Action.guard a)))
+        (if lhs = [] then "skip"
+         else String.concat ", " lhs ^ " := " ^ String.concat ", " rhs))
+    (Program.actions p);
+  Buffer.add_string buf "invariant true\n";
+  (Buffer.contents buf, rename)
+
+(* Elab pinches every right-hand side into its target's domain with
+   [max(min(e, hi), lo)]; peel that clamp off before comparing. *)
+let unclamp = function
+  | Expr.Max (Expr.Min (e, Expr.Const _), Expr.Const _) -> e
+  | e -> e
 
 let check_roundtrip p =
-  let printed = Program.to_string p in
-  match Dsl.parse_program printed with
-  | Error e ->
-      Alcotest.failf "program %s does not re-parse: %s@.--@.%s"
-        (Program.name p)
-        (Format.asprintf "%a" Dsl.pp_error e)
-        printed
-  | Ok (env', p') ->
-      if var_signature (Program.env p) <> var_signature env' then
-        Alcotest.failf "%s: variable signature changed" (Program.name p);
-      Alcotest.(check int)
-        (Program.name p ^ ": action count")
-        (Program.action_count p) (Program.action_count p');
-      Array.iter2
-        (fun a b ->
-          if not (action_equal a b) then
-            Alcotest.failf "%s: action %s changed:\n  %s\n  %s"
-              (Program.name p) (Action.name a) (Action.to_string a)
-              (Action.to_string b))
-        (Program.actions p) (Program.actions p')
+  let text, rename = model_of_program p in
+  let em =
+    try compile text
+    with Lang.Err.Error e ->
+      Alcotest.failf "program %s does not compile: %s@.--@.%s"
+        (Program.name p) (Lang.Err.to_string e) text
+  in
+  let vars = Env.vars (Program.env p) and vars' = Env.vars em.env in
+  Alcotest.(check int) (Program.name p ^ ": var count") (Array.length vars)
+    (Array.length vars');
+  Array.iter2
+    (fun v v' ->
+      if
+        nm_name (Var.name v) <> Var.name v'
+        || not (Domain.equal (Var.domain v) (Var.domain v'))
+      then
+        Alcotest.failf "%s: variable %s changed" (Program.name p)
+          (Var.name v))
+    vars vars';
+  Alcotest.(check int)
+    (Program.name p ^ ": action count")
+    (Program.action_count p)
+    (Program.action_count em.program);
+  Array.iter2
+    (fun a a' ->
+      let fail what want got =
+        Alcotest.failf "%s: action %s %s changed:\n  %s\n  %s" (Program.name p)
+          (Action.name a) what want got
+      in
+      if nm_name (Action.name a) <> Action.name a' then
+        fail "name" (Action.name a) (Action.name a');
+      let guard = Expr.to_string (Expr.subst rename (Action.guard a))
+      and guard' = Expr.to_string (Action.guard a') in
+      if guard <> guard' then fail "guard" guard guard';
+      let assigns = Action.assigns a and assigns' = Action.assigns a' in
+      if List.length assigns <> List.length assigns' then
+        fail "assignment count" (Action.to_string a) (Action.to_string a');
+      List.iter2
+        (fun (v, e) (v', e') ->
+          let rhs = Expr.num_to_string (Expr.subst_num rename e)
+          and rhs' = Expr.num_to_string (unclamp e') in
+          if Var.index v <> Var.index v' || rhs <> rhs' then
+            fail "assignment"
+              (Var.name v ^ " := " ^ rhs)
+              (Var.name v' ^ " := " ^ rhs'))
+        assigns assigns')
+    (Program.actions p) (Program.actions em.program)
 
 let test_roundtrip_protocols () =
   let tree = Topology.Tree.balanced ~arity:2 5 in
@@ -213,9 +321,38 @@ let test_roundtrip_protocols () =
     [ Protocols.Xyz_demo.Good_tree; Protocols.Xyz_demo.Good_ordered;
       Protocols.Xyz_demo.Bad ]
 
-let test_roundtrip_tricky_expressions () =
+(* Elab folds constant subterms ([1 + 2] compiles to [3]), so a printed
+   expression comes back equal in value, not always in shape: compare
+   both sides on all 121 (x, y) states. *)
+let same_values eval a b =
   let env, x, y = mk_env () in
-  let exprs =
+  let s = State.make env in
+  let agree = ref true in
+  for vx = -5 to 5 do
+    for vy = -5 to 5 do
+      State.set s x vx;
+      State.set s y vy;
+      if eval s a <> eval s b then agree := false
+    done
+  done;
+  !agree
+
+let check_num_roundtrip e =
+  let printed = Expr.num_to_string e in
+  let e' = num_of printed in
+  if not (same_values Expr.eval_num e e') then
+    Alcotest.failf "roundtrip changed %s into %s" printed
+      (Expr.num_to_string e')
+
+let check_bexp_roundtrip b =
+  let printed = Expr.to_string b in
+  let b' = guard_of printed in
+  if not (same_values Expr.eval b b') then
+    Alcotest.failf "roundtrip changed %s into %s" printed (Expr.to_string b')
+
+let test_roundtrip_tricky_expressions () =
+  let _, x, y = mk_env () in
+  List.iter check_num_roundtrip
     Expr.
       [
         var x + var y * int 2;
@@ -225,17 +362,8 @@ let test_roundtrip_tricky_expressions () =
         Const (-4);
         min_ (var x) (max_ (var y) (int 0));
         ite (var x = var y) (var x mod int 2) (var y / int 2);
-      ]
-  in
-  List.iter
-    (fun e ->
-      let printed = Expr.num_to_string e in
-      let e' = Dsl.parse_num_exn env printed in
-      if not (Expr.equal_num e e') then
-        Alcotest.failf "roundtrip changed %s into %s" printed
-          (Expr.num_to_string e'))
-    exprs;
-  let bexps =
+      ];
+  List.iter check_bexp_roundtrip
     Expr.
       [
         var x = int 1 && var y = int 2 || var x = int 3;
@@ -246,20 +374,16 @@ let test_roundtrip_tricky_expressions () =
         var x = int 1 <=> (var y = int 2);
         tt && (ff || var x > int 0);
       ]
-  in
-  List.iter
-    (fun b ->
-      let printed = Expr.to_string b in
-      let b' = Dsl.parse_bexp_exn env printed in
-      if not (Expr.equal b b') then
-        Alcotest.failf "roundtrip changed %s into %s" printed
-          (Expr.to_string b'))
-    bexps
 
 let test_roundtrip_random_expressions () =
-  (* Random ASTs through print-then-parse come back unchanged. *)
-  let env, x, y = mk_env () in
+  (* Random ASTs through print-then-compile keep their value. Divisors
+     are non-zero constants: .nm rejects any other divisor. *)
+  let _, x, y = mk_env () in
   let rng = Prng.create 20260705 in
+  let divisor () =
+    let n = Prng.int_in rng 1 4 in
+    Expr.Const (if Prng.bool rng then n else -n)
+  in
   let rec random_num depth =
     match if depth = 0 then 0 else 1 + Prng.int rng 8 with
     | 0 ->
@@ -268,8 +392,8 @@ let test_roundtrip_random_expressions () =
     | 1 -> Expr.Add (random_num (depth - 1), random_num (depth - 1))
     | 2 -> Expr.Sub (random_num (depth - 1), random_num (depth - 1))
     | 3 -> Expr.Mul (random_num (depth - 1), random_num (depth - 1))
-    | 4 -> Expr.Div (random_num (depth - 1), random_num (depth - 1))
-    | 5 -> Expr.Mod (random_num (depth - 1), random_num (depth - 1))
+    | 4 -> Expr.Div (random_num (depth - 1), divisor ())
+    | 5 -> Expr.Mod (random_num (depth - 1), divisor ())
     | 6 -> Expr.Min (random_num (depth - 1), random_num (depth - 1))
     | 7 -> Expr.Neg (random_num (depth - 1))
     | _ -> Expr.Ite (random_bexp (depth - 1), random_num (depth - 1), random_num (depth - 1))
@@ -294,35 +418,26 @@ let test_roundtrip_random_expressions () =
         Expr.Cmp (cmp, random_num (depth - 1), random_num (depth - 1))
   in
   for _ = 1 to 300 do
-    let e = random_num 3 in
-    let e' = Dsl.parse_num_exn env (Expr.num_to_string e) in
-    if not (Expr.equal_num e e') then
-      Alcotest.failf "num roundtrip changed %s" (Expr.num_to_string e);
-    let b = random_bexp 3 in
-    let b' = Dsl.parse_bexp_exn env (Expr.to_string b) in
-    if not (Expr.equal b b') then
-      Alcotest.failf "bexp roundtrip changed %s" (Expr.to_string b)
+    check_num_roundtrip (random_num 3);
+    check_bexp_roundtrip (random_bexp 3)
   done
 
 let test_parsed_program_runs () =
-  (* a parsed program is a first-class citizen: certify and simulate it *)
+  (* a compiled model is a first-class citizen: check it *)
   let src =
     {|
-    program two-cell-agreement
+    model two-cell-agreement
     var x : 0..2
     var y : 0..2
-    begin
-      sync: ~x = y -> y := x
-    end
+    action sync: ~x = y -> y := x
+    invariant x = y
     |}
   in
-  let env, p = Dsl.parse_program_exn src in
-  let invariant = Dsl.parse_bexp_exn env "x = y" in
-  let engine = Explore.Engine.create env in
+  let em = compile src in
+  let engine = Explore.Engine.create em.env in
   match
-    Explore.Convergence.check_unfair engine (Guarded.Compile.program p)
-      ~from:Explore.Engine.All
-      ~target:(Guarded.Compile.pred invariant)
+    Explore.Convergence.check_unfair engine (Guarded.Compile.program em.program)
+      ~from:Explore.Engine.All ~target:em.invariant
   with
   | Ok { worst_case_steps = Some 1; _ } -> ()
   | Ok { worst_case_steps; _ } ->

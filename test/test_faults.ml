@@ -321,6 +321,40 @@ let test_storm_deterministic () =
     && a.Sim.Storm.failures = b.Sim.Storm.failures
     && a.Sim.Storm.fault_counts = b.Sim.Storm.fault_counts)
 
+(* The fault-spec grammar both front ends accept (CLI --faults, serve
+   options.faults): each accepted spec's class name and burst, and a
+   rejection for everything else. *)
+let test_fault_spec_grammar () =
+  let env = Guarded.Env.create () in
+  ignore (Guarded.Env.fresh_family env "v" 8 (Domain.range 0 1));
+  List.iter
+    (fun (spec, name, burst) ->
+      match Fault.of_spec env spec with
+      | None -> Alcotest.failf "%S rejected" spec
+      | Some f ->
+          Alcotest.(check string) (spec ^ " name") name f.Fault.name;
+          Alcotest.(check int) (spec ^ " burst") burst (Fault.burst f))
+    [
+      ("corrupt", "corrupt-1", 1);
+      ("corrupt:k=1", "corrupt-1", 1);
+      ("corrupt:k=7", "corrupt-7", 7);
+      ("scramble", "scramble", 8);
+    ];
+  List.iter
+    (fun spec ->
+      if Option.is_some (Fault.of_spec env spec) then
+        Alcotest.failf "%S accepted" spec)
+    [
+      "";
+      "corrupt:";
+      "corrupt:k=0";
+      "corrupt:k=-1";
+      "corrupt:k=x";
+      "corrupt:j=1";
+      "scramble:1";
+      "Corrupt";
+    ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_injectors_stay_in_domain;
@@ -347,4 +381,5 @@ let suite =
       test_storm_rate_zero_is_fault_free;
     Alcotest.test_case "storm is deterministic" `Quick
       test_storm_deterministic;
+    Alcotest.test_case "fault-spec grammar" `Quick test_fault_spec_grammar;
   ]

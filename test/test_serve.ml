@@ -613,6 +613,71 @@ let test_server_soft_drain_finishes_queued () =
                   (field "code" r = Json.Str "draining")
           | Error m -> Alcotest.fail m))
 
+(* --- one golden for both front ends ----------------------------------- *)
+
+(* Run a job in-process on examples/models/token_ring.nm with N and K
+   set. *)
+let run_token_ring_job ~op ~n ~k options =
+  let model = Test_lang.read_file (Test_lang.model_path "token_ring.nm") in
+  let p =
+    prepare_exn ~op ~model:(Some model)
+      (("params", Json.Obj [ ("N", Json.Int n); ("K", Json.Int k) ])
+      :: options)
+  in
+  let outcome =
+    Par.Pool.with_pool ~jobs:1 @@ fun pool ->
+    Job.run ~pool ~obs:Obs.Ctx.disabled ~guard:Rt.Guard.inert p
+  in
+  checki (op ^ " exit") 0 outcome.Job.exit_code;
+  outcome
+
+(* A serve tolerance job on the .nm twin of the built-in token ring
+   renders each point exactly as the CLI's --report line for
+   `tolerance token-ring --nodes 4 -k 5` (the witness golden). *)
+let test_tolerance_points_match_cli_golden () =
+  let outcome =
+    run_token_ring_job ~op:"tolerance" ~n:4 ~k:5
+      [
+        ("budget_max", Json.Int 2);
+        ("adversary", Json.Bool true);
+        ("faults", Json.Str "corrupt:k=1");
+      ]
+  in
+  let points =
+    match field "points" outcome.Job.result with
+    | Json.List l -> List.map Json.to_string l
+    | _ -> Alcotest.fail "points is not a list"
+  in
+  let golden =
+    Test_lang.read_file (Test_lang.golden_path "witness_tolerance.jsonl")
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  check Alcotest.(list string) "points = CLI report lines" golden points
+
+(* A storm on a .nm model starts every trial from its own copy of the
+   initial state on both front ends, so the CLI (here at --jobs 2)
+   prints the serve storm job's summary. *)
+let test_storm_summary_matches_cli () =
+  let outcome =
+    run_token_ring_job ~op:"storm" ~n:3 ~k:4 [ ("trials", Json.Int 30) ]
+  in
+  let summary =
+    match field "summary" outcome.Job.result with
+    | Json.Str s -> s
+    | _ -> Alcotest.fail "summary is not a string"
+  in
+  let code, out =
+    Test_witness.run
+      [ "storm"; Test_lang.model_path "token_ring.nm"; "--param"; "N=3";
+        "--param"; "K=4"; "--trials"; "30"; "--jobs"; "2" ]
+  in
+  checki "CLI exit" 0 code;
+  checks "CLI summary"
+    (Printf.sprintf "token-ring: storm corrupt-1 rate=0.05, 30 trials: %s\n"
+       summary)
+    out
+
 let suite =
   [
     Alcotest.test_case "sched: round-robin fairness" `Quick
@@ -649,4 +714,8 @@ let suite =
       test_server_soft_drain_finishes_queued;
     Alcotest.test_case "server: over-nested model rejected in-protocol" `Quick
       test_server_deep_nesting_rejected;
+    Alcotest.test_case "job: tolerance points match the CLI report golden"
+      `Quick test_tolerance_points_match_cli_golden;
+    Alcotest.test_case "job: storm summary matches the CLI" `Quick
+      test_storm_summary_matches_cli;
   ]
