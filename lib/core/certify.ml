@@ -131,6 +131,7 @@ let unresumable_phase f =
 
 let tolerance ~engine ~program ~faults ?(envs = []) ~invariant ?from ?budget
     ?resume ?span ?(require_recurrence_resilience = false) ~name () =
+  Explore.Engine.sharing_pool engine @@ fun () ->
   let env = Explore.Engine.env engine in
   let obs = Explore.Engine.obs engine in
   let guard = Explore.Engine.guard engine in

@@ -118,6 +118,9 @@ val tolerance :
     the later phases re-derive from the span, so their interrupts carry
     [None] and a resumed run repeats them.
 
+    On the parallel backend every phase borrows one pool
+    ({!Explore.Engine.sharing_pool}).
+
     @raise Explore.Engine.Region_overflow when a lazy engine's budget is
     exceeded while computing the span (the recurring-fault analysis instead
     degrades to an informational "skipped" check on overflow).

@@ -14,7 +14,11 @@ type 'a t = {
   mutable src : int array;
   mutable dst : int array;
   mutable label : 'a array;
-  mutable grouped : bool;  (* [src] is non-decreasing over [0 .. m - 1] *)
+  mutable grouped : bool;  (* sources are non-decreasing over [0 .. m - 1] *)
+  mutable src_free : bool;
+      (* [src] is empty and the sources are read off the offsets of
+         [out_idx], which then never changes: edge [e] leaves the node [v]
+         with [off.(v) <= e < off.(v + 1)] *)
   mutable out_idx : csr option;
   mutable in_idx : csr option;
 }
@@ -22,15 +26,58 @@ type 'a t = {
 let create n =
   if n < 0 then invalid_arg "Digraph.create: negative node count";
   { n; m = 0; src = [||]; dst = [||]; label = [||]; grouped = true;
-    out_idx = None; in_idx = None }
+    src_free = false; out_idx = None; in_idx = None }
 
 let check_node g i name =
   if i < 0 || i >= g.n then
     invalid_arg (Printf.sprintf "Digraph.%s: node %d out of range" name i)
 
+(* The permanent out-index of a source-free graph. *)
+let free_off g =
+  match g.out_idx with Some c -> c.off | None -> assert false
+
+(* Edge [e]'s source: stored, or found by binary search in the offsets. *)
+let src_of g e =
+  if not g.src_free then g.src.(e)
+  else
+    let off = free_off g in
+    (* the last node whose edges start at or before [e] *)
+    let rec go lo hi =
+      if lo >= hi then lo
+      else
+        let mid = (lo + hi + 1) / 2 in
+        if off.(mid) <= e then go mid hi else go lo (mid - 1)
+    in
+    go 0 (g.n - 1)
+
+(* [f e src] for every edge, in id order. *)
+let iter_src g f =
+  if not g.src_free then
+    for e = 0 to g.m - 1 do
+      f e g.src.(e)
+    done
+  else
+    let off = free_off g in
+    for v = 0 to g.n - 1 do
+      for e = off.(v) to off.(v + 1) - 1 do
+        f e v
+      done
+    done
+
+(* Write the sources out, turning a source-free graph into an ordinary
+   one (before the first [add_edge]). *)
+let materialize_src g =
+  if g.src_free then begin
+    let src = Array.make (Array.length g.dst) 0 in
+    iter_src g (fun e v -> src.(e) <- v);
+    g.src <- src;
+    g.src_free <- false
+  end
+
 let add_edge g ~src ~dst label =
   check_node g src "add_edge";
   check_node g dst "add_edge";
+  materialize_src g;
   let m = g.m in
   if m = Array.length g.src then begin
     let cap = max 8 (2 * m) in
@@ -69,6 +116,21 @@ let of_arrays n ~src ~dst ~label =
   g.m <- m;
   g
 
+let of_csr n ~off ~dst ~label =
+  let g = create n in
+  let m = Array.length dst in
+  if Array.length label <> m then
+    invalid_arg "Digraph.of_csr: dst and label lengths differ";
+  if Array.length off <> n + 1 || off.(0) <> 0 || off.(n) <> m then
+    invalid_arg "Digraph.of_csr: offsets do not span the edges";
+  for v = 0 to n - 1 do
+    if off.(v + 1) < off.(v) then
+      invalid_arg "Digraph.of_csr: offsets decrease"
+  done;
+  Array.iter (fun d -> check_node g d "of_csr") dst;
+  { g with m; dst; label; src_free = true;
+    out_idx = Some { off; ends = dst; ids = [||] } }
+
 let node_count g = g.n
 let edge_count g = g.m
 
@@ -86,18 +148,18 @@ let offsets g key =
   off
 
 (* Stable counting sort of the edge ids by [key]: positions of each node's
-   edges keep insertion order. *)
-let sort_by g key far =
+   edges keep insertion order. [iter] calls its argument as [f e far] on
+   every edge in id order, [far] being the endpoint the index records. *)
+let sort_by g key iter =
   let off = offsets g key in
   let next = Array.sub off 0 g.n in
   let ids = Array.make g.m 0 and ends = Array.make g.m 0 in
-  for e = 0 to g.m - 1 do
-    let v = key.(e) in
-    let k = next.(v) in
-    next.(v) <- k + 1;
-    ids.(k) <- e;
-    ends.(k) <- far.(e)
-  done;
+  iter (fun e far ->
+      let v = key.(e) in
+      let k = next.(v) in
+      next.(v) <- k + 1;
+      ids.(k) <- e;
+      ends.(k) <- far);
   { off; ends; ids }
 
 let out_csr g =
@@ -108,7 +170,11 @@ let out_csr g =
         (* grouped edges are already in CSR order: only the offsets are
            needed *)
         if g.grouped then { off = offsets g g.src; ends = g.dst; ids = [||] }
-        else sort_by g g.src g.dst
+        else
+          sort_by g g.src (fun f ->
+              for e = 0 to g.m - 1 do
+                f e g.dst.(e)
+              done)
       in
       g.out_idx <- Some c;
       c
@@ -117,7 +183,7 @@ let in_csr g =
   match g.in_idx with
   | Some c -> c
   | None ->
-      let c = sort_by g g.dst g.src in
+      let c = sort_by g g.dst (iter_src g) in
       g.in_idx <- Some c;
       c
 
@@ -129,7 +195,7 @@ let check_edge g e name =
 
 let edge g e =
   check_edge g e "edge";
-  { src = g.src.(e); dst = g.dst.(e); label = g.label.(e) }
+  { src = src_of g e; dst = g.dst.(e); label = g.label.(e) }
 
 let edge_label g e =
   check_edge g e "edge_label";
@@ -143,15 +209,18 @@ let collect c i f =
   done;
   !acc
 
+(* Edge [e], whose source [v] the caller already knows. *)
+let record g v e = { src = v; dst = g.dst.(e); label = g.label.(e) }
+
 let out_edges g i =
   check_node g i "out_edges";
   let c = out_csr g in
-  collect c i (fun k -> edge g (csr_edge c k))
+  collect c i (fun k -> record g i (csr_edge c k))
 
 let in_edges g i =
   check_node g i "in_edges";
   let c = in_csr g in
-  collect c i (fun k -> edge g c.ids.(k))
+  collect c i (fun k -> record g c.ends.(k) c.ids.(k))
 
 let succ g i =
   check_node g i "succ";
@@ -163,16 +232,19 @@ let pred g i =
   let c = in_csr g in
   collect c i (fun k -> c.ends.(k))
 
-(* Every edge in CSR order: by source node, insertion order within. *)
+(* Every edge in CSR order, as [f src e]: by source node, insertion
+   order within. *)
 let iter_csr_edges g f =
   let c = out_csr g in
-  for k = 0 to g.m - 1 do
-    f (csr_edge c k)
+  for v = 0 to g.n - 1 do
+    for k = c.off.(v) to c.off.(v + 1) - 1 do
+      f v (csr_edge c k)
+    done
   done
 
 let edges g =
   let acc = ref [] in
-  iter_csr_edges g (fun e -> acc := edge g e :: !acc);
+  iter_csr_edges g (fun v e -> acc := record g v e :: !acc);
   List.rev !acc
 
 let out_degree g i =
@@ -217,7 +289,7 @@ let iter_succ g i f =
 
 let fold_edges f acc g =
   let acc = ref acc in
-  iter_csr_edges g (fun e -> acc := f !acc (edge g e));
+  iter_csr_edges g (fun v e -> acc := f !acc (record g v e));
   !acc
 
 let bytes g =
@@ -233,7 +305,6 @@ let bytes g =
 
 let pp pp_label ppf g =
   Format.fprintf ppf "@[<v>digraph (%d nodes, %d edges)@," g.n g.m;
-  iter_csr_edges g (fun e ->
-      Format.fprintf ppf "  %d -> %d [%a]@," g.src.(e) g.dst.(e) pp_label
-        g.label.(e));
+  iter_csr_edges g (fun v e ->
+      Format.fprintf ppf "  %d -> %d [%a]@," v g.dst.(e) pp_label g.label.(e));
   Format.fprintf ppf "@]"

@@ -5,12 +5,16 @@
     has one edge per convergence action, and self-loops are semantically
     significant (Section 6).
 
-    {b Storage.} Edges live in three flat arrays indexed by edge id (the
-    [e]-th inserted edge has id [e]): source, destination and label, one
-    word each — 24 bytes per edge for immediate labels such as [int]
-    (the label array holds pointers for boxed labels). Graphs built by
-    {!of_arrays} hold exactly [edge_count] slots; {!add_edge} grows the
-    arrays by doubling.
+    {b Storage.} Edges live in flat arrays indexed by edge id (the
+    [e]-th inserted edge has id [e]): destination and label, one word
+    each, plus either a source array or — for graphs built by {!of_csr},
+    whose edges come grouped by source — nothing at all, the sources
+    being read off the per-node offsets of the out-index. An
+    int-labelled graph from {!of_arrays} costs 24 bytes per edge; one
+    from {!of_csr} costs 16 bytes per edge plus 8 per node (the label
+    array holds pointers for boxed labels). Graphs built by either hold
+    exactly [edge_count] slots; {!add_edge} grows the arrays by doubling,
+    first writing out the sources of a source-free graph.
 
     {b Index.} Adjacency queries go through a CSR index: per-node offsets
     plus the edge ids in source order, from a stable counting sort. The
@@ -19,10 +23,11 @@
     {!fold_edges}, {!out_csr}, …); when edges were inserted grouped by
     source (source ids non-decreasing — how every exploration backend
     inserts them) it is just the [node_count + 1] offsets and shares the
-    destination array. The in-index ({!pred}, {!in_edges}, {!in_degree})
-    is built separately, only when one of those is called: offsets plus
-    two words per edge. {!add_edge} drops both indexes; the next query
-    rebuilds them.
+    destination array, and a source-free graph holds it from the start.
+    The in-index ({!pred}, {!in_edges}, {!in_degree}) is built
+    separately, only when one of those is called: offsets plus two words
+    per edge. {!add_edge} drops both indexes; the next query rebuilds
+    them.
 
     {b Order.} "Insertion order" below is edge-id order. *)
 
@@ -47,6 +52,17 @@ val of_arrays : int -> src:int array -> dst:int array -> label:'a array -> 'a t
     @raise Invalid_argument if the lengths differ or an endpoint is out of
     range. *)
 
+val of_csr : int -> off:int array -> dst:int array -> label:'a array -> 'a t
+(** [of_csr n ~off ~dst ~label] is the graph on [n] nodes whose edge [e]
+    leaves the node [v] with [off.(v) <= e < off.(v + 1)] for
+    [dst.(e)], labelled [label.(e)]: the grouped edge set of
+    {!of_arrays} without its source array, which {!edge} and the
+    in-index derive from [off] when asked. Takes the arrays over
+    without copying; [off] becomes the out-index.
+    @raise Invalid_argument unless [off] has [n + 1] non-decreasing
+    entries from [0] to [Array.length dst], the lengths of [dst] and
+    [label] agree, and every destination is in range. *)
+
 val add_edge : 'a t -> src:int -> dst:int -> 'a -> unit
 (** Appends an edge (the next id) and drops the indexes.
     @raise Invalid_argument if an endpoint is out of range. *)
@@ -58,7 +74,8 @@ val bytes : 'a t -> int
 (** Bytes held by the edge arrays (capacity, not just [edge_count]) plus
     whichever indexes are built; boxed labels' own blocks are not
     counted. A graph fresh from {!of_arrays} with [int] labels costs
-    exactly [24 * edge_count]. *)
+    exactly [24 * edge_count]; one from {!of_csr}, whose out-index is
+    built in, [16 * edge_count + 8 * (node_count + 1)]. *)
 
 (** {2 Adjacency}
 
@@ -117,7 +134,8 @@ val csr_edge : csr -> int -> int
 (** The edge id at a position. *)
 
 val edge : 'a t -> int -> 'a edge
-(** The edge with the given id.
+(** The edge with the given id (a binary search over the offsets finds
+    the source of a source-free graph's edge).
     @raise Invalid_argument if the id is out of range. *)
 
 val edge_label : 'a t -> int -> 'a

@@ -7,6 +7,8 @@ type t = {
   mutable fill : int;
   mutable full : block list;
   mutable before : int;
+  mutable last_src : int;  (* source of the latest edge *)
+  mutable grouped : bool;  (* sources never decreased *)
 }
 
 let block n =
@@ -14,7 +16,9 @@ let block n =
 
 let first_block = 64
 let max_block = 8192
-let create () = { cur = block first_block; fill = 0; full = []; before = 0 }
+let create () =
+  { cur = block first_block; fill = 0; full = []; before = 0; last_src = 0;
+    grouped = true }
 
 let push b s d l =
   if b.fill = Array.length b.cur.src then begin
@@ -23,6 +27,8 @@ let push b s d l =
     b.cur <- block (min max_block (2 * b.fill));
     b.fill <- 0
   end;
+  if s < b.last_src then b.grouped <- false;
+  b.last_src <- s;
   let c = b.cur and i = b.fill in
   c.src.(i) <- s;
   c.dst.(i) <- d;
@@ -42,12 +48,30 @@ let iter b f =
         f c.src.(i) c.dst.(i) c.label.(i)
       done)
 
-let to_graph b n =
-  let all = block (length b) in
+(* One field of every block, concatenated into an exact array. *)
+let gather b field =
+  let a = Array.make (length b) 0 in
   let pos = ref 0 in
   iter_blocks b (fun c len ->
-      Array.blit c.src 0 all.src !pos len;
-      Array.blit c.dst 0 all.dst !pos len;
-      Array.blit c.label 0 all.label !pos len;
+      Array.blit (field c) 0 a !pos len;
       pos := !pos + len);
-  Dgraph.Digraph.of_arrays n ~src:all.src ~dst:all.dst ~label:all.label
+  a
+
+(* Grouped edges (every search pushes them so) become a source-free
+   graph: the sources are counted into offsets, only [dst] and [label]
+   are copied. [last_src] starts at 0, so grouped sources are never
+   negative. *)
+let to_graph b n =
+  let dst = gather b (fun c -> c.dst) and label = gather b (fun c -> c.label) in
+  if b.grouped && b.last_src < n then begin
+    let off = Array.make (n + 1) 0 in
+    iter_blocks b (fun c len ->
+        for i = 0 to len - 1 do
+          off.(c.src.(i) + 1) <- off.(c.src.(i) + 1) + 1
+        done);
+    for v = 0 to n - 1 do
+      off.(v + 1) <- off.(v + 1) + off.(v)
+    done;
+    Dgraph.Digraph.of_csr n ~off ~dst ~label
+  end
+  else Dgraph.Digraph.of_arrays n ~src:(gather b (fun c -> c.src)) ~dst ~label

@@ -6,9 +6,11 @@
     is and a fresh one started, so a push never copies earlier edges.
     Blocks start small (tiny regions stay cheap) and double up to a cap
     (large regions pay one block header per {!max_block} edges). {!to_graph}
-    allocates the graph's three exact-length arrays once and blits each
-    block in: the graph costs exactly 24 bytes per edge, and every edge
-    is written twice in all (block, then graph). *)
+    allocates the graph's exact-length arrays once and blits each block
+    in. Edges pushed grouped by source — as every search pushes them —
+    make a source-free graph ({!Dgraph.Digraph.of_csr}): 16 bytes per
+    edge plus 8 per node, the sources counted into offsets. Other edge
+    orders keep a source array, 24 bytes per edge. *)
 
 type t
 
@@ -35,6 +37,7 @@ val iter : t -> (int -> int -> int -> unit) -> unit
 val to_graph : t -> int -> int Dgraph.Digraph.t
 (** [to_graph b n] is the graph on nodes [0 .. n - 1] holding the
     pushed edges, with edge ids in push order — the same graph as
-    {!Dgraph.Digraph.of_arrays} over plain arrays of them. The buffer is
-    left as it was.
+    {!Dgraph.Digraph.of_arrays} over plain arrays of them, stored
+    source-free when the sources never decreased. The buffer is left as
+    it was.
     @raise Invalid_argument when an endpoint is outside [0 .. n - 1]. *)

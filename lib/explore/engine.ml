@@ -13,9 +13,10 @@ type t = {
   codec : Codec.t;
   budget : int;
   jobs : int;  (* worker-domain count for the parallel backend *)
-  pool : Par.Pool.t option;
-      (* a caller-owned shared pool (the serve daemon's); searches borrow
-         it instead of spawning a transient pool per call *)
+  mutable pool : Par.Pool.t option;
+      (* a caller-owned shared pool (the serve daemon's), or one lent by
+         [sharing_pool]; searches borrow it instead of spawning a
+         transient pool per call *)
   packed : bool;  (* keys are bit-packed codes instead of dense ids *)
   direct : bool;  (* visited sets are direct-mapped over the dense range *)
   obs : Obs.Ctx.t;
@@ -126,6 +127,14 @@ let guard t = t.guard
 let wants_snapshots t = t.snapshots
 let packed_keys t = t.packed
 
+let sharing_pool t f =
+  match (t.backend, t.pool) with
+  | Parallel, None ->
+      Par.Pool.with_pool ~jobs:t.jobs (fun pool ->
+          t.pool <- Some pool;
+          Fun.protect ~finally:(fun () -> t.pool <- None) f)
+  | _ -> f ()
+
 let storage_name t =
   match t.backend with
   | Eager -> "csr"
@@ -221,6 +230,9 @@ let tsys t cp =
   match t.csr with
   | Some (cp', tsys) when cp' == cp -> tsys
   | _ ->
+      (* drop the old relation first, so a sweep alternating two programs
+         never holds both *)
+      t.csr <- None;
       let tsys = Tsys.build ~guard:t.guard cp t.space in
       t.csr <- Some (cp, tsys);
       tsys

@@ -123,7 +123,15 @@ val jobs : t -> int
 
 val pool : t -> Par.Pool.t option
 (** The caller-owned shared pool this engine borrows, if any (see
-    {!create}). *)
+    {!create}), or the one {!sharing_pool} lent it. *)
+
+val sharing_pool : t -> (unit -> 'a) -> 'a
+(** [sharing_pool t f] runs [f] with every search and analysis on a
+    parallel engine borrowing one pool: [t]'s own when it has one, else
+    a fresh pool of [jobs t] workers, lent to [t] until [f] returns or
+    raises and then shut down. Multi-step analyses (a tolerance sweep,
+    a certificate) wrap themselves in it, so they join their domains
+    once instead of once per search. Other backends run [f] as is. *)
 
 val obs : t -> Obs.Ctx.t
 (** The engine's observability context. Analyses layered on the engine

@@ -2,92 +2,219 @@ module State = Guarded.State
 module Compile = Guarded.Compile
 module Vec = Par.Ivec
 
-type t = {
+(* One layered search, extended budget by budget. Layer [d] holds the
+   states whose cheapest derivation from the roots uses exactly [d]
+   fault steps. Keys are discovered in nondecreasing depth order — the
+   fault phase of layer [d] appends depth [d + 1], and the closure of
+   layer [d + 1] appends more of it — so [keys] is at once the member
+   list, every layer's closure FIFO (its unexpanded suffix) and the
+   layer boundaries' source of truth; the span at budget [b] is the
+   prefix ending with layer [b]. *)
+type search = {
   engine : Engine.t;
-  keys : Vec.t;  (** member keys, discovery order ({!iter} walks it backwards) *)
-  count : int;
-  depth_of : Flatset.t;  (** key -> fault layer of first reach *)
-  roots : int;
-  max_depth : int;
-  histogram : int array;
+  program : Compile.program option;
+  envs : Compile.program option;
+  faults : Compile.program;
+  closure_actions : Compile.action array;
+      (* program then environment: 0-cost edges that never consume budget *)
+  keys : Vec.t;  (* discovery order *)
+  index : Flatset.t;  (* key -> discovery index *)
+  bounds : Vec.t;
+      (* [bounds.(d)]: discovery index of the first depth-[d] key, for
+         [d <= level] — and [level + 1] once that layer's fault phase
+         has begun *)
+  mutable roots : int;
+  mutable level : int;  (* the layer being closed or last closed *)
+  mutable cursor : int;  (* next key of layer [level] to expand *)
+  mutable closed : bool;  (* layer [level]'s closure is complete *)
+  mutable fault_done : int;
+      (* members of layer [level] already fault-expanded, in processing
+         (reverse discovery) order *)
+  mutable saturated : bool;  (* layer [level]'s faults reached nothing new *)
+  mutable busy : bool;  (* an extension is running, or stopped by a raise *)
+  mutable seen : int;  (* keys at the last [faultspan.layer] event *)
+  mutable reported : int;  (* keys already added to [faultspan.states] *)
 }
 
+(* A span: the first [count] keys, layers [0 .. max_depth]. *)
+type t = { search : search; count : int; max_depth : int }
+
 let count t = t.count
-let root_count t = t.roots
+let root_count t = t.search.roots
 let max_depth t = t.max_depth
-let depth_histogram t = Array.sub t.histogram 0 (t.max_depth + 1)
+
+(* End of layer [d] within the span. *)
+let layer_end t d =
+  if d = t.max_depth then t.count else Vec.get t.search.bounds (d + 1)
+
+let depth_histogram t =
+  Array.init (t.max_depth + 1) (fun d ->
+      layer_end t d - Vec.get t.search.bounds d)
+
+(* Layer of the key at discovery index [i]: the last [d <= top] whose
+   layer starts at or before [i]. *)
+let depth_of_index s ~top i =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi + 1) / 2 in
+      if Vec.get s.bounds mid <= i then go mid hi else go lo (mid - 1)
+  in
+  go 0 top
+
+let find t key =
+  let i = Flatset.find_def t.search.index key (-1) in
+  if i < t.count then i else -1
+
+let mem_key t key = find t key >= 0
 
 let mem t s =
-  match Engine.encode_key t.engine s with
-  | key -> Flatset.mem t.depth_of key
+  match Engine.encode_key t.search.engine s with
+  | key -> mem_key t key
   | exception Invalid_argument _ -> false
 
-let mem_key t key = Flatset.mem t.depth_of key
-
 let depth t s =
-  match Engine.encode_key t.engine s with
+  match Engine.encode_key t.search.engine s with
   | key ->
-      let d = Flatset.find_def t.depth_of key (-1) in
-      if d < 0 then None else Some d
+      let i = find t key in
+      if i < 0 then None else Some (depth_of_index t.search ~top:t.max_depth i)
   | exception Invalid_argument _ -> None
 
 (* Members in reverse discovery order — the order [iter] has always
    used (the seed implementation consed keys onto a list), which
    certification output and tests pin down. *)
 let iter t f =
-  let buf = State.make (Engine.env t.engine) in
-  for i = Vec.len t.keys - 1 downto 0 do
-    Engine.decode_key_into t.engine (Vec.get t.keys i) buf;
+  let engine = t.search.engine in
+  let buf = State.make (Engine.env engine) in
+  for i = t.count - 1 downto 0 do
+    Engine.decode_key_into engine (Vec.get t.search.keys i) buf;
     f buf
   done
 
-let nth_key t i = Vec.get t.keys (t.count - 1 - i)
+let nth_key t i = Vec.get t.search.keys (t.count - 1 - i)
+
+let index_key t key =
+  let i = find t key in
+  if i < 0 then -1 else t.count - 1 - i
 
 let decode_nth_into t i buf =
-  Engine.decode_key_into t.engine (nth_key t i) buf
+  Engine.decode_key_into t.search.engine (nth_key t i) buf
 
 let states t =
-  List.init t.count (fun i -> Engine.decode_key t.engine (Vec.get t.keys i))
+  List.init t.count (fun i ->
+      Engine.decode_key t.search.engine (Vec.get t.search.keys i))
 
-(* Shared observability hooks: one [faultspan.layer] event per completed
-   fault layer, plus totals when the span is done. Layer structure is
-   bit-identical between the sequential and parallel searches, so the
-   event stream is too. *)
-let obs_layer obs ~layer ~members ~discovered ~total =
+(* Shared observability hooks: one [faultspan.layer] event per layer, as
+   its closure completes, and one [faultspan.done] per span handed out;
+   the [faultspan.states] counter sees each state once per search. Layer
+   structure is bit-identical between the sequential and parallel
+   searches, so the event stream is too. *)
+let obs_layer s =
+  let obs = Engine.obs s.engine in
+  let total = Vec.len s.keys in
   if Obs.Ctx.enabled obs then begin
     Obs.Metrics.incr (Obs.Ctx.counter obs "faultspan.layers");
     Obs.Ctx.emit obs "faultspan.layer"
       [
-        ("layer", Obs.Sink.I layer);
-        ("members", Obs.Sink.I members);
-        ("discovered", Obs.Sink.I discovered);
+        ("layer", Obs.Sink.I s.level);
+        ("members", Obs.Sink.I (total - Vec.get s.bounds s.level));
+        ("discovered", Obs.Sink.I (total - s.seen));
+        ("total", Obs.Sink.I total);
       ];
-    Obs.Ctx.tick obs ~label:"faultspan" ~states:total ~depth:layer ()
-  end
+    Obs.Ctx.tick obs ~label:"faultspan" ~states:total ~depth:s.level ()
+  end;
+  s.seen <- total
 
-let obs_done obs ~states ~roots ~max_depth =
+let obs_done t =
+  let s = t.search in
+  let obs = Engine.obs s.engine in
   if Obs.Ctx.enabled obs then begin
+    let total = Vec.len s.keys in
     Obs.Metrics.incr (Obs.Ctx.counter obs "faultspan.spans");
-    Obs.Metrics.add (Obs.Ctx.counter obs "faultspan.states") states;
-    Obs.Metrics.set_max (Obs.Ctx.gauge obs "faultspan.max_depth") max_depth;
+    Obs.Metrics.add (Obs.Ctx.counter obs "faultspan.states") (total - s.reported);
+    Obs.Metrics.set_max (Obs.Ctx.gauge obs "faultspan.max_depth") t.max_depth;
     Obs.Ctx.emit obs "faultspan.done"
       [
-        ("states", Obs.Sink.I states);
-        ("roots", Obs.Sink.I roots);
-        ("max_depth", Obs.Sink.I max_depth);
+        ("states", Obs.Sink.I t.count);
+        ("roots", Obs.Sink.I s.roots);
+        ("max_depth", Obs.Sink.I t.max_depth);
       ];
-    Obs.Ctx.finish_progress obs ~label:"faultspan" ~states
+    Obs.Ctx.finish_progress obs ~label:"faultspan" ~states:t.count;
+    s.reported <- total
   end
 
-let histogram_of depth_of max_depth =
-  let histogram = Array.make (max_depth + 1) 0 in
-  Flatset.iter depth_of (fun _ d -> histogram.(d) <- histogram.(d) + 1);
-  histogram
+(* First sighting of [key] appends it to the layer being built. *)
+let visit s key =
+  if not (Flatset.mem s.index key) then begin
+    let i = Vec.len s.keys in
+    if i >= Engine.max_states s.engine then
+      raise (Engine.Region_overflow (i + 1));
+    Flatset.add s.index key i;
+    ignore (Vec.push s.keys key)
+  end
+
+let closure_actions program envs =
+  let actions_of = function
+    | None -> [||]
+    | Some (cp : Compile.program) -> cp.Compile.actions
+  in
+  Array.append (actions_of program) (actions_of envs)
+
+let create engine ?program ?envs ~faults () =
+  let bounds = Vec.create () in
+  ignore (Vec.push bounds 0);
+  { engine; program; envs; faults;
+    closure_actions = closure_actions program envs; keys = Vec.create ();
+    index = Engine.make_visited engine; bounds; roots = 0; level = 0;
+    cursor = 0; closed = false; fault_done = 0; saturated = false;
+    busy = false; seen = 0; reported = 0 }
 
 (* Root sweeps run in dense id order whatever the key representation;
-   under packed keys the id's state buffer is re-encoded. *)
-let key_of_id engine id s =
-  if Engine.packed_keys engine then Engine.encode_key engine s else id
+   under packed keys the id's state buffer is re-encoded. The parallel
+   backend classifies the ids on its pool and commits them in id order. *)
+let seed s from =
+  let engine = s.engine in
+  let space = Engine.space engine in
+  (match from with
+  | Engine.Seeds l ->
+      List.iter (fun st -> visit s (Engine.encode_key engine st)) l
+  | Engine.All | Engine.Pred _ -> (
+      let cap = Engine.max_states engine in
+      if Space.size space > cap then
+        raise (Engine.Region_overflow (Space.size space));
+      let p = match from with Engine.Pred p -> p | _ -> fun _ -> true in
+      let packed = Engine.packed_keys engine in
+      match Engine.backend engine with
+      | Engine.Eager | Engine.Lazy ->
+          Space.iter space (fun id st ->
+              if p st then
+                visit s (if packed then Engine.encode_key engine st else id))
+      | Engine.Parallel ->
+          Par.Pool.use ?pool:(Engine.pool engine) ~jobs:(Engine.jobs engine)
+          @@ fun pool ->
+          let n = Space.size space in
+          let classes = Bytes.make n '\000' in
+          let packed_key = if packed then Array.make n 0 else [||] in
+          let bufs =
+            Array.init (Par.Pool.jobs pool) (fun _ ->
+                State.make (Engine.env engine))
+          in
+          Par.Pool.parallel_for pool ~n (fun ~worker lo hi ->
+              let buf = bufs.(worker) in
+              for id = lo to hi - 1 do
+                Space.decode_into space id buf;
+                if p buf then begin
+                  Bytes.unsafe_set classes id '\001';
+                  if packed then
+                    packed_key.(id) <- Engine.encode_key engine buf
+                end
+              done);
+          for id = 0 to n - 1 do
+            if Bytes.unsafe_get classes id = '\001' then
+              visit s (if packed then packed_key.(id) else id)
+          done));
+  s.roots <- Vec.len s.keys;
+  s.seen <- s.roots
 
 (* --- span snapshots ---
 
@@ -99,9 +226,14 @@ let key_of_id engine id s =
    accumulated next-layer seeds, and the phase's own pending work — the
    remaining closure FIFO plus the members popped so far (phase 0), or
    the members still awaiting fault expansion {e in processing order}
-   (phase 1). The FIFO/wave equivalence that makes region checkpoints
+   (phase 1). Every one of these is a run of [keys], so the search
+   writes them from its cursors and a restore checks that they are.
+   The FIFO/wave equivalence that makes region checkpoints
    backend-portable applies layer-by-layer here, so span checkpoints
-   also resume on either backend at any job count. *)
+   also resume on either backend at any job count. A span extended from
+   a smaller budget is, at every boundary, the search a fresh run at
+   the larger budget would be, so its checkpoints carry the larger
+   budget's config hash. *)
 
 let kind_span = "span"
 
@@ -111,462 +243,339 @@ let action_names (cp : Compile.program) =
        (fun (ca : Compile.action) -> Guarded.Action.name ca.Compile.source)
        cp.Compile.actions)
 
-let span_hash engine ?program ?envs ?budget ~faults () =
+let span_hash s budget =
   let parts =
     kind_span
     :: (match budget with
        | None -> "budget=none"
        | Some b -> Printf.sprintf "budget=%d" b)
-    :: ((match program with None -> [] | Some cp -> action_names cp)
-       @ (match envs with
+    :: ((match s.program with None -> [] | Some cp -> action_names cp)
+       @ (match s.envs with
          | None -> []
          | Some cp -> "/envs" :: action_names cp)
-       @ ("/faults" :: action_names faults))
+       @ ("/faults" :: action_names s.faults))
   in
-  Engine.config_hash engine ~parts
+  Engine.config_hash s.engine ~parts
 
-let build_span_snapshot ~hash ~phase ~level ~roots ~layer_members ~keys
-    ~depth_find ~frontier ~next ~pending =
-  let ks = Vec.to_array keys in
-  let ds = Array.map depth_find ks in
+let keys_sub s lo hi = Array.init (hi - lo) (fun i -> Vec.get s.keys (lo + i))
+
+(* Members of layer [level] not yet fault-expanded. *)
+let fault_remaining s =
+  Vec.get s.bounds (s.level + 1) - Vec.get s.bounds s.level - s.fault_done
+
+(* The same members, in processing order. *)
+let fault_pending s =
+  let hi = Vec.get s.bounds (s.level + 1) in
+  Array.init (fault_remaining s) (fun k ->
+      Vec.get s.keys (hi - 1 - s.fault_done - k))
+
+let snapshot s ~budget =
+  let n = Vec.len s.keys in
+  let lo = Vec.get s.bounds s.level in
+  let top = Vec.len s.bounds - 1 in
+  let phase, layer_members, frontier, next, pending =
+    if not s.closed then
+      (0, s.cursor - lo, keys_sub s s.cursor n, [||], keys_sub s lo s.cursor)
+    else
+      let hi = Vec.get s.bounds (s.level + 1) in
+      (1, hi - lo, [||], keys_sub s hi n, fault_pending s)
+  in
   {
     Rt.Snapshot.kind = kind_span;
-    config_hash = hash;
+    config_hash = span_hash s budget;
     meta =
       [
-        ("count", Array.length ks);
-        ("level", level);
-        ("roots", roots);
+        ("count", n);
+        ("level", s.level);
+        ("roots", s.roots);
         ("phase", phase);
         ("layer_members", layer_members);
       ];
     sections =
       [
-        ("keys", ks);
-        ("depths", ds);
+        ("keys", Vec.to_array s.keys);
+        ("depths", Array.init n (depth_of_index s ~top));
         ("frontier", frontier);
         ("next", next);
         ("pending", pending);
       ];
   }
 
-(* Shared restore: rebuild the visited table (via [add]) and the keys
-   vector, and hand back the phase-specific pending work. *)
-let restore_span ~hash snap ~add ~keys =
+let corrupt msg = raise (Rt.Snapshot.Corrupt msg)
+
+(* Rebuild a search from a snapshot, checking that every section is the
+   run of [keys] the writer's cursors make it. *)
+let restore s ~budget snap =
   (match (snap : Rt.Snapshot.t).Rt.Snapshot.kind with
   | k when k = kind_span -> ()
   | k ->
-      raise
-        (Rt.Snapshot.Corrupt
-           (Printf.sprintf
-              "snapshot kind %S where %S was expected (written by a \
-               different subcommand?)"
-              k kind_span)));
-  if snap.Rt.Snapshot.config_hash <> hash then
-    raise
-      (Rt.Snapshot.Corrupt
-         "config-hash mismatch: this checkpoint was written under a \
-          different model or engine configuration");
+      corrupt
+        (Printf.sprintf
+           "snapshot kind %S where %S was expected (written by a different \
+            subcommand?)"
+           k kind_span));
+  if snap.Rt.Snapshot.config_hash <> span_hash s budget then
+    corrupt
+      "config-hash mismatch: this checkpoint was written under a different \
+       model or engine configuration";
   let ks = Rt.Snapshot.section snap "keys" in
   let ds = Rt.Snapshot.section snap "depths" in
-  if Array.length ks <> Array.length ds then
-    raise (Rt.Snapshot.Corrupt "keys/depths length mismatch");
-  if Rt.Snapshot.meta_int snap "count" <> Array.length ks then
-    raise (Rt.Snapshot.Corrupt "inconsistent count");
+  let n = Array.length ks in
+  if Array.length ds <> n then corrupt "keys/depths length mismatch";
+  if Rt.Snapshot.meta_int snap "count" <> n then corrupt "inconsistent count";
   Array.iteri
     (fun i k ->
-      add k ds.(i);
-      ignore (Vec.push keys k))
+      if k < 0 || Flatset.mem s.index k then corrupt "repeated or negative key";
+      (try Flatset.add s.index k i
+       with Invalid_argument _ -> corrupt "key outside the state space");
+      ignore (Vec.push s.keys k);
+      let d = ds.(i) in
+      let prev = if i = 0 then 0 else ds.(i - 1) in
+      if i > 0 && d = prev + 1 then ignore (Vec.push s.bounds i)
+      else if d <> prev then corrupt "depths out of layer order")
     ks;
+  let level = Rt.Snapshot.meta_int snap "level" in
   let phase = Rt.Snapshot.meta_int snap "phase" in
-  if phase <> 0 && phase <> 1 then
-    raise (Rt.Snapshot.Corrupt "implausible phase");
-  ( phase,
-    Rt.Snapshot.meta_int snap "level",
-    Rt.Snapshot.meta_int snap "roots",
-    Rt.Snapshot.meta_int snap "layer_members",
-    Rt.Snapshot.section snap "frontier",
-    Rt.Snapshot.section snap "next",
-    Rt.Snapshot.section snap "pending" )
-
-let queue_to_array q =
-  let a = Array.make (Flatqueue.length q) 0 in
-  let i = ref 0 in
-  Flatqueue.iter q (fun k ->
-      a.(!i) <- k;
-      incr i);
-  a
-
-(* The 0-cost closure phase fires the program's actions, then the
-   environment's: env actions extend the span like program steps and never
-   consume fault budget. *)
-let closure_actions program envs =
-  let actions_of = function
-    | None -> [||]
-    | Some (cp : Compile.program) -> cp.Compile.actions
+  let roots = Rt.Snapshot.meta_int snap "roots" in
+  let members = Rt.Snapshot.meta_int snap "layer_members" in
+  let top = Vec.len s.bounds - 1 in
+  if roots < 0 || roots > (if top >= 1 then Vec.get s.bounds 1 else n) then
+    corrupt "implausible root count";
+  (match budget with
+  | Some b when level > b || (phase = 1 && level = b) ->
+      corrupt "layer beyond the budget"
+  | _ -> ());
+  let frontier = Rt.Snapshot.section snap "frontier" in
+  let next = Rt.Snapshot.section snap "next" in
+  let pending = Rt.Snapshot.section snap "pending" in
+  let is_run a ~lo ~step =
+    Array.for_all Fun.id
+      (Array.mapi (fun j k -> Vec.get s.keys (lo + (step * j)) = k) a)
   in
-  Array.append (actions_of program) (actions_of envs)
+  s.roots <- roots;
+  s.level <- level;
+  (match phase with
+  | 0 ->
+      let cursor = n - Array.length frontier in
+      let lo = if top = level then Vec.get s.bounds level else -1 in
+      if
+        lo < 0 || cursor < lo || next <> [||]
+        || cursor - lo <> members
+        || Array.length pending <> members
+        || not (is_run frontier ~lo:cursor ~step:1 && is_run pending ~lo ~step:1)
+      then corrupt "closure-phase sections disagree with the keys";
+      s.cursor <- cursor;
+      s.seen <- (if level = 0 then roots else lo)
+  | 1 ->
+      if top = level then ignore (Vec.push s.bounds n);
+      let hi = n - Array.length next in
+      let lo = if top >= level then Vec.get s.bounds level else -1 in
+      let p = Array.length pending in
+      if
+        top > level + 1 || lo < 0
+        || Vec.get s.bounds (level + 1) <> hi
+        || frontier <> [||]
+        || hi - lo <> members
+        || p > members
+        || not (is_run pending ~lo:(lo + p - 1) ~step:(-1))
+      then corrupt "fault-phase sections disagree with the keys";
+      s.closed <- true;
+      s.cursor <- hi;
+      s.fault_done <- members - p;
+      s.seen <- hi
+  | _ -> corrupt "implausible phase")
 
-(* Layered 0-1 BFS: program edges cost 0 (stay in the current layer), fault
-   edges cost 1 (feed the next layer). Layers are processed in order, so the
-   layer a state is first seen in is its minimal fault count. *)
-let compute_seq engine ?program ?envs ?budget ?resume ~faults ~from () =
-  let obs = Engine.obs engine in
-  let guard = Engine.guard engine in
-  let guard_on = Rt.Guard.active guard in
-  let space = Engine.space engine in
-  let cap = Engine.max_states engine in
-  let hash = span_hash engine ?program ?envs ?budget ~faults () in
-  let prog_actions = closure_actions program envs in
-  let fault_actions = (faults : Compile.program).Compile.actions in
-  let depth_of = Engine.make_visited engine in
-  let keys = Vec.create () in
-  let count = ref 0 in
-  let cur = Flatqueue.create () in
-  let next = Flatqueue.create () in
-  let level = ref 0 in
-  let roots = ref 0 in
-  (* cons order = reverse pop order; phase 2 walks the list head-first *)
-  let layer_members = ref [] in
-  let n_members = ref 0 in
-  let resume_fault = ref None in
-  let visit level target_queue key =
-    if not (Flatset.mem depth_of key) then begin
-      incr count;
-      if !count > cap then raise (Engine.Region_overflow !count);
-      Flatset.add depth_of key level;
-      ignore (Vec.push keys key);
-      Flatqueue.push target_queue key
-    end
+(* --- the two backends: one closure and one fault phase each ---
+
+   The sequential search polls the engine's guard every 1024 expansions,
+   counted from where the phase started or resumed; the parallel one at
+   wave boundaries and before a layer's fault phase. *)
+
+type polling = {
+  guard : Rt.Guard.t;
+  guard_on : bool;
+  budget : int option;  (* of the running extension: the snapshot's *)
+  extra_bytes : unit -> int;  (* backend scratch beyond keys and table *)
+}
+
+let interrupt s b reason =
+  let snapshot =
+    if Engine.wants_snapshots s.engine then Some (snapshot s ~budget:b.budget)
+    else None
   in
-  (match resume with
-  | Some snap ->
-      let phase, lvl, rts, members_total, frontier, next_a, pending =
-        restore_span ~hash snap ~add:(Flatset.add depth_of) ~keys
-      in
-      count := Vec.len keys;
-      level := lvl;
-      roots := rts;
-      Array.iter (fun k -> Flatqueue.push next k) next_a;
-      if phase = 0 then begin
-        Array.iter (fun k -> Flatqueue.push cur k) frontier;
-        (* pending = members popped so far, in pop order: re-cons them so
-           the list is exactly what the uninterrupted run would hold *)
-        Array.iter
-          (fun k ->
-            layer_members := k :: !layer_members;
-            incr n_members)
-          pending
-      end
-      else begin
-        resume_fault := Some pending;
-        n_members := members_total
-      end
-  | None -> (
-      (match from with
-      | Engine.Seeds l ->
-          List.iter (fun s -> visit 0 cur (Engine.encode_key engine s)) l
-      | Engine.All | Engine.Pred _ ->
-          if Space.size space > cap then
-            raise (Engine.Region_overflow (Space.size space));
-          let p = match from with Engine.Pred p -> p | _ -> fun _ -> true in
-          Space.iter space (fun id s ->
-              if p s then visit 0 cur (key_of_id engine id s)));
-      roots := !count));
-  let st = Engine.stepper engine in
+  let frontier_size =
+    if not s.closed then Vec.len s.keys - s.cursor else fault_remaining s
+  in
+  raise
+    (Engine.Interrupted
+       { reason; states_seen = Vec.len s.keys; frontier_size; snapshot })
+
+let poll s b =
+  if b.guard_on then
+    match
+      Rt.Guard.poll b.guard ~states:(Vec.len s.keys)
+        ~bytes:(Flatset.bytes s.index + Vec.bytes s.keys + b.extra_bytes ())
+    with
+    | None -> ()
+    | Some reason -> interrupt s b reason
+
+let expand_seq st s actions i =
   let buf = Engine.stepper_state st in
-  let live_bytes () =
-    Flatset.bytes depth_of + Flatqueue.bytes cur + Flatqueue.bytes next
-  in
-  let interrupt reason ~phase ~frontier ~pending ~frontier_size =
-    let snapshot =
-      if not (Engine.wants_snapshots engine) then None
-      else
-        Some
-          (build_span_snapshot ~hash ~phase ~level:!level ~roots:!roots
-             ~layer_members:!n_members ~keys
-             ~depth_find:(fun k -> Flatset.find_def depth_of k (-1))
-             ~frontier ~next:(queue_to_array next) ~pending)
-    in
-    raise
-      (Engine.Interrupted
-         { reason; states_seen = !count; frontier_size; snapshot })
-  in
-  (* Fault successors of [order.(j ..)], already in processing order. *)
-  let fault_expand order =
-    let n = Array.length order in
-    for j = 0 to n - 1 do
-      (if guard_on && j land 1023 = 0 then
-         match Rt.Guard.poll guard ~states:!count ~bytes:(live_bytes ()) with
-         | None -> ()
-         | Some reason ->
-             interrupt reason ~phase:1 ~frontier:[||]
-               ~pending:(Array.sub order j (n - j))
-               ~frontier_size:(n - j));
-      Engine.load st order.(j);
+  Engine.load st (Vec.get s.keys i);
+  Array.iter
+    (fun (ca : Compile.action) ->
+      if ca.enabled buf then begin
+        visit s (Engine.step st ca);
+        Engine.undo st
+      end)
+    actions
+
+(* Drain the closure FIFO: the keys from [cursor] on. *)
+let closure_seq st s b =
+  let pops = ref 0 in
+  while s.cursor < Vec.len s.keys do
+    if !pops land 1023 = 0 then poll s b;
+    expand_seq st s s.closure_actions s.cursor;
+    s.cursor <- s.cursor + 1;
+    incr pops
+  done
+
+(* Fault successors of the layer's members, last discovered first. *)
+let fault_seq st s b =
+  let hi = Vec.get s.bounds (s.level + 1) in
+  let start = s.fault_done in
+  while fault_remaining s > 0 do
+    if (s.fault_done - start) land 1023 = 0 then poll s b;
+    expand_seq st s s.faults.Compile.actions (hi - 1 - s.fault_done);
+    s.fault_done <- s.fault_done + 1
+  done
+
+(* Parallel rounds (phase A on the pool, phase B committing in source
+   order, see {!Par.Chunked}) over [n] keys from discovery index [lo],
+   the highest index first under [reverse] — the fault phase's order.
+   Phase A drops successors already visited when probed; the commit
+   re-probes, since an earlier commit of this very round may have
+   claimed the key. *)
+let expand_par s pool steppers chunks actions ~lo ~n ~reverse =
+  Par.Chunked.round chunks pool ~n
+    ~expand:(fun ~worker out i ->
+      let st = steppers.(worker) in
+      let buf = Engine.stepper_state st in
+      Engine.load st (Vec.get s.keys (if reverse then lo + n - 1 - i else lo + i));
       Array.iter
         (fun (ca : Compile.action) ->
           if ca.enabled buf then begin
-            visit (!level + 1) next (Engine.step st ca);
-            Engine.undo st
+            let dst = Engine.step st ca in
+            Engine.undo st;
+            if not (Flatset.mem s.index dst) then ignore (Vec.push out dst)
           end)
-        fault_actions
-    done
-  in
-  let continue = ref true in
-  while !continue do
-    let count_before = !count in
-    (match !resume_fault with
-    | Some pending ->
-        resume_fault := None;
-        fault_expand pending
-    | None ->
-        (* Phase 1: complete the program closure of this layer before firing
-           any fault edge, so a state program-reachable at this layer is never
-           first seen deeper (which would mislabel its depth and, under a
-           budget, wrongly prune its fault successors). *)
-        let pops = ref 0 in
-        while not (Flatqueue.is_empty cur) do
-          (if guard_on && !pops land 1023 = 0 then
-             match
-               Rt.Guard.poll guard ~states:!count ~bytes:(live_bytes ())
-             with
-             | None -> ()
-             | Some reason ->
-                 (* pending members so far, in pop order *)
-                 let sofar = Array.make !n_members 0 in
-                 let i = ref !n_members in
-                 List.iter
-                   (fun k ->
-                     decr i;
-                     sofar.(!i) <- k)
-                   !layer_members;
-                 interrupt reason ~phase:0 ~frontier:(queue_to_array cur)
-                   ~pending:sofar ~frontier_size:(Flatqueue.length cur));
-          let key = Flatqueue.pop cur in
-          incr pops;
-          layer_members := key :: !layer_members;
-          incr n_members;
-          Engine.load st key;
-          Array.iter
-            (fun (ca : Compile.action) ->
-              if ca.enabled buf then begin
-                visit !level cur (Engine.step st ca);
-                Engine.undo st
-              end)
-            prog_actions
-        done;
-        (* Phase 2: fault successors of every member of the completed layer. *)
-        let fault_allowed =
-          match budget with None -> true | Some b -> !level < b
-        in
-        if fault_allowed then fault_expand (Array.of_list !layer_members));
-    obs_layer obs ~layer:!level ~members:!n_members
-      ~discovered:(!count - count_before) ~total:!count;
-    if Flatqueue.is_empty next then continue := false
-    else begin
-      incr level;
-      Flatqueue.transfer next cur;
-      layer_members := [];
-      n_members := 0
-    end
-  done;
-  let max_depth = !level in
-  let histogram = histogram_of depth_of max_depth in
-  obs_done obs ~states:!count ~roots:!roots ~max_depth;
-  { engine; keys; count = !count; depth_of; roots = !roots; max_depth; histogram }
+        actions)
+    ~commit:(fun out ->
+      for j = 0 to Vec.len out - 1 do
+        visit s (Vec.get out j)
+      done)
 
-(* Parallel variant of the same layered search, for engines on the
-   [Parallel] backend. Each expansion round — a program-closure wave or a
-   layer's fault phase — runs in two phases: phase A expands every source
-   state on some worker domain (on a per-worker {!Engine.stepper}; the
-   compiled actions are pure and shared), collecting the
-   successor keys that were unseen when probed in the depth table — the
-   engine's own {!Flatset}, which phase A only reads; phase B, the only
-   writer, commits them sequentially in the order the sequential search
-   would have visited them ({!Par.Chunked} keeps phase A's output in
-   source order). Two order quirks of [compute_seq] are
-   reproduced deliberately: program-closure waves are FIFO (wave order ×
-   action order = the single queue's pop order), and the fault phase walks
-   the layer's members in {e reverse} pop order, because the sequential
-   code conses members onto a list and never reverses it. The result —
-   keys, depths, histogram, even the overflow point — is bit-identical at
-   any job count, and checkpoints written at wave boundaries restore on
-   either backend. *)
-let compute_par engine ?program ?envs ?budget ?resume ~faults ~from () =
-  let obs = Engine.obs engine in
-  let guard = Engine.guard engine in
-  let guard_on = Rt.Guard.active guard in
-  let space = Engine.space engine in
-  let cap = Engine.max_states engine in
-  let hash = span_hash engine ?program ?envs ?budget ~faults () in
-  Par.Pool.use ?pool:(Engine.pool engine) ~jobs:(Engine.jobs engine)
-  @@ fun pool ->
-  let prog_actions = closure_actions program envs in
-  let fault_actions = (faults : Compile.program).Compile.actions in
-  let worker_st =
-    Array.init (Par.Pool.jobs pool) (fun _ -> Engine.stepper engine)
-  in
-  let chunks = Par.Chunked.create () in
-  let depth_of = Engine.make_visited engine in
-  let keys = Vec.create () in
-  let count = ref 0 in
-  let level = ref 0 in
-  let roots = ref 0 in
-  let resume_fault = ref None in
-  let visit level target key =
-    if not (Flatset.mem depth_of key) then begin
-      incr count;
-      if !count > cap then raise (Engine.Region_overflow !count);
-      Flatset.add depth_of key level;
-      ignore (Vec.push keys key);
-      ignore (Vec.push target key)
-    end
-  in
-  (* Expand [src] with [actions], then commit the candidates in source
-     order ([~reverse] for the fault phase) × action order. Phase A drops
-     successors already visited when probed; the commit re-probes, since
-     an earlier commit of this very round may have claimed the key. *)
-  let expand ~reverse actions src level target =
-    let len = Vec.len src in
-    Par.Chunked.round chunks pool ~n:len
-      ~expand:(fun ~worker out i ->
-        let st = worker_st.(worker) in
-        let buf = Engine.stepper_state st in
-        let i = if reverse then len - 1 - i else i in
-        Engine.load st (Vec.get src i);
-        Array.iter
-          (fun (ca : Compile.action) ->
-            if ca.enabled buf then begin
-              let dst = Engine.step st ca in
-              Engine.undo st;
-              if not (Flatset.mem depth_of dst) then ignore (Vec.push out dst)
-            end)
-          actions)
-      ~commit:(fun out ->
-        for j = 0 to Vec.len out - 1 do
-          visit level target (Vec.get out j)
-        done)
-  in
-  let wave = Vec.create () and next_wave = Vec.create () in
-  let members = Vec.create () and next_layer = Vec.create () in
-  (match resume with
-  | Some snap ->
-      let phase, lvl, rts, _members_total, frontier, next_a, pending =
-        restore_span ~hash snap ~add:(Flatset.add depth_of) ~keys
-      in
-      count := Vec.len keys;
-      level := lvl;
-      roots := rts;
-      Array.iter (fun k -> ignore (Vec.push next_layer k)) next_a;
-      if phase = 0 then begin
-        Array.iter (fun k -> ignore (Vec.push wave k)) frontier;
-        Array.iter (fun k -> ignore (Vec.push members k)) pending
-      end
-      else resume_fault := Some pending
-  | None -> (
-      (match from with
-      | Engine.Seeds l ->
-          List.iter (fun s -> visit 0 wave (Engine.encode_key engine s)) l
-      | Engine.All | Engine.Pred _ ->
-          if Space.size space > cap then
-            raise (Engine.Region_overflow (Space.size space));
-          let p = match from with Engine.Pred p -> p | _ -> fun _ -> true in
-          let n = Space.size space in
-          let packed = Engine.packed_keys engine in
-          let classes = Bytes.make n '\000' in
-          let packed_key = if packed then Array.make n 0 else [||] in
-          Par.Pool.parallel_for pool ~n (fun ~worker lo hi ->
-              let buf = Engine.stepper_state worker_st.(worker) in
-              for id = lo to hi - 1 do
-                Space.decode_into space id buf;
-                if p buf then begin
-                  Bytes.unsafe_set classes id '\001';
-                  if packed then
-                    packed_key.(id) <- Engine.encode_key engine buf
-                end
-              done);
-          for id = 0 to n - 1 do
-            if Bytes.unsafe_get classes id = '\001' then
-              visit 0 wave (if packed then packed_key.(id) else id)
-          done);
-      roots := !count));
-  let live_bytes () =
-    Flatset.bytes depth_of + Vec.bytes wave + Vec.bytes next_wave
-    + Vec.bytes members + Vec.bytes next_layer + Par.Chunked.bytes chunks
-  in
-  let interrupt reason ~phase ~frontier ~pending ~frontier_size =
-    let snapshot =
-      if not (Engine.wants_snapshots engine) then None
-      else
-        Some
-          (build_span_snapshot ~hash ~phase ~level:!level ~roots:!roots
-             ~layer_members:(Vec.len members) ~keys
-             ~depth_find:(fun k -> Flatset.find_def depth_of k (-1))
-             ~frontier ~next:(Vec.to_array next_layer) ~pending)
-    in
-    raise
-      (Engine.Interrupted
-         { reason; states_seen = !count; frontier_size; snapshot })
-  in
-  let poll_boundary ~phase ~frontier ~pending ~frontier_size =
-    if guard_on then
-      match Rt.Guard.poll guard ~states:!count ~bytes:(live_bytes ()) with
-      | None -> ()
-      | Some reason -> interrupt reason ~phase ~frontier ~pending ~frontier_size
-  in
+(* Closure in FIFO waves: wave order × action order is the single
+   queue's pop order. *)
+let closure_par s b run =
+  while s.cursor < Vec.len s.keys do
+    poll s b;
+    let lo = s.cursor and hi = Vec.len s.keys in
+    run s.closure_actions ~lo ~n:(hi - lo) ~reverse:false;
+    s.cursor <- hi
+  done
+
+let fault_par s b run =
+  poll s b;
+  let n = fault_remaining s in
+  run s.faults.Compile.actions ~lo:(Vec.get s.bounds s.level) ~n ~reverse:true;
+  s.fault_done <- s.fault_done + n
+
+(* Layers until [budget] (or saturation): close layer [level], and while
+   budget allows, fire its faults to seed layer [level + 1]. *)
+let run_layers s ~closure ~fault budget =
   let continue = ref true in
   while !continue do
-    let count_before = !count in
-    (match !resume_fault with
-    | Some pending ->
-        resume_fault := None;
-        (* finish the interrupted fault phase: [pending] is already in
-           processing order, so expand it forward *)
-        let pv = Vec.of_array pending in
-        expand ~reverse:false fault_actions pv (!level + 1) next_layer
-    | None ->
-        while Vec.len wave > 0 do
-          (* wave-boundary cancellation point: the pending wave is the
-             closure FIFO's remaining content *)
-          poll_boundary ~phase:0 ~frontier:(Vec.to_array wave)
-            ~pending:(Vec.to_array members) ~frontier_size:(Vec.len wave);
-          for i = 0 to Vec.len wave - 1 do
-            ignore (Vec.push members (Vec.get wave i))
-          done;
-          expand ~reverse:false prog_actions wave !level next_wave;
-          Vec.clear wave;
-          Vec.swap wave next_wave
-        done;
-        let fault_allowed =
-          match budget with None -> true | Some b -> !level < b
-        in
-        if fault_allowed then begin
-          (* phase boundary: pending fault work is the member list in
-             processing (reverse pop) order *)
-          (if guard_on then
-             let n = Vec.len members in
-             let pending = Array.init n (fun j -> Vec.get members (n - 1 - j)) in
-             poll_boundary ~phase:1 ~frontier:[||] ~pending ~frontier_size:n);
-          expand ~reverse:true fault_actions members (!level + 1) next_layer
-        end);
-    obs_layer obs ~layer:!level ~members:(Vec.len members)
-      ~discovered:(!count - count_before) ~total:!count;
-    if Vec.len next_layer = 0 then continue := false
+    if not s.closed then begin
+      closure ();
+      s.closed <- true;
+      obs_layer s
+    end;
+    let allowed = match budget with None -> true | Some b -> s.level < b in
+    if s.saturated || not allowed then continue := false
     else begin
-      incr level;
-      Vec.clear members;
-      Vec.swap wave next_layer
+      if Vec.len s.bounds = s.level + 1 then
+        ignore (Vec.push s.bounds (Vec.len s.keys));
+      fault ();
+      let hi = Vec.get s.bounds (s.level + 1) in
+      if Vec.len s.keys = hi then begin
+        s.saturated <- true;
+        continue := false
+      end
+      else begin
+        s.level <- s.level + 1;
+        s.cursor <- hi;
+        s.closed <- false;
+        s.fault_done <- 0
+      end
     end
-  done;
-  let max_depth = !level in
-  let histogram = histogram_of depth_of max_depth in
-  obs_done obs ~states:!count ~roots:!roots ~max_depth;
-  { engine; keys; count = !count; depth_of; roots = !roots; max_depth; histogram }
+  done
+
+let run_search s budget =
+  let guard = Engine.guard s.engine in
+  let polling extra_bytes =
+    { guard; guard_on = Rt.Guard.active guard; budget; extra_bytes }
+  in
+  match Engine.backend s.engine with
+  | Engine.Eager | Engine.Lazy ->
+      let st = Engine.stepper s.engine in
+      let b = polling (fun () -> 0) in
+      run_layers s budget
+        ~closure:(fun () -> closure_seq st s b)
+        ~fault:(fun () -> fault_seq st s b)
+  | Engine.Parallel ->
+      Par.Pool.use ?pool:(Engine.pool s.engine) ~jobs:(Engine.jobs s.engine)
+      @@ fun pool ->
+      let steppers =
+        Array.init (Par.Pool.jobs pool) (fun _ -> Engine.stepper s.engine)
+      in
+      let chunks = Par.Chunked.create () in
+      let b = polling (fun () -> Par.Chunked.bytes chunks) in
+      let run = expand_par s pool steppers chunks in
+      run_layers s budget
+        ~closure:(fun () -> closure_par s b run)
+        ~fault:(fun () -> fault_par s b run)
+
+(* The span at [budget]: a prefix when the search already went past it. *)
+let view s budget =
+  match budget with
+  | Some b when b < s.level ->
+      { search = s; count = Vec.get s.bounds (b + 1); max_depth = b }
+  | _ -> { search = s; count = Vec.len s.keys; max_depth = s.level }
+
+(* A negative budget allows no fault step, like [0]. *)
+let clamp budget = Option.map (max 0) budget
+
+let extend s ?budget () =
+  if s.busy then
+    invalid_arg "Faultspan.extend: an earlier extension of this search raised";
+  let budget = clamp budget in
+  s.busy <- true;
+  run_search s budget;
+  s.busy <- false;
+  let t = view s budget in
+  obs_done t;
+  t
+
+let start engine ?program ?envs ~faults ~from () =
+  let s = create engine ?program ?envs ~faults () in
+  seed s from;
+  s
 
 let compute engine ?program ?envs ?budget ?resume ~faults ~from () =
-  match Engine.backend engine with
-  | Engine.Parallel ->
-      compute_par engine ?program ?envs ?budget ?resume ~faults ~from ()
-  | Engine.Eager | Engine.Lazy ->
-      compute_seq engine ?program ?envs ?budget ?resume ~faults ~from ()
+  Engine.sharing_pool engine @@ fun () ->
+  let s = create engine ?program ?envs ~faults () in
+  (match resume with
+  | Some snap -> restore s ~budget:(clamp budget) snap
+  | None -> seed s from);
+  extend s ?budget ()

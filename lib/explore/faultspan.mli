@@ -12,16 +12,57 @@
 
     The search is a layered frontier BFS keyed by {!Engine.encode_key}
     (the dense mixed-radix code, or the bit-packed code under an engine's
-    [packed_keys]), with depths held in the engine's flat visited-table
-    representation ({!Engine.make_visited}) and frontiers in chunked
-    {!Flatqueue}s — the same machinery for every engine backend; eager
+    [packed_keys]), with discovery indices held in the engine's flat
+    visited-table representation ({!Engine.make_visited}) and every
+    frontier a run of the discovered-key vector — the same machinery
+    for every engine backend; eager
     and lazy engines differ only in their exploration budget
     ({!Engine.max_states}), so verdicts agree whenever neither overflows.
     Layer [d] holds the states whose cheapest derivation from the roots
     uses exactly [d] fault steps; program successors stay in their layer,
-    fault successors go to the next. *)
+    fault successors go to the next.
+
+    Keys are discovered in nondecreasing depth order, so the budget-[b]
+    span is a prefix of every larger one: a {!search} is started once
+    and {!extend}ed budget by budget, each span a view of the first
+    keys (same iter order, counts and histogram as a fresh
+    {!compute}). Depths come from the layer boundaries. *)
 
 type t
+(** A span: a prefix view of its {!search}. Later extensions of the
+    search leave it unchanged. *)
+
+type search
+(** One layered search, extended in place. *)
+
+val start :
+  Engine.t ->
+  ?program:Guarded.Compile.program ->
+  ?envs:Guarded.Compile.program ->
+  faults:Guarded.Compile.program ->
+  from:Engine.roots ->
+  unit ->
+  search
+(** Seed a search with its roots, expanding nothing yet; the arguments
+    mean what they mean for {!compute}.
+    @raise Engine.Region_overflow when a root sweep exceeds the engine's
+    state budget. *)
+
+val extend : search -> ?budget:int -> unit -> t
+(** [extend s ~budget ()] runs the search until layer [budget] is
+    closed (omitted: until no fault step reaches a new state; a
+    negative budget allows no fault step, like [0]) and
+    returns the span at that budget — equal in every observable to
+    [compute ~budget] over the same arguments. Budgets may come in any
+    order; one the search already passed returns its prefix without
+    work. On an interrupt, the snapshot is the one [compute ~budget]
+    would have written at the same point, so [compute ~budget ~resume]
+    finishes it. A search whose extension raised cannot be extended
+    again.
+    @raise Engine.Region_overflow when the span exceeds the engine's
+    state budget.
+    @raise Engine.Interrupted when the engine's guard trips.
+    @raise Invalid_argument when an earlier extension of [s] raised. *)
 
 val compute :
   Engine.t ->
@@ -36,7 +77,8 @@ val compute :
 (** Closure of [from] under the fault actions and (when given) the program
     actions. [budget] caps the number of fault steps along any derivation;
     omitted, faults may occur unboundedly (the paper's recurring-fault
-    span). [envs] are environment actions (Roohitavaf–Kulkarni): they
+    span). [compute] is {!start} (or a restore) followed by one
+    {!extend}. [envs] are environment actions (Roohitavaf–Kulkarni): they
     extend the span exactly like program steps — 0-cost closure edges that
     never consume [budget] — and are folded into the span's config hash,
     so checkpoints cannot cross an environment change. [All]/[Pred] roots
@@ -90,6 +132,11 @@ val nth_key : t -> int -> int
     [iter] visits exactly [decode(nth_key t 0), decode(nth_key t 1), …].
     Lets consumers scan the span by index — chunked, in parallel, without
     materializing the member states. *)
+
+val index_key : t -> int -> int
+(** The member index ({!nth_key} order) of an engine key, or [-1] for
+    non-members: one visited-table probe. Safe to call from several
+    domains at once while no extension of the span's search runs. *)
 
 val decode_nth_into : t -> int -> Guarded.State.t -> unit
 (** Decode the [i]-th member (iter order) into a caller buffer —

@@ -106,17 +106,20 @@ let region_graph_full t ~member =
     if state_to_node.(id) >= 0 then node_to_state.(state_to_node.(id)) <- id
   done;
   (* Two passes over the CSR rows of member states (count, then fill)
-     give exact-size edge arrays, already grouped by source node. *)
-  let m = ref 0 in
+     give exact-size edge arrays and the offsets of a source-free graph. *)
+  let off = Array.make (!node_count + 1) 0 in
   Array.iteri
     (fun id node ->
-      if node >= 0 then
+      if node >= 0 then begin
+        let c = ref 0 in
         for k = t.offsets.(id) to t.offsets.(id + 1) - 1 do
-          if state_to_node.(t.dsts.(k)) >= 0 then incr m
-        done)
+          if state_to_node.(t.dsts.(k)) >= 0 then incr c
+        done;
+        off.(node + 1) <- off.(node) + !c
+      end)
     state_to_node;
-  let src = Array.make !m 0 and dst = Array.make !m 0
-  and label = Array.make !m 0 in
+  let m = off.(!node_count) in
+  let dst = Array.make m 0 and label = Array.make m 0 in
   let e = ref 0 in
   Array.iteri
     (fun id node ->
@@ -124,14 +127,13 @@ let region_graph_full t ~member =
         for k = t.offsets.(id) to t.offsets.(id + 1) - 1 do
           let d = state_to_node.(t.dsts.(k)) in
           if d >= 0 then begin
-            src.(!e) <- node;
             dst.(!e) <- d;
             label.(!e) <- t.acts.(k);
             incr e
           end
         done)
     state_to_node;
-  let g = Dgraph.Digraph.of_arrays !node_count ~src ~dst ~label in
+  let g = Dgraph.Digraph.of_csr !node_count ~off ~dst ~label in
   (g, node_to_state, fun id -> state_to_node.(id))
 
 let region_graph t ~member =

@@ -33,7 +33,8 @@ val reachable : t -> int list -> Bitset.t
 val region_graph : t -> member:(int -> bool) -> int Dgraph.Digraph.t
 (** The subgraph induced on [{ id | member id }]: nodes are re-indexed
     densely; use the returned mapping functions below. Edge labels are
-    action indices. *)
+    action indices; the graph is source-free
+    ({!Dgraph.Digraph.of_csr}). *)
 
 val region_graph_full :
   t ->

@@ -16,12 +16,14 @@
    actions, never touching [Engine.region] — which is what lets it
    validate the certificate's claim rather than restate it.
 
-   Successor expansion (the state-decoding, action-applying bulk) is
-   chunk-parallel over the span via [Par.Pool]; wave ranking reads only
-   ranks assigned in strictly earlier waves, so it parallelizes over the
-   frontier waves the same way. Results are bit-identical at any job
-   count: per-state successor sets are deterministic and the rank
-   fixpoint is order-independent. *)
+   On the parallel backend, successor expansion (the state-decoding,
+   action-applying bulk) is chunk-parallel over the span via
+   [Par.Pool], and successors are indexed through the span's own
+   visited table ([Faultspan.index_key]), which the workers only read.
+   Wave ranking reads only ranks assigned in strictly earlier waves, so
+   it parallelizes over the frontier waves the same way. Results are
+   bit-identical at any job count: per-state successor sets are
+   deterministic and the rank fixpoint is order-independent. *)
 
 module State = Guarded.State
 module Compile = Guarded.Compile
@@ -67,11 +69,6 @@ let worst_case engine ~program ?envs ~span ~invariant () =
     | None -> p
     | Some (e : Compile.program) -> Array.append p e.Compile.actions
   in
-  (* span index of every member key, iter order *)
-  let idx_of = Hashtbl.create (2 * n) in
-  for i = 0 to n - 1 do
-    Hashtbl.replace idx_of (Faultspan.nth_key span i) i
-  done;
   let in_s = Bytes.make n '\000' in
   let has_succ = Bytes.make n '\000' in
   let escaped = Bytes.make n '\000' in
@@ -92,17 +89,19 @@ let worst_case engine ~program ?envs ~span ~invariant () =
               let outside_s = not (invariant buf) in
               Engine.undo st;
               if outside_s then begin
-                match Hashtbl.find_opt idx_of key with
-                | Some j ->
-                    let dup = ref false in
-                    for k = 0 to !cnt - 1 do
-                      if scratch.(k) = j then dup := true
-                    done;
-                    if not !dup then begin
-                      scratch.(!cnt) <- j;
-                      incr cnt
-                    end
-                | None -> Bytes.unsafe_set escaped i '\001'
+                (* span index, iter order: the span's own table *)
+                let j = Faultspan.index_key span key in
+                if j < 0 then Bytes.unsafe_set escaped i '\001'
+                else begin
+                  let dup = ref false in
+                  for k = 0 to !cnt - 1 do
+                    if scratch.(k) = j then dup := true
+                  done;
+                  if not !dup then begin
+                    scratch.(!cnt) <- j;
+                    incr cnt
+                  end
+                end
               end
             end)
           acts;
@@ -111,7 +110,7 @@ let worst_case engine ~program ?envs ~span ~invariant () =
     done
   in
   let jobs = Engine.jobs engine in
-  (if jobs <= 1 then
+  (if Engine.backend engine <> Engine.Parallel || jobs <= 1 then
      expand (Engine.stepper engine) (Array.make (Array.length acts) 0) 0 n
    else
      Par.Pool.use ?pool:(Engine.pool engine) ~jobs @@ fun pool ->

@@ -49,7 +49,8 @@ val worst_case :
     actions. [Unbounded] carries a {!witness}.
 
     Successor expansion is chunk-parallel over the span when the engine
-    has [jobs > 1] (borrowing {!Explore.Engine.pool} when set); results
+    is on the [Parallel] backend with [jobs > 1] (borrowing
+    {!Explore.Engine.pool} when set), and sequential otherwise; results
     are bit-identical at any job count — the rank fixpoint is
     order-independent.
 

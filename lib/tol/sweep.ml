@@ -10,9 +10,12 @@
    budgets in ascending order and, past saturation, replays the last
    computed point with [reused = true] instead of re-exploring.
 
-   Each span is computed once via [Explore.Faultspan.compute] and handed
-   to [Certify.tolerance ~span] (and the adversary), so no budget point
-   ever explores twice. *)
+   Below saturation the spans are one layered search
+   ([Explore.Faultspan.start]), extended budget by budget: the budget-b
+   span is a prefix of the budget-(b+1) one, so each state is discovered
+   once per sweep. Each span is handed to [Certify.tolerance ~span] (and
+   the adversary), and the whole sweep runs on one pool
+   ([Explore.Engine.sharing_pool]). *)
 
 type point = {
   budget : int;
@@ -91,6 +94,7 @@ let cliff_of points =
 
 let run ~engine ~program ~faults ?(envs = []) ~invariant ?from ~budgets
     ?(adversary = false) ?on_point ~name () =
+  Explore.Engine.sharing_pool engine @@ fun () ->
   let env = Explore.Engine.env engine in
   let obs = Explore.Engine.obs engine in
   let budgets =
@@ -128,11 +132,13 @@ let run ~engine ~program ~faults ?(envs = []) ~invariant ?from ~budgets
   (* last computed (not reused) point; valid for every larger budget
      once its span is saturated *)
   let saturated = ref None in
+  let search =
+    lazy (Explore.Faultspan.start engine ~program:cp ?envs:ep ~faults:fp ~from ())
+  in
   let compute_point budget =
     let span =
       Obs.Ctx.time obs "tol.span" @@ fun () ->
-      Explore.Faultspan.compute engine ~program:cp ?envs:ep ~budget ~faults:fp
-        ~from ()
+      Explore.Faultspan.extend (Lazy.force search) ~budget ()
     in
     let cert =
       Obs.Ctx.time obs "tol.certify" @@ fun () ->

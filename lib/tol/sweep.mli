@@ -13,9 +13,9 @@
     saturated: every larger budget yields the identical span, hence the
     identical certificate and adversary bound. The sweep walks budgets
     in ascending order and replays saturated points with
-    [reused = true] instead of re-exploring; below saturation each span
-    is computed once and shared between certification and the
-    adversary. *)
+    [reused = true] instead of re-exploring; below saturation the spans
+    are prefixes of one layered search ({!Explore.Faultspan.extend}),
+    each shared between certification and the adversary. *)
 
 type point = {
   budget : int;
@@ -68,11 +68,13 @@ val run :
   unit ->
   frontier
 (** Sweep the budgets (sorted ascending, deduplicated). Each point
-    certifies with a precomputed span ({!Explore.Faultspan.compute} once
-    per unsaturated budget, handed to [Certify.tolerance ~span]); with
-    [adversary] (default [false]) it also runs {!Adversary.worst_case}
-    over the same span. [envs] are environment actions, threaded through
-    both the span and the certificate.
+    certifies with a precomputed span (one search per sweep, extended
+    to each unsaturated budget, handed to [Certify.tolerance ~span]);
+    with [adversary] (default [false]) it also runs
+    {!Adversary.worst_case} over the same span. [envs] are environment
+    actions, threaded through both the span and the certificate. On the
+    parallel backend the sweep borrows one pool throughout
+    ({!Explore.Engine.sharing_pool}).
 
     [on_point] fires after each point, in budget order — stream points
     to a report file so an interrupted sweep still leaves the partial

@@ -1,8 +1,9 @@
 (* Model-based properties of the flat CSR digraph: random multigraphs
    (self-loops and parallel edges included) are checked against a plain
    list of (src, dst, label) triples in insertion order — every accessor
-   and the order it returns, index rebuilds after add_edge, Kahn's tie
-   order, cycle search, longest paths, ranks and SCCs. The model
+   and the order it returns, index rebuilds after add_edge, source-free
+   graphs built from offsets, Kahn's tie order, cycle search, longest
+   paths, ranks and SCCs. The model
    functions below are the list-based definitions the graph must agree
    with. *)
 
@@ -175,6 +176,21 @@ let build_arrays m =
 let grouped m =
   { m with es = List.stable_sort (fun (a, _, _) (b, _, _) -> compare a b) m.es }
 
+(* A grouped model without its source array: per-node offsets, the way
+   the exploration backends hand their regions over. *)
+let csr_parts m =
+  let a = Array.of_list (grouped m).es in
+  let off = Array.make (m.n + 1) 0 in
+  Array.iter (fun (s, _, _) -> off.(s + 1) <- off.(s + 1) + 1) a;
+  for v = 0 to m.n - 1 do
+    off.(v + 1) <- off.(v + 1) + off.(v)
+  done;
+  (off, Array.map (fun (_, d, _) -> d) a, Array.map (fun (_, _, l) -> l) a)
+
+let build_csr m =
+  let off, dst, label = csr_parts m in
+  Digraph.of_csr m.n ~off ~dst ~label
+
 (* --- agreement ------------------------------------------------------- *)
 
 let iter_succ_list g v =
@@ -269,6 +285,37 @@ let prop_bytes =
     ~count:100 arb_model (fun m ->
       Digraph.bytes (build_arrays m) = 24 * List.length m.es)
 
+(* Source-free graphs against the of_arrays graph of the same grouped
+   edges: every edge by id (its source found in the offsets), every
+   accessor, the rendering, the exact footprint, and add_edge after
+   construction, which writes the sources out first. *)
+let prop_source_free =
+  QCheck.Test.make ~name:"digraph: source-free graphs agree with of_arrays"
+    ~count:300 arb_model (fun m ->
+      let gm = grouped m in
+      let free = build_csr m and reference = build_arrays gm in
+      let by_id g = List.init (Digraph.edge_count g) (Digraph.edge g) in
+      let render g = Format.asprintf "%a" (Digraph.pp Format.pp_print_int) g in
+      let rejects_bad_offsets () =
+        let off, dst, label = csr_parts m in
+        off.(m.n) <- off.(m.n) + 1;
+        match Digraph.of_csr m.n ~off ~dst ~label with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      let extra = List.map (fun (s, d, l) -> (d, s, l + 10)) gm.es in
+      (* bytes first: the queries below build the in-index *)
+      Digraph.bytes free = (16 * List.length m.es) + (8 * (m.n + 1))
+      && by_id free = by_id reference
+      && render free = render reference
+      && agrees gm free
+      && rejects_bad_offsets ()
+      && begin
+           List.iter (fun (src, dst, l) -> Digraph.add_edge free ~src ~dst l) extra;
+           by_id free = List.map to_edge (gm.es @ extra)
+           && agrees { gm with es = gm.es @ extra } free
+         end)
+
 let prop_kahn_order =
   QCheck.Test.make ~name:"topo: Kahn tie order matches the model" ~count:300
     (QCheck.oneof [ arb_model; arb_dag ]) (fun m ->
@@ -276,7 +323,8 @@ let prop_kahn_order =
       Topo.topological_order g = m_topological_order m
       && Topo.is_acyclic g = (m_topological_order m <> None)
       && Topo.topological_order (build_arrays (grouped m))
-         = m_topological_order (grouped m))
+         = m_topological_order (grouped m)
+      && Topo.topological_order (build_csr m) = m_topological_order (grouped m))
 
 let valid_cycle m = function
   | [] -> false
@@ -324,7 +372,9 @@ let prop_scc_classes =
             same := false
         done
       done;
-      !same && scc.Scc.members = m_tarjan m)
+      !same
+      && scc.Scc.members = m_tarjan m
+      && (Scc.compute (build_csr m)).Scc.members = m_tarjan (grouped m))
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
@@ -333,6 +383,7 @@ let suite =
       prop_add_after_query;
       prop_derived;
       prop_bytes;
+      prop_source_free;
       prop_kahn_order;
       prop_find_cycle;
       prop_longest_paths;

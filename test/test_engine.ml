@@ -286,11 +286,14 @@ let test_lazy_beyond_eager_cap () =
 
    The lazy and parallel searches append each committed edge to blocks
    and copy the blocks once into the graph's exact arrays: 24 B per edge
-   in the blocks, 24 B in the graph, plus a few for the node tables. A
-   doubling buffer of interleaved triples copied out at the end costs 80
-   and more. The region is token_ring.nm at N=5, K=5 under program ∪
-   corrupt:k=1 faults from every state: 71,912 edges. Allocation counts
-   are deterministic for a single-domain search. *)
+   in the blocks, 16 B in the source-free graph, plus a few for the
+   offsets and node tables. A doubling buffer of interleaved triples
+   copied out at the end costs 80 and more. The region is token_ring.nm
+   at N=5, K=5 under program ∪ corrupt:k=1 faults from every state:
+   71,912 edges. Allocation counts are deterministic for a single-domain
+   search once a full major collection has run: 44.2 B per edge lazy,
+   58.7 B parallel at jobs 1, pinned here with a margin of about 9%
+   (51.8 and 66.3 B while the graph kept a source array). *)
 
 let test_region_alloc_per_edge () =
   let em =
@@ -308,6 +311,9 @@ let test_region_alloc_per_edge () =
       Engine.region engine cp ~from:Engine.All ~target:em.Lang.Elab.invariant
     in
     ignore (run ());
+    (* settle the warm-up's large blocks, whose words the runtime may
+       otherwise count late, inside the measured call *)
+    Gc.full_major ();
     let before = Gc.allocated_bytes () in
     let r = run () in
     let allocated = Gc.allocated_bytes () -. before in
@@ -316,10 +322,10 @@ let test_region_alloc_per_edge () =
     allocated /. float edges
   in
   let lazy_b = per_edge Engine.Lazy and par_b = per_edge Engine.Parallel in
-  if lazy_b > 56. then
-    Alcotest.failf "lazy: %.1f B per edge (at most 56)" lazy_b;
-  if par_b > 70. then
-    Alcotest.failf "parallel at jobs 1: %.1f B per edge (at most 70)" par_b
+  if lazy_b > 48. then
+    Alcotest.failf "lazy: %.1f B per edge (at most 48)" lazy_b;
+  if par_b > 64. then
+    Alcotest.failf "parallel at jobs 1: %.1f B per edge (at most 64)" par_b
 
 (* --- successor stepping: Engine.step against apply_into + encode_key ---
 

@@ -258,8 +258,9 @@ let test_trace_stable_across_jobs () =
   Alcotest.(check (list (pair string int)))
     "identical event profile at jobs 1 and 4" (profile t1) (profile t4)
 
-(* engine.graph_bytes: the region graph as handed back costs 24 bytes per
-   edge (three int words), the same on every backend. *)
+(* engine.graph_bytes: the region graph as handed back is source-free —
+   16 bytes per edge (destination and label words) plus 8 per node (the
+   offsets) — the same on every backend. *)
 let test_graph_bytes_every_backend () =
   let tr = Token_ring.make ~nodes:4 ~k:4 in
   let gauge backend =
@@ -270,15 +271,21 @@ let test_graph_bytes_every_backend () =
          (Guarded.Compile.program (Token_ring.combined tr))
          ~from:Engine.All
          ~target:(fun s -> Token_ring.invariant tr s));
+    Alcotest.(check int) "one region" 1
+      (Metrics.value (Obs.Ctx.counter obs "engine.regions"));
     ( Metrics.gauge_value (Obs.Ctx.gauge obs "engine.graph_bytes"),
-      Metrics.value (Obs.Ctx.counter obs "engine.region_edges") )
+      ( Metrics.value (Obs.Ctx.counter obs "engine.region_edges"),
+        Metrics.value (Obs.Ctx.counter obs "engine.region_nodes") ) )
   in
-  let ((bytes, edges) as eager) = gauge Engine.Eager in
+  let ((bytes, (edges, nodes)) as eager) = gauge Engine.Eager in
   Alcotest.(check bool) "region has edges" true (edges > 0);
-  Alcotest.(check int) "24 B per edge" (24 * edges) bytes;
+  Alcotest.(check int) "16 B per edge plus 8 per node"
+    ((16 * edges) + (8 * (nodes + 1)))
+    bytes;
   List.iter
     (fun backend ->
-      Alcotest.(check (pair int int)) "same as eager" eager (gauge backend))
+      Alcotest.(check (pair int (pair int int)))
+        "same as eager" eager (gauge backend))
     [ Engine.Lazy; Engine.Parallel ]
 
 let test_storm_trial_events () =
@@ -398,7 +405,8 @@ let suite =
       test_trace_reconciles_with_metrics;
     Alcotest.test_case "trace stable across jobs" `Quick
       test_trace_stable_across_jobs;
-    Alcotest.test_case "graph bytes: 24 B per edge on every backend" `Quick
+    Alcotest.test_case
+      "graph bytes: 16 B per edge on every backend, plus 8 per node" `Quick
       test_graph_bytes_every_backend;
     Alcotest.test_case "storm trial events" `Quick test_storm_trial_events;
     Alcotest.test_case "certify span events" `Quick test_certify_span_events;

@@ -528,6 +528,73 @@ let test_span_resume_bit_identical () =
         writers)
     [ 1_500; 8_000; 18_000 ]
 
+(* A sweep's search extended from budget 1 to budget 3 and cut by a
+   state budget leaves the checkpoint a fresh budget-3 search would
+   have: [compute ~budget:3 ~resume] finishes it on any backend, and the
+   interrupted search refuses a further extension. *)
+let test_span_extension_resume () =
+  let em =
+    Lang.Driver.compile_file
+      ~params:[ ("N", 4); ("K", 6) ]
+      (Test_lang.model_path "token_ring.nm")
+  in
+  let env = em.Lang.Elab.env in
+  let cp = Compile.program em.Lang.Elab.program in
+  let fp =
+    Compile.program
+      (Guarded.Program.make ~name:"faults" env
+         (Fault.actions (Fault.corrupt env ~k:1)))
+  in
+  let from = Engine.Pred em.Lang.Elab.invariant in
+  let fresh ?resume engine budget =
+    Faultspan.compute engine ~program:cp ~budget ?resume ~faults:fp ~from ()
+  in
+  let base1 = fresh (Engine.create ~backend:Engine.Lazy env) 1 in
+  let base3 = fresh (Engine.create ~backend:Engine.Lazy env) 3 in
+  let c1 = Faultspan.count base1 and c3 = Faultspan.count base3 in
+  let cuts = ref 0 in
+  List.iter
+    (fun cap ->
+      List.iter
+        (fun (wb, wj) ->
+          let guard =
+            Rt.Guard.create ~budget:(Rt.Budget.make ~max_states:cap ()) ()
+          in
+          let engine =
+            Engine.create ~backend:wb ~jobs:wj ~guard ~snapshots:true env
+          in
+          let search =
+            Faultspan.start engine ~program:cp ~faults:fp ~from ()
+          in
+          let tag = Printf.sprintf "cap %d, %s j%d" cap (bname wb) wj in
+          Alcotest.(check bool) (tag ^ ": budget 1 under the cap") true
+            (span_fp (Faultspan.extend search ~budget:1 ()) = span_fp base1);
+          match Faultspan.extend search ~budget:3 () with
+          | span ->
+              Alcotest.(check bool) (tag ^ ": finished under the cap") true
+                (span_fp span = span_fp base3)
+          | exception Engine.Interrupted it ->
+              incr cuts;
+              let snap = save_load (Option.get it.Engine.snapshot) in
+              Alcotest.(check bool) (tag ^ ": no extension after a cut") true
+                (match Faultspan.extend search ~budget:3 () with
+                | _ -> false
+                | exception Invalid_argument _ -> true);
+              List.iter
+                (fun (rb, rj) ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s: resumed on %s j%d" tag (bname rb) rj)
+                    true
+                    (span_fp
+                       (fresh ~resume:snap
+                          (Engine.create ~backend:rb ~jobs:rj env)
+                          3)
+                    = span_fp base3))
+                resumers)
+        writers)
+    [ c1 + 1; (c1 + c3) / 2; c3 - 1 ];
+  Alcotest.(check bool) "some extension was cut" true (!cuts > 0)
+
 (* --- certificate resume --- *)
 
 let test_certify_resume_identical () =
@@ -688,4 +755,6 @@ let suite =
       test_fuzz_skips_on_tripped_guard;
     Alcotest.test_case "fuzz watchdog expiry keeps the sweep alive" `Quick
       test_fuzz_watchdog_keeps_sweep_alive;
+    Alcotest.test_case "span extension cut and resumed" `Quick
+      test_span_extension_resume;
   ]

@@ -655,12 +655,20 @@ let prop_edgebuf_boundaries =
   QCheck.Test.make ~name:"edgebuf: to_graph and iter across block sizes"
     ~count:100
     (QCheck.make
-       ~print:(fun (m, seed) -> Printf.sprintf "length=%d seed=%d" m seed)
-       QCheck.Gen.(pair (oneofl lengths) (int_bound 1_000_000)))
-    (fun (m, seed) ->
+       ~print:(fun (m, seed, sorted) ->
+         Printf.sprintf "length=%d seed=%d sorted=%b" m seed sorted)
+       QCheck.Gen.(triple (oneofl lengths) (int_bound 1_000_000) bool))
+    (fun (m, seed, sorted) ->
       let rng = Prng.create seed in
       let n = 1 + Prng.int rng 50 in
       let src = Array.init m (fun _ -> Prng.int rng n) in
+      (* the searches push edges grouped by source *)
+      if sorted then Array.sort compare src;
+      let grouped =
+        let ok = ref true in
+        Array.iteri (fun e s -> if e > 0 && s < src.(e - 1) then ok := false) src;
+        !ok
+      in
       let dst = Array.init m (fun _ -> Prng.int rng n) in
       let label = Array.init m (fun _ -> Prng.int rng 1000 - 500) in
       let b = Edgebuf.create () in
@@ -671,14 +679,19 @@ let prop_edgebuf_boundaries =
       let reference = Dgraph.Digraph.of_arrays n ~src ~dst ~label in
       let visited = ref [] in
       Edgebuf.iter b (fun s d l -> visited := (s, d, l) :: !visited);
-      (* bytes first: walking the graph below builds its CSR index *)
-      Dgraph.Digraph.bytes g = 24 * m
+      (* bytes first: walking the graph below builds its indexes.
+         Grouped edges make a source-free graph: dst and label words
+         plus n + 1 offsets; any other order keeps the source array. *)
+      Dgraph.Digraph.bytes g
+      = (if grouped then (16 * m) + (8 * (n + 1)) else 24 * m)
       && Edgebuf.length b = m
       && Dgraph.Digraph.node_count g = n
       && Dgraph.Digraph.edge_count g = m
       && List.init m (Dgraph.Digraph.edge g)
          = List.init m (Dgraph.Digraph.edge reference)
       && Dgraph.Digraph.edges g = Dgraph.Digraph.edges reference
+      && List.init n (Dgraph.Digraph.in_edges g)
+         = List.init n (Dgraph.Digraph.in_edges reference)
       && List.rev !visited
          = List.init m (fun e -> (src.(e), dst.(e), label.(e))))
 

@@ -438,6 +438,105 @@ let test_sweep_rejects_bad_budgets () =
     Alcotest.fail "negative budget accepted"
   with Invalid_argument _ -> ()
 
+(* --- span extension: each extended view is a fresh compute ----------- *)
+
+(* Everything a span shows: keys in iter order, counts, histogram, and
+   membership, depth and index of every key of a larger span. *)
+let span_view engine ~top sp =
+  let module F = Explore.Faultspan in
+  let iterated = ref [] in
+  F.iter sp (fun s -> iterated := Engine.encode_key engine s :: !iterated);
+  ( (F.count sp, F.root_count sp, F.max_depth sp),
+    Array.to_list (F.depth_histogram sp),
+    (List.init (F.count sp) (F.nth_key sp), List.rev !iterated),
+    List.map
+      (fun s ->
+        let k = Engine.encode_key engine s in
+        (F.mem_key sp k, F.mem sp s, F.depth sp s, F.index_key sp k))
+      (F.states top) )
+
+(* The paper's three models, on every backend at jobs 1 and 3, from the
+   invariant and from a radius-1 ball, extended over budget lists with
+   gaps, then unbounded, then back to a passed budget: every view equals
+   a fresh [compute] at its budget, after all later extensions. *)
+let test_extension_matches_compute () =
+  let models =
+    [
+      ("diffusing.nm", [ ("N", 4) ]);
+      ("token_ring.nm", [ ("N", 4); ("K", 4) ]);
+      ("xyz.nm", []);
+    ]
+  in
+  List.iter
+    (fun (file, params) ->
+      let em = Lang.Driver.compile_file ~params (Test_lang.model_path file) in
+      let env = em.Lang.Elab.env in
+      let cp = Compile.program em.Lang.Elab.program in
+      let fp =
+        Compile.program
+          (Guarded.Program.make ~name:"faults" env (corrupt_actions env))
+      in
+      let roots =
+        [
+          ("pred", Engine.Pred em.Lang.Elab.invariant);
+          ( "ball",
+            Engine.Seeds (Engine.ball env ~center:em.Lang.Elab.init ~radius:1)
+          );
+        ]
+      in
+      List.iter
+        (fun (backend, jobs) ->
+          let engine () = Engine.create ~backend ~jobs env in
+          List.iter
+            (fun (rname, from) ->
+              let fresh budget =
+                Explore.Faultspan.compute (engine ()) ~program:cp ?budget
+                  ~faults:fp ~from ()
+              in
+              let top = fresh None in
+              List.iter
+                (fun budgets ->
+                  let e = engine () in
+                  let search =
+                    Explore.Faultspan.start e ~program:cp ~faults:fp ~from ()
+                  in
+                  let views =
+                    List.map
+                      (fun b -> (b, Explore.Faultspan.extend search ?budget:b ()))
+                      (budgets @ [ None; Some 1 ])
+                  in
+                  List.iter
+                    (fun (b, v) ->
+                      if span_view e ~top v <> span_view e ~top (fresh b) then
+                        Alcotest.failf "%s %s j%d %s [%s]: budget %s differs"
+                          file
+                          (Engine.backend_name e)
+                          jobs rname
+                          (String.concat ";"
+                             (List.map
+                                (function
+                                  | Some b -> string_of_int b | None -> "-")
+                                budgets))
+                          (match b with
+                          | Some b -> string_of_int b
+                          | None -> "unbounded"))
+                    views)
+                [
+                  [ Some 0; Some 2; Some 5 ];
+                  [ Some 1; Some 3 ];
+                  [ Some 0; Some 1; Some 2; Some 3; Some 4 ];
+                ])
+            roots)
+        [
+          (Engine.Eager, 1);
+          (Engine.Eager, 3);
+          (Engine.Lazy, 1);
+          (Engine.Lazy, 3);
+          (Engine.Parallel, 1);
+          (Engine.Parallel, 3);
+        ])
+    models
+
 let suite =
   [
     Alcotest.test_case "sweep laws: token ring" `Quick test_sweep_token_ring;
@@ -458,4 +557,6 @@ let suite =
     Alcotest.test_case "frontier rendering" `Quick test_frontier_rendering;
     Alcotest.test_case "sweep rejects bad budgets" `Quick
       test_sweep_rejects_bad_budgets;
+    Alcotest.test_case "span extension matches compute" `Quick
+      test_extension_matches_compute;
   ]
