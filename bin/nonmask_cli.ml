@@ -87,7 +87,25 @@ let tree_of ~shape ~size ~seed =
   | "random" -> Tree.random (Prng.create seed) size
   | s -> failwith (Printf.sprintf "unknown tree shape %S" s)
 
+(* The sizes each built-in family's constructor accepts, checked before
+   it runs so an out-of-range flag is a usage error naming the flag. *)
+let check_sizes proto ~shape ~size ~nodes ~k =
+  let at_least flag min v =
+    if v < min then
+      failwith
+        (Printf.sprintf "%s: %s must be at least %d (got %d)" proto flag min v)
+  in
+  match proto with
+  | "token-ring" | "dijkstra" ->
+      at_least "--nodes" 2 nodes;
+      at_least "-k" 2 k
+  | "naive-ring" -> at_least "--nodes" 2 nodes
+  | "diffusing" | "lowatomic" | "atomic" | "reset" -> at_least "--size" 1 size
+  | "spanning-tree" -> at_least "--size" (if shape = "cycle" then 3 else 1) size
+  | _ -> ()
+
 let build_instance proto ~shape ~size ~nodes ~k ~seed =
+  check_sizes proto ~shape ~size ~nodes ~k;
   match proto with
   | "diffusing" ->
       let d = Protocols.Diffusing.make (tree_of ~shape ~size ~seed) in
@@ -362,9 +380,9 @@ let engine_arg =
         ~doc:
           "Exploration engine: $(b,eager) materializes the whole transition \
            system up front; $(b,lazy) generates successors on the fly and \
-           only stores discovered states; $(b,parallel) is the lazy search \
-           level-parallelized over $(b,--jobs) worker domains, with \
-           bit-identical results.")
+           only stores discovered states, at one worker (it ignores \
+           $(b,--jobs)); $(b,parallel) runs the same search over \
+           $(b,--jobs) worker domains, with bit-identical results.")
 
 let jobs_conv =
   let parse s =

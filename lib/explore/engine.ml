@@ -276,10 +276,10 @@ let action_names (cp : Compile.program) =
    The resumable wavefront of a region search is: member keys in node
    order, non-member keys in discovery order (together they rebuild the
    visited table and the explored count), committed terminals and edges,
-   and the pending frontier in FIFO order. The lazy queue at any pop
-   boundary and the parallel next-wave at any wave boundary are the same
-   FIFO — the E16 equivalence argument applies to any starting queue —
-   so one snapshot format resumes on either backend at any job count.
+   and the pending frontier in FIFO order: the rest of the current wave
+   followed by the next one. The E16 equivalence argument applies to any
+   starting queue, so one snapshot format resumes on either backend at
+   any job count.
    Edges are bit-packed (src, dst, action) into one word when the widths
    fit, which keeps a 10^7-state checkpoint in the hundreds of MB. *)
 
@@ -433,7 +433,7 @@ let eager_region t cp ~from ~target =
     node_of_key = state_to_node;
   }
 
-(* --- lazy backend: BFS generating successors on demand --- *)
+(* --- shared by the frontier searches --- *)
 
 let check_budget t visited =
   if visited > t.budget then raise (Region_overflow visited)
@@ -470,136 +470,51 @@ let finish_region t ~visited_bytes ~frontier_bytes ~node_keys ~terminals
   let graph = Edgebuf.to_graph edges n_nodes in
   { graph; node_key; terminal; explored; node_of_key }
 
-let lazy_region t cp ~from ~target ~resume =
-  let actions = cp.Compile.actions in
-  let n_actions = Array.length actions in
-  let visited = make_visited t in
-  let node_keys = Vec.create () in
-  let nonmembers = Vec.create () in
-  let terminals = Vec.create () in
-  let edges = Edgebuf.create () in
-  let queue = Flatqueue.create () in
-  let explored = ref 0 in
-  (* first sighting of [key], known absent from [visited]; returns its
-     node id *)
-  let visit_new key s =
-    incr explored;
-    check_budget t !explored;
-    let node =
-      if target s then begin
-        ignore (Vec.push nonmembers key);
-        -1
-      end
-      else Vec.push node_keys key
-    in
-    Flatset.add visited key node;
-    Flatqueue.push queue key;
-    node
-  in
-  (match resume with
-  | Some snap ->
-      let ex, frontier =
-        restore_region t cp snap ~add:(Flatset.add visited) ~node_keys
-          ~nonmembers ~terminals ~edges
-      in
-      explored := ex;
-      Array.iter (fun key -> Flatqueue.push queue key) frontier
-  | None ->
-      seed_roots t ~from (fun key s ->
-          if not (Flatset.mem visited key) then ignore (visit_new key s)));
-  let st = stepper t in
-  let buf = stepper_state st in
-  let pops = ref 0 in
-  let guard_on = Rt.Guard.active t.guard in
-  while not (Flatqueue.is_empty queue) do
-    (* cancellation points at chunk granularity, never per state *)
-    if guard_on && !pops land 1023 = 0 then begin
-      match
-        Rt.Guard.poll t.guard ~states:!explored
-          ~bytes:(Flatset.bytes visited + Flatqueue.bytes queue)
-      with
-      | None -> ()
-      | Some reason ->
-          t.last_visited_bytes <- Flatset.bytes visited;
-          t.last_frontier_bytes <- Flatqueue.peak_bytes queue;
-          let frontier_size = Flatqueue.length queue in
-          let snapshot =
-            if not t.snapshots then None
-            else begin
-              let fr = Array.make frontier_size 0 in
-              let i = ref 0 in
-              Flatqueue.iter queue (fun k ->
-                  fr.(!i) <- k;
-                  incr i);
-              Some
-                (build_region_snapshot t cp ~explored:!explored ~node_keys
-                   ~nonmembers ~terminals ~edges ~frontier:fr)
-            end
-          in
-          raise
-            (Interrupted
-               { reason; states_seen = !explored; frontier_size; snapshot })
-    end;
-    let key = Flatqueue.pop queue in
-    incr pops;
-    (* progress checkpoints at chunk granularity, never per state *)
-    if Obs.Ctx.enabled t.obs && !pops land 8191 = 0 then
-      Obs.Ctx.tick t.obs ~label:"engine.lazy" ~states:!explored
-        ~frontier:(Flatqueue.length queue) ();
-    load st key;
-    let src_node = Flatset.find_def visited key (-2) in
-    let out_degree = ref 0 in
-    for a = 0 to n_actions - 1 do
-      let ca = actions.(a) in
-      if ca.Compile.enabled buf then begin
-        incr out_degree;
-        let dst_key = step st ca in
-        (* one probe per successor; [target] reads the stepped buffer *)
-        let dst_node =
-          let v = Flatset.find_def visited dst_key min_int in
-          if v <> min_int then v else visit_new dst_key buf
-        in
-        undo st;
-        if src_node >= 0 && dst_node >= 0 then
-          Edgebuf.push edges src_node dst_node a
-      end
-    done;
-    if src_node >= 0 && !out_degree = 0 then ignore (Vec.push terminals src_node)
-  done;
-  finish_region t ~visited_bytes:(Flatset.bytes visited)
-    ~frontier_bytes:(Flatqueue.peak_bytes queue) ~node_keys ~terminals ~edges
-    ~explored:!explored
-    ~node_of_key:(fun key -> Flatset.find_def visited key (-1))
+(* --- the frontier kernel: one FIFO search ---
 
-(* --- parallel backend: level-synchronized BFS over a domain pool ---
+   Every lazy and parallel region search runs here. States are
+   committed in FIFO order — each frontier state's successors in action
+   order, the frontier states in the order they were discovered — so
+   node numbering, edge order, the explored count and the overflow point
+   depend on neither the worker count nor the scheduling.
 
-   Each level runs in two phases, over bounded blocks of the frontier
-   ({!Par.Chunked}). Phase A (parallel, read-only): every frontier state
-   is expanded on some worker — decode, evaluate every guard, step each
-   enabled action — on a per-worker {!stepper} (the compiled closures are
-   pure, so every worker shares the program's); each successor is
-   annotated with a probe of the visited table. The table is the
-   engine's own {!Flatset} (the same Direct or Probed storage the lazy
-   backend uses), and phase A only reads it: a probe mutates nothing, so
-   concurrent readers need no lock.
-   Phase B (sequential, the only writer): successors are committed in
-   frontier order × action order, which is exactly the FIFO order of the
-   lazy backend's single queue — so node numbering, edge order, the
-   explored count, and the overflow point are all bit-identical to
-   [lazy_region] at any job count. *)
+   At one worker (the lazy backend, and the parallel one at [jobs = 1])
+   the frontier is a {!Flatqueue} of keys, and each successor is
+   committed as soon as it is stepped: one probe of the visited table,
+   [visit_new] on a miss, then the edge. [target] runs once per
+   discovered state.
 
-(* Phase-A output, per frontier state: one (action, key, tag) triple per
-   enabled action, then [-1]. Tags:
+   At more workers the frontier is the current BFS wave and the next
+   one, keys and node ids, and each wave runs in two phases over bounded
+   blocks ({!Par.Chunked}). Phase A (parallel, read-only): each frontier
+   state is expanded on some worker's {!stepper} (the compiled closures
+   are pure, so every worker shares the program's) and each successor
+   annotated with a probe of the engine's own {!Flatset}, which phase A
+   only reads, so no probe takes a lock. Phase B (sequential, the only
+   writer) commits the records in frontier order.
+
+   The guard is polled every 1024 committed states, before the state's
+   commit: the pending work is then the queue, or the rest of the wave
+   followed by the next wave — the same FIFO — so one snapshot format
+   resumes on either backend at any job count, and a state budget cuts
+   at the same state at every job count. BFS levels are counted: the
+   next level ends after the states discovered during this one. *)
+
+(* Phase-A output, per frontier state: two words per enabled action —
+   the successor's key, then [((tag + 3) lsl abits) lor action] — and
+   then [-1] (keys are non-negative). Tags:
    >= -1 : already-visited key carrying its node id (-1 = non-member);
    -2    : unseen at probe time, target fails (member when committed);
    -3    : unseen at probe time, target holds (non-member). *)
 
-let parallel_region t cp ~from ~target ~resume =
+let fifo_region t cp ~from ~target ~resume pool =
   let space = t.space in
-  let n_actions = Array.length cp.Compile.actions in
-  Par.Pool.use ?pool:t.pool ~jobs:t.jobs @@ fun pool ->
   let actions = cp.Compile.actions in
-  let worker_st = Array.init (Par.Pool.jobs pool) (fun _ -> stepper t) in
+  let n_actions = Array.length actions in
+  let abits = bits_for n_actions in
+  let amask = (1 lsl abits) - 1 in
+  let workers = match pool with Some p -> Par.Pool.jobs p | None -> 1 in
+  let worker_st = Array.init workers (fun _ -> stepper t) in
   let chunks = Par.Chunked.create () in
   let visited = make_visited t in
   let node_keys = Vec.create () in
@@ -607,15 +522,31 @@ let parallel_region t cp ~from ~target ~resume =
   let terminals = Vec.create () in
   let edges = Edgebuf.create () in
   let explored = ref 0 in
-  let frontier_peak = ref 0 in
+  (* the frontier: the queue at one worker, the two waves at more (where
+     the queue stays empty, so it gets no full-size chunk) *)
+  let queue =
+    Flatqueue.create ?chunk:(if workers = 1 then None else Some 1) ()
+  in
   let cur_keys = Vec.create () and cur_nodes = Vec.create () in
   let next_keys = Vec.create () and next_nodes = Vec.create () in
-  let frontier_bytes () =
-    Vec.bytes cur_keys + Vec.bytes cur_nodes + Vec.bytes next_keys
-    + Vec.bytes next_nodes + Par.Chunked.bytes chunks
+  let enqueue key node =
+    if workers = 1 then Flatqueue.push queue key
+    else begin
+      ignore (Vec.push next_keys key);
+      ignore (Vec.push next_nodes node)
+    end
   in
-  (* First sighting of [key], known absent from [visited]: mirrors the
-     lazy backend's [visit] exactly (count, budget check, numbering). *)
+  let pending () = Flatqueue.length queue + Vec.len next_keys in
+  let frontier_bytes () =
+    Flatqueue.bytes queue + Vec.bytes cur_keys + Vec.bytes cur_nodes
+    + Vec.bytes next_keys + Vec.bytes next_nodes + Par.Chunked.bytes chunks
+  in
+  (* the queue reports its own high-water mark; vectors never shrink *)
+  let frontier_peak () =
+    frontier_bytes () - Flatqueue.bytes queue + Flatqueue.peak_bytes queue
+  in
+  (* first sighting of [key], known absent from [visited]; returns its
+     node id *)
   let visit_new key ~member =
     incr explored;
     check_budget t !explored;
@@ -627,8 +558,7 @@ let parallel_region t cp ~from ~target ~resume =
       end
     in
     Flatset.add visited key node;
-    ignore (Vec.push next_keys key);
-    ignore (Vec.push next_nodes node);
+    enqueue key node;
     node
   in
   (match resume with
@@ -643,19 +573,11 @@ let parallel_region t cp ~from ~target ~resume =
           let node = Flatset.find_def visited key min_int in
           if node = min_int then
             raise (Rt.Snapshot.Corrupt "frontier key missing from visited set");
-          ignore (Vec.push next_keys key);
-          ignore (Vec.push next_nodes node))
+          enqueue key node)
         frontier
   | None ->
-      (match from with
-      | Seeds l ->
-          List.iter
-            (fun s ->
-              let key = encode_key t s in
-              if not (Flatset.mem visited key) then
-                ignore (visit_new key ~member:(not (target s))))
-            l
-      | All | Pred _ ->
+      (match (from, pool) with
+      | (All | Pred _), Some pool ->
           let n = Space.size space in
           check_budget t n;
           let p = match from with Pred p -> p | _ -> fun _ -> true in
@@ -681,12 +603,115 @@ let parallel_region t cp ~from ~target ~resume =
             | c ->
                 let key = if t.packed then packed_key.(id) else id in
                 ignore (visit_new key ~member:(c = '\001'))
-          done);
+          done
+      | _ ->
+          seed_roots t ~from (fun key s ->
+              if not (Flatset.mem visited key) then
+                ignore (visit_new key ~member:(not (target s)))));
       if Obs.Ctx.enabled t.obs then
         Obs.Ctx.emit t.obs "engine.roots"
           [ ("discovered", Obs.Sink.I !explored) ]);
   let guard_on = Rt.Guard.active t.guard in
+  let obs_on = Obs.Ctx.enabled t.obs in
+  let label = "engine." ^ backend_name t in
+  (* states committed so far; the current level ends when [pops]
+     reaches [level_end], and began at [level_start] with [explored] at
+     [explored_at] *)
+  let pops = ref 0 in
   let level = ref 0 in
+  let level_start = ref 0 and level_end = ref (pending ()) in
+  let explored_at = ref !explored in
+  (* the guard and progress point before committing the state at the
+     queue's front, or at [cur_keys.(i)] *)
+  let checkpoint i =
+    let rest = Vec.len cur_keys - i in
+    let frontier_size = rest + pending () in
+    if obs_on then
+      Obs.Ctx.tick t.obs ~label ~states:!explored ~frontier:frontier_size
+        ~depth:!level ();
+    if guard_on then
+      match
+        Rt.Guard.poll t.guard ~states:!explored
+          ~bytes:(Flatset.bytes visited + frontier_bytes ())
+      with
+      | None -> ()
+      | Some reason ->
+          t.last_visited_bytes <- Flatset.bytes visited;
+          t.last_frontier_bytes <- frontier_peak ();
+          let snapshot =
+            if not t.snapshots then None
+            else begin
+              let frontier = Array.make frontier_size 0 in
+              let j = ref 0 in
+              let add k =
+                frontier.(!j) <- k;
+                incr j
+              in
+              for j = i to Vec.len cur_keys - 1 do
+                add (Vec.get cur_keys j)
+              done;
+              Flatqueue.iter queue add;
+              for j = 0 to Vec.len next_keys - 1 do
+                add (Vec.get next_keys j)
+              done;
+              Some
+                (build_region_snapshot t cp ~explored:!explored ~node_keys
+                   ~nonmembers ~terminals ~edges ~frontier)
+            end
+          in
+          raise
+            (Interrupted
+               { reason; states_seen = !explored; frontier_size; snapshot })
+  in
+  let checks = guard_on || obs_on in
+  let begin_state i = if checks && !pops land 1023 = 0 then checkpoint i in
+  let end_state src_node out_degree =
+    if src_node >= 0 && out_degree = 0 then ignore (Vec.push terminals src_node);
+    incr pops;
+    if !pops = !level_end then begin
+      if obs_on then begin
+        Obs.Metrics.incr (Obs.Ctx.counter t.obs "engine.waves");
+        Obs.Ctx.emit t.obs "engine.wave"
+          [
+            ("level", Obs.Sink.I !level);
+            ("frontier", Obs.Sink.I (!level_end - !level_start));
+            ("discovered", Obs.Sink.I (!explored - !explored_at));
+          ]
+      end;
+      incr level;
+      level_start := !level_end;
+      level_end := !level_end + (!explored - !explored_at);
+      explored_at := !explored
+    end
+  in
+  (* one worker: take the queue's front state, expanding and committing
+     as it goes *)
+  let expand_commit () =
+    begin_state 0;
+    let st = worker_st.(0) in
+    let buf = stepper_state st in
+    let key = Flatqueue.pop queue in
+    let src_node = Flatset.find_def visited key (-1) in
+    load st key;
+    let out_degree = ref 0 in
+    for a = 0 to n_actions - 1 do
+      let ca = actions.(a) in
+      if ca.Compile.enabled buf then begin
+        incr out_degree;
+        let dst_key = step st ca in
+        (* one probe per successor; [target] reads the stepped buffer *)
+        let dst_node =
+          let v = Flatset.find_def visited dst_key min_int in
+          if v <> min_int then v
+          else visit_new dst_key ~member:(not (target buf))
+        in
+        undo st;
+        if src_node >= 0 && dst_node >= 0 then
+          Edgebuf.push edges src_node dst_node a
+      end
+    done;
+    end_state src_node !out_degree
+  in
   (* phase A: expand frontier state [i] into [out] *)
   let expand ~worker out i =
     let st = worker_st.(worker) in
@@ -701,9 +726,8 @@ let parallel_region t cp ~from ~target ~resume =
           if v <> min_int then v else if target buf then -3 else -2
         in
         undo st;
-        ignore (Vec.push out a);
         ignore (Vec.push out dst_key);
-        ignore (Vec.push out tag)
+        ignore (Vec.push out (((tag + 3) lsl abits) lor a))
       end
     done;
     ignore (Vec.push out (-1))
@@ -715,83 +739,65 @@ let parallel_region t cp ~from ~target ~resume =
     let p = ref 0 in
     let len = Vec.len out in
     while !p < len do
+      begin_state !src;
       let src_node = Vec.get cur_nodes !src in
       let m = ref 0 in
       while Vec.get out !p >= 0 do
-        let a = Vec.get out !p in
-        let dst_key = Vec.get out (!p + 1) in
-        let tag = Vec.get out (!p + 2) in
-        p := !p + 3;
+        let dst_key = Vec.get out !p in
+        let w = Vec.get out (!p + 1) in
+        p := !p + 2;
         incr m;
+        let tag = (w lsr abits) - 3 in
         let dst_node =
           if tag >= -1 then tag
           else
             (* the same key may already have been committed earlier in
-               this level; only a miss here is a genuine first sighting *)
+               this wave; only a miss here is a genuine first sighting *)
             let v = Flatset.find_def visited dst_key min_int in
             if v <> min_int then v
             else visit_new dst_key ~member:(tag = -2)
         in
         if src_node >= 0 && dst_node >= 0 then
-          Edgebuf.push edges src_node dst_node a
+          Edgebuf.push edges src_node dst_node (w land amask)
       done;
       incr p;
-      if src_node >= 0 && !m = 0 then ignore (Vec.push terminals src_node);
+      end_state src_node !m;
       incr src
     done
   in
-  while Vec.len next_keys > 0 do
-    (* cancellation point at the wave boundary: the pending next wave is
-       exactly the lazy queue's remaining FIFO, so the snapshot format is
-       shared with the lazy backend *)
-    (if guard_on then
-       match
-         Rt.Guard.poll t.guard ~states:!explored
-           ~bytes:(Flatset.bytes visited + frontier_bytes ())
-       with
-       | None -> ()
-       | Some reason ->
-           t.last_visited_bytes <- Flatset.bytes visited;
-           t.last_frontier_bytes <- max !frontier_peak (frontier_bytes ());
-           let frontier_size = Vec.len next_keys in
-           let snapshot =
-             if not t.snapshots then None
-             else
-               Some
-                 (build_region_snapshot t cp ~explored:!explored ~node_keys
-                    ~nonmembers ~terminals ~edges
-                    ~frontier:(Vec.to_array next_keys))
-           in
-           raise
-             (Interrupted
-                { reason; states_seen = !explored; frontier_size; snapshot }));
-    Vec.swap cur_keys next_keys;
-    Vec.swap cur_nodes next_nodes;
-    Vec.clear next_keys;
-    Vec.clear next_nodes;
-    let len = Vec.len cur_keys in
-    let explored_before = !explored in
-    src := 0;
-    Par.Chunked.round chunks pool ~n:len ~expand ~commit;
-    let fb = frontier_bytes () in
-    if fb > !frontier_peak then frontier_peak := fb;
-    if Obs.Ctx.enabled t.obs then begin
-      Obs.Metrics.incr (Obs.Ctx.counter t.obs "engine.waves");
-      Obs.Ctx.emit t.obs "engine.wave"
-        [
-          ("level", Obs.Sink.I !level);
-          ("frontier", Obs.Sink.I len);
-          ("discovered", Obs.Sink.I (!explored - explored_before));
-        ];
-      Obs.Ctx.tick t.obs ~label:"engine.parallel" ~states:!explored
-        ~frontier:(Vec.len next_keys) ~depth:!level ()
-    end;
-    incr level
-  done;
+  (match pool with
+  | None ->
+      while not (Flatqueue.is_empty queue) do
+        expand_commit ()
+      done
+  | Some pool ->
+      while Vec.len next_keys > 0 do
+        Vec.swap cur_keys next_keys;
+        Vec.swap cur_nodes next_nodes;
+        Vec.clear next_keys;
+        Vec.clear next_nodes;
+        src := 0;
+        Par.Chunked.round chunks pool ~n:(Vec.len cur_keys) ~expand ~commit
+      done);
   finish_region t ~visited_bytes:(Flatset.bytes visited)
-    ~frontier_bytes:!frontier_peak ~node_keys ~terminals ~edges
+    ~frontier_bytes:(frontier_peak ()) ~node_keys ~terminals ~edges
     ~explored:!explored
     ~node_of_key:(fun key -> Flatset.find_def visited key (-1))
+
+(* The lazy backend is the kernel at one worker and never starts a
+   pool; the parallel one borrows or spawns a pool unless it too has a
+   single worker. *)
+let frontier_region t cp ~from ~target ~resume =
+  let workers =
+    match (t.backend, t.pool) with
+    | Parallel, Some p -> Par.Pool.jobs p
+    | Parallel, None -> t.jobs
+    | _ -> 1
+  in
+  if workers = 1 then fifo_region t cp ~from ~target ~resume None
+  else
+    Par.Pool.use ?pool:t.pool ~jobs:t.jobs (fun pool ->
+        fifo_region t cp ~from ~target ~resume (Some pool))
 
 let dispatch_region t cp ~from ~target ~resume =
   match t.backend with
@@ -810,8 +816,7 @@ let dispatch_region t cp ~from ~target ~resume =
         raise
           (Interrupted
              { reason; states_seen = 0; frontier_size = 0; snapshot = None }))
-  | Lazy -> lazy_region t cp ~from ~target ~resume
-  | Parallel -> parallel_region t cp ~from ~target ~resume
+  | Lazy | Parallel -> frontier_region t cp ~from ~target ~resume
 
 (* Every backend funnels through here, so the reconciliation invariant
    holds uniformly: the [engine.states_discovered] counter equals the sum

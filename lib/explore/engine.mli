@@ -16,20 +16,21 @@
       ({!stepper}), keeping a hashed visited set keyed by {!Space.encode}. Only discovered states
       cost anything, so instances far beyond the eager cap get verdicts as
       long as the {e reachable region} from the given roots stays under the
-      exploration budget.
+      exploration budget. It is the frontier kernel below at one worker:
+      it never starts a pool and ignores [jobs].
 
-    - {b Parallel} (level-synchronized multicore frontier search): the
-      lazy search split over a {!Par.Pool} of worker domains, on the
-      same visited table ({!make_visited}: Direct or Probed, by the same
-      {!storage} rule). Each BFS level runs in two phases over bounded
-      blocks of the frontier ({!Par.Chunked}). In phase A the workers
-      expand frontier states and probe the table, which they only read,
-      so no probe takes a lock. In phase B, after the join, the caller
-      alone commits the discoveries, in frontier order × action order —
-      exactly the lazy backend's FIFO discovery order — so the resulting
-      {!region} (node numbering, edge order, explored count, even the
-      overflow point) and the visited-table bytes are bit-identical to
-      [Lazy] at any job count.
+    - {b Parallel} (the frontier kernel over a {!Par.Pool}): one FIFO
+      search on the same visited table ({!make_visited}: Direct or
+      Probed, by the same {!storage} rule), committing successors in
+      frontier order × action order. At one worker each successor is
+      committed as it is stepped (one probe, [target] once per
+      discovered state). At more, each BFS level runs in two phases over
+      bounded blocks of the frontier ({!Par.Chunked}): in phase A the
+      workers expand frontier states and probe the table, which they
+      only read, writing two words per successor; in phase B, after the
+      join, the caller alone commits them. The resulting {!region} (node
+      numbering, edge order, explored count, even the overflow point)
+      and the visited-table bytes are the same at any job count.
 
     All backends produce the same {!region} record, so every analysis
     (deadlock, cycle, SCC escape, closure) is written once against this
@@ -165,8 +166,8 @@ val storage_name : t -> string
 
 val storage_bytes : t -> int
 (** Flat-storage footprint of the most recent lazy/parallel search:
-    visited-table bytes plus the frontier's high-water bytes (the lazy
-    queue; the parallel wave vectors and phase-A output buffers).
+    visited-table bytes plus the frontier's high-water bytes (the queue
+    at one worker; the wave vectors and phase-A buffers at more).
     [0] before any search and for the eager backend (whose CSR cost is
     reported by {!Tsys}). Divide by [region.explored] for the
     bytes-per-state figure the E19 experiment reports. *)

@@ -107,8 +107,8 @@ let states t =
 (* Shared observability hooks: one [faultspan.layer] event per layer, as
    its closure completes, and one [faultspan.done] per span handed out;
    the [faultspan.states] counter sees each state once per search. Layer
-   structure is bit-identical between the sequential and parallel
-   searches, so the event stream is too. *)
+   structure is bit-identical at every worker count, so the event stream
+   is too. *)
 let obs_layer s =
   let obs = Engine.obs s.engine in
   let total = Vec.len s.keys in
@@ -385,17 +385,17 @@ let restore s ~budget snap =
       s.seen <- hi
   | _ -> corrupt "implausible phase")
 
-(* --- the two backends: one closure and one fault phase each ---
+(* --- the closure and fault phases ---
 
-   The sequential search polls the engine's guard every 1024 expansions,
-   counted from where the phase started or resumed; the parallel one at
-   wave boundaries and before a layer's fault phase. *)
+   Both run in slices of [1024 × workers] keys with a guard poll before
+   each, counted from where the phase started or resumed; at one worker
+   that is a poll every 1024 expansions. *)
 
 type polling = {
   guard : Rt.Guard.t;
   guard_on : bool;
   budget : int option;  (* of the running extension: the snapshot's *)
-  extra_bytes : unit -> int;  (* backend scratch beyond keys and table *)
+  chunks : Par.Chunked.t;  (* phase-A buffers, beyond keys and table *)
 }
 
 let interrupt s b reason =
@@ -414,82 +414,69 @@ let poll s b =
   if b.guard_on then
     match
       Rt.Guard.poll b.guard ~states:(Vec.len s.keys)
-        ~bytes:(Flatset.bytes s.index + Vec.bytes s.keys + b.extra_bytes ())
+        ~bytes:
+          (Flatset.bytes s.index + Vec.bytes s.keys + Par.Chunked.bytes b.chunks)
     with
     | None -> ()
     | Some reason -> interrupt s b reason
 
-let expand_seq st s actions i =
-  let buf = Engine.stepper_state st in
-  Engine.load st (Vec.get s.keys i);
-  Array.iter
-    (fun (ca : Compile.action) ->
-      if ca.enabled buf then begin
-        visit s (Engine.step st ca);
-        Engine.undo st
-      end)
-    actions
+(* Expand [n] keys from discovery index [lo], the highest index first
+   under [reverse] — the fault phase's order — visiting successors in
+   source order × action order. At one worker each successor is visited
+   as it is stepped. At more, the rounds run phase A on the pool and
+   phase B committing in source order (see {!Par.Chunked}); phase A
+   drops successors already visited when probed, and the commit
+   re-probes, since an earlier commit of this very round may have
+   claimed the key. *)
+let expand s pool steppers chunks actions ~lo ~n ~reverse =
+  let successors st i f =
+    let buf = Engine.stepper_state st in
+    Engine.load st (Vec.get s.keys (if reverse then lo + n - 1 - i else lo + i));
+    for a = 0 to Array.length actions - 1 do
+      let ca = actions.(a) in
+      if ca.Compile.enabled buf then begin
+        let dst = Engine.step st ca in
+        Engine.undo st;
+        f dst
+      end
+    done
+  in
+  if Par.Pool.jobs pool = 1 then begin
+    let visit = visit s in
+    for i = 0 to n - 1 do
+      successors steppers.(0) i visit
+    done
+  end
+  else
+    Par.Chunked.round chunks pool ~n
+      ~expand:(fun ~worker out i ->
+        successors steppers.(worker) i (fun dst ->
+            if not (Flatset.mem s.index dst) then ignore (Vec.push out dst)))
+      ~commit:(fun out ->
+        for j = 0 to Vec.len out - 1 do
+          visit s (Vec.get out j)
+        done)
 
-(* Drain the closure FIFO: the keys from [cursor] on. *)
-let closure_seq st s b =
-  let pops = ref 0 in
+(* Drain the closure FIFO, the keys from [cursor] on: slice order ×
+   action order is the single queue's pop order. *)
+let closure_phase s b run ~slice =
   while s.cursor < Vec.len s.keys do
-    if !pops land 1023 = 0 then poll s b;
-    expand_seq st s s.closure_actions s.cursor;
-    s.cursor <- s.cursor + 1;
-    incr pops
+    poll s b;
+    let lo = s.cursor in
+    let n = min slice (Vec.len s.keys - lo) in
+    run s.closure_actions ~lo ~n ~reverse:false;
+    s.cursor <- lo + n
   done
 
 (* Fault successors of the layer's members, last discovered first. *)
-let fault_seq st s b =
+let fault_phase s b run ~slice =
   let hi = Vec.get s.bounds (s.level + 1) in
-  let start = s.fault_done in
   while fault_remaining s > 0 do
-    if (s.fault_done - start) land 1023 = 0 then poll s b;
-    expand_seq st s s.faults.Compile.actions (hi - 1 - s.fault_done);
-    s.fault_done <- s.fault_done + 1
-  done
-
-(* Parallel rounds (phase A on the pool, phase B committing in source
-   order, see {!Par.Chunked}) over [n] keys from discovery index [lo],
-   the highest index first under [reverse] — the fault phase's order.
-   Phase A drops successors already visited when probed; the commit
-   re-probes, since an earlier commit of this very round may have
-   claimed the key. *)
-let expand_par s pool steppers chunks actions ~lo ~n ~reverse =
-  Par.Chunked.round chunks pool ~n
-    ~expand:(fun ~worker out i ->
-      let st = steppers.(worker) in
-      let buf = Engine.stepper_state st in
-      Engine.load st (Vec.get s.keys (if reverse then lo + n - 1 - i else lo + i));
-      Array.iter
-        (fun (ca : Compile.action) ->
-          if ca.enabled buf then begin
-            let dst = Engine.step st ca in
-            Engine.undo st;
-            if not (Flatset.mem s.index dst) then ignore (Vec.push out dst)
-          end)
-        actions)
-    ~commit:(fun out ->
-      for j = 0 to Vec.len out - 1 do
-        visit s (Vec.get out j)
-      done)
-
-(* Closure in FIFO waves: wave order × action order is the single
-   queue's pop order. *)
-let closure_par s b run =
-  while s.cursor < Vec.len s.keys do
     poll s b;
-    let lo = s.cursor and hi = Vec.len s.keys in
-    run s.closure_actions ~lo ~n:(hi - lo) ~reverse:false;
-    s.cursor <- hi
+    let n = min slice (fault_remaining s) in
+    run s.faults.Compile.actions ~lo:(hi - s.fault_done - n) ~n ~reverse:true;
+    s.fault_done <- s.fault_done + n
   done
-
-let fault_par s b run =
-  poll s b;
-  let n = fault_remaining s in
-  run s.faults.Compile.actions ~lo:(Vec.get s.bounds s.level) ~n ~reverse:true;
-  s.fault_done <- s.fault_done + n
 
 (* Layers until [budget] (or saturation): close layer [level], and while
    budget allows, fire its faults to seed layer [level + 1]. *)
@@ -521,30 +508,25 @@ let run_layers s ~closure ~fault budget =
     end
   done
 
+(* The parallel backend's pool, else a one-worker pool, which starts no
+   domain. *)
 let run_search s budget =
   let guard = Engine.guard s.engine in
-  let polling extra_bytes =
-    { guard; guard_on = Rt.Guard.active guard; budget; extra_bytes }
-  in
-  match Engine.backend s.engine with
-  | Engine.Eager | Engine.Lazy ->
-      let st = Engine.stepper s.engine in
-      let b = polling (fun () -> 0) in
-      run_layers s budget
-        ~closure:(fun () -> closure_seq st s b)
-        ~fault:(fun () -> fault_seq st s b)
+  (match Engine.backend s.engine with
   | Engine.Parallel ->
       Par.Pool.use ?pool:(Engine.pool s.engine) ~jobs:(Engine.jobs s.engine)
-      @@ fun pool ->
-      let steppers =
-        Array.init (Par.Pool.jobs pool) (fun _ -> Engine.stepper s.engine)
-      in
-      let chunks = Par.Chunked.create () in
-      let b = polling (fun () -> Par.Chunked.bytes chunks) in
-      let run = expand_par s pool steppers chunks in
-      run_layers s budget
-        ~closure:(fun () -> closure_par s b run)
-        ~fault:(fun () -> fault_par s b run)
+  | Engine.Eager | Engine.Lazy -> Par.Pool.with_pool ~jobs:1)
+  @@ fun pool ->
+  let steppers =
+    Array.init (Par.Pool.jobs pool) (fun _ -> Engine.stepper s.engine)
+  in
+  let chunks = Par.Chunked.create () in
+  let b = { guard; guard_on = Rt.Guard.active guard; budget; chunks } in
+  let run = expand s pool steppers chunks in
+  let slice = 1024 * Par.Pool.jobs pool in
+  run_layers s budget
+    ~closure:(fun () -> closure_phase s b run ~slice)
+    ~fault:(fun () -> fault_phase s b run ~slice)
 
 (* The span at [budget]: a prefix when the search already went past it. *)
 let view s budget =

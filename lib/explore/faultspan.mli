@@ -85,12 +85,13 @@ val compute :
     sweep the space, so they require it to fit the engine's budget;
     [Seeds] works on spaces of any size.
 
-    The search polls the engine's guard ({!Engine.guard}) at chunk/wave
-    boundaries; a trip raises {!Engine.Interrupted}, carrying (under
+    The search polls the engine's guard ({!Engine.guard}) every
+    [1024 × workers] expansions (one worker unless the engine is
+    parallel); a trip raises {!Engine.Interrupted}, carrying (under
     [~snapshots:true]) a ["span"]-kind checkpoint of the layered
     wavefront. [resume] continues from such a checkpoint over the same
     configuration (same actions, budget, codec, salt) to a span
-    bit-identical to the uninterrupted run, on either the sequential or
+    bit-identical to the uninterrupted run, on the lazy or the
     parallel backend at any job count — the root set is taken from the
     snapshot, so [from] is ignored.
     @raise Engine.Region_overflow when the span (or a root sweep) exceeds

@@ -74,6 +74,29 @@ expect 1 check token-ring --nodes 3 -k 3 --engine turbo
 expect 1 check token-ring --nodes 3 -k 3 --engine parallel --jobs 0
 expect 1 check token-ring --nodes 3 -k 3 --jobs -2
 expect 1 storm token-ring --nodes 3 -k 4 --jobs many
+# 1: built-in sizes outside what the protocol family accepts — a usage
+# error naming the flag, on every verb that builds an instance
+expect 1 check token-ring --nodes 1 -k 3
+expect 1 check token-ring --nodes 3 -k 1
+expect 1 certify token-ring --nodes 0
+expect 1 check dijkstra --nodes 1
+expect 1 show dijkstra -k 1
+expect 1 check naive-ring --nodes 1
+expect 1 simulate naive-ring --nodes 1
+expect 1 check diffusing --size 0
+expect 1 storm diffusing --size 0
+expect 1 check lowatomic --size 0
+expect 1 check atomic --size 0
+expect 1 check reset --size 0
+expect 1 check spanning-tree --size 0
+expect 1 check spanning-tree --tree cycle --size 2
+grep -q -- '--size must be at least 3' "$stderr_file"
+if [ $? -ne 0 ]; then
+  echo "FAIL: an out-of-range size does not name its flag and range"
+  failed=1
+else
+  echo "ok:   out-of-range size names its flag and range"
+fi
 # 1: storm/simulate option ranges — the Sim.Storm rules serve applies to
 # its trials/rate/max_steps options (trials >= 0, 0 <= rate <= 1 and not
 # NaN, max_steps > 0), plus simulate's non-negative --faults K

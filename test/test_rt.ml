@@ -715,6 +715,67 @@ let test_fuzz_watchdog_keeps_sweep_alive () =
   Alcotest.(check bool) "global cancel token stays unmarked" true
     (Rt.Cancel.get cancel = None)
 
+(* A counter beside a bit that flips freely: from (0, 0) every BFS wave
+   after the first holds two states, so waves end after an odd number of
+   expansions and a cut after an even number falls inside a wave. *)
+let counter_flip_model n =
+  let env = Guarded.Env.create () in
+  let hi = n - 1 in
+  let x = Guarded.Env.fresh env "x" (Guarded.Domain.range 0 hi) in
+  let b = Guarded.Env.fresh env "b" (Guarded.Domain.range 0 1) in
+  let inc =
+    Expr.(Action.make ~name:"inc" ~guard:(var x < int hi) [ (x, var x + int 1) ])
+  in
+  let flip =
+    Expr.(Action.make ~name:"flip" ~guard:tt [ (b, int 1 - var b) ])
+  in
+  let cp =
+    Compile.program (Guarded.Program.make ~name:"counter+flip" env [ inc; flip ])
+  in
+  (env, cp)
+
+let test_region_mid_wave_cut () =
+  let env, cp = counter_flip_model 6_000 in
+  let from = Engine.Seeds [ State.make env ] in
+  let target _ = false in
+  let base =
+    region_fp
+      (Engine.region (Engine.create ~backend:Engine.Lazy env) cp ~from ~target)
+  in
+  let runs = [ (Engine.Lazy, 1); (Engine.Parallel, 1); (Engine.Parallel, 4) ] in
+  let snaps =
+    List.map
+      (fun (wb, wj) ->
+        match
+          interrupt_region ~backend:wb ~jobs:wj ~budget_states:5_000 env cp
+            ~from ~target ()
+        with
+        | `Completed _ -> Alcotest.fail "budget 5000 must cut a 12000-state run"
+        | `Snapshot (snap, seen) ->
+            let pending = Array.length (Rt.Snapshot.section snap "frontier") in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s j%d: cut inside a wave" (bname wb) wj)
+              true
+              ((seen - pending) mod 2 = 0);
+            List.iter
+              (fun (rb, rj) ->
+                let r = resume_region ~backend:rb ~jobs:rj env cp ~target snap in
+                Alcotest.(check bool)
+                  (Printf.sprintf "cut by %s j%d, resumed on %s j%d: identical"
+                     (bname wb) wj (bname rb) rj)
+                  true
+                  (region_fp r = base))
+              runs;
+            snap)
+      runs
+  in
+  (* a state budget cuts at the same state at every job count *)
+  List.iter
+    (fun snap ->
+      Alcotest.(check bool) "same snapshot at every job count" true
+        (snap = List.hd snaps))
+    snaps
+
 let suite =
   [
     Alcotest.test_case "budget validation" `Quick test_budget_validation;
@@ -757,4 +818,6 @@ let suite =
       test_fuzz_watchdog_keeps_sweep_alive;
     Alcotest.test_case "span extension cut and resumed" `Quick
       test_span_extension_resume;
+    Alcotest.test_case "region cut mid-wave resumes identically" `Quick
+      test_region_mid_wave_cut;
   ]
