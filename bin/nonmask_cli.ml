@@ -101,7 +101,19 @@ let check_sizes proto ~shape ~size ~nodes ~k =
       at_least "-k" 2 k
   | "naive-ring" -> at_least "--nodes" 2 nodes
   | "diffusing" | "lowatomic" | "atomic" | "reset" -> at_least "--size" 1 size
-  | "spanning-tree" -> at_least "--size" (if shape = "cycle" then 3 else 1) size
+  | "spanning-tree" ->
+      at_least "--size" (if shape = "cycle" then 3 else 1) size;
+      let side = int_of_float (sqrt (float_of_int size)) in
+      if shape = "grid" && (size < 4 || side * side <> size) then
+        failwith
+          (Printf.sprintf
+             "%s: --size must be a square of at least 4 with --tree grid \
+              (got %d; nearest: %s)"
+             proto size
+             (if side < 2 then "4"
+              else
+                Printf.sprintf "%d or %d" (side * side)
+                  ((side + 1) * (side + 1))))
   | _ -> ()
 
 let build_instance proto ~shape ~size ~nodes ~k ~seed =
@@ -233,7 +245,8 @@ let build_instance proto ~shape ~size ~nodes ~k ~seed =
         match shape with
         | "cycle" -> Topology.Ugraph.cycle size
         | "grid" ->
-            let side = max 2 (int_of_float (sqrt (float_of_int size))) in
+            (* [check_sizes] admits only squares *)
+            let side = int_of_float (sqrt (float_of_int size)) in
             Topology.Ugraph.grid ~width:side ~height:side
         | "complete" -> Topology.Ugraph.complete size
         | "star" -> Topology.Ugraph.star size
@@ -339,10 +352,18 @@ let params_arg =
 
 let shape_arg =
   Arg.(value & opt string "balanced" & info [ "tree" ] ~docv:"SHAPE"
-         ~doc:"Tree shape: chain, star, balanced, balanced-3, random.")
+         ~doc:
+           "Tree shape: chain, star, balanced, balanced-3, random. \
+            $(b,spanning-tree) takes a graph shape instead: cycle, grid, \
+            complete, star, path (or chain); any other value builds a \
+            random connected graph.")
 
 let size_arg =
-  Arg.(value & opt int 7 & info [ "size" ] ~docv:"N" ~doc:"Tree size.")
+  Arg.(value & opt int 7 & info [ "size" ] ~docv:"N"
+         ~doc:
+           "Tree size (number of nodes). With $(b,--tree grid) it must be \
+            a square of at least 4, such as 4, 9 or 16: the default 7 is \
+            not one.")
 
 let nodes_arg =
   Arg.(value & opt int 5 & info [ "nodes" ] ~docv:"N" ~doc:"Ring size.")

@@ -6,14 +6,18 @@ type 'a edge = { src : int; dst : int; label : 'a }
    [ids] means position = edge id. *)
 type csr = { off : int array; ends : int array; ids : int array }
 
+(* Edge labels: one word each, or one byte each for an int-labelled
+   source-free graph whose labels all lie in [0 .. 255]. *)
+type _ labels = Words : 'a array -> 'a labels | Bytes8 : Bytes.t -> int labels
+
 type 'a t = {
   n : int;
   mutable m : int;
   (* edge [e] (the [e]-th inserted) is [src.(e) -> dst.(e)] labelled
-     [label.(e)]; the arrays may be longer than [m] *)
+     [label e]; the arrays may be longer than [m] *)
   mutable src : int array;
   mutable dst : int array;
-  mutable label : 'a array;
+  mutable label : 'a labels;
   mutable grouped : bool;  (* sources are non-decreasing over [0 .. m - 1] *)
   mutable src_free : bool;
       (* [src] is empty and the sources are read off the offsets of
@@ -25,8 +29,25 @@ type 'a t = {
 
 let create n =
   if n < 0 then invalid_arg "Digraph.create: negative node count";
-  { n; m = 0; src = [||]; dst = [||]; label = [||]; grouped = true;
+  { n; m = 0; src = [||]; dst = [||]; label = Words [||]; grouped = true;
     src_free = false; out_idx = None; in_idx = None }
+
+let label_of : type a. a t -> int -> a =
+ fun g e ->
+  match g.label with
+  | Words a -> a.(e)
+  | Bytes8 b -> Char.code (Bytes.get b e)
+
+(* The labels as words, widening byte labels first (before the first
+   [add_edge]). *)
+let label_words : type a. a t -> a array =
+ fun g ->
+  match g.label with
+  | Words a -> a
+  | Bytes8 b ->
+      let a = Array.init (Bytes.length b) (fun e -> Char.code (Bytes.get b e)) in
+      g.label <- Words a;
+      a
 
 let check_node g i name =
   if i < 0 || i >= g.n then
@@ -88,12 +109,12 @@ let add_edge g ~src ~dst label =
     in
     g.src <- grow g.src 0;
     g.dst <- grow g.dst 0;
-    g.label <- grow g.label label
+    g.label <- Words (grow (label_words g) label)
   end;
   if m > 0 && src < g.src.(m - 1) then g.grouped <- false;
   g.src.(m) <- src;
   g.dst.(m) <- dst;
-  g.label.(m) <- label;
+  (label_words g).(m) <- label;
   g.m <- m + 1;
   g.out_idx <- None;
   g.in_idx <- None
@@ -104,7 +125,7 @@ let of_edges n edges =
   g
 
 let of_arrays n ~src ~dst ~label =
-  let g = { (create n) with src; dst; label } in
+  let g = { (create n) with src; dst; label = Words label } in
   let m = Array.length src in
   if Array.length dst <> m || Array.length label <> m then
     invalid_arg "Digraph.of_arrays: src, dst and label lengths differ";
@@ -116,20 +137,28 @@ let of_arrays n ~src ~dst ~label =
   g.m <- m;
   g
 
-let of_csr n ~off ~dst ~label =
+let csr_graph name n ~off ~dst ~label ~label_count =
   let g = create n in
   let m = Array.length dst in
-  if Array.length label <> m then
-    invalid_arg "Digraph.of_csr: dst and label lengths differ";
+  if label_count <> m then
+    invalid_arg ("Digraph." ^ name ^ ": dst and label lengths differ");
   if Array.length off <> n + 1 || off.(0) <> 0 || off.(n) <> m then
-    invalid_arg "Digraph.of_csr: offsets do not span the edges";
+    invalid_arg ("Digraph." ^ name ^ ": offsets do not span the edges");
   for v = 0 to n - 1 do
     if off.(v + 1) < off.(v) then
-      invalid_arg "Digraph.of_csr: offsets decrease"
+      invalid_arg ("Digraph." ^ name ^ ": offsets decrease")
   done;
-  Array.iter (fun d -> check_node g d "of_csr") dst;
+  Array.iter (fun d -> check_node g d name) dst;
   { g with m; dst; label; src_free = true;
     out_idx = Some { off; ends = dst; ids = [||] } }
+
+let of_csr n ~off ~dst ~label =
+  csr_graph "of_csr" n ~off ~dst ~label:(Words label)
+    ~label_count:(Array.length label)
+
+let of_csr_bytes n ~off ~dst ~label =
+  csr_graph "of_csr_bytes" n ~off ~dst ~label:(Bytes8 label)
+    ~label_count:(Bytes.length label)
 
 let node_count g = g.n
 let edge_count g = g.m
@@ -195,11 +224,11 @@ let check_edge g e name =
 
 let edge g e =
   check_edge g e "edge";
-  { src = src_of g e; dst = g.dst.(e); label = g.label.(e) }
+  { src = src_of g e; dst = g.dst.(e); label = label_of g e }
 
 let edge_label g e =
   check_edge g e "edge_label";
-  g.label.(e)
+  label_of g e
 
 (* A node's edges in position order, as a list (built back to front). *)
 let collect c i f =
@@ -210,7 +239,7 @@ let collect c i f =
   !acc
 
 (* Edge [e], whose source [v] the caller already knows. *)
-let record g v e = { src = v; dst = g.dst.(e); label = g.label.(e) }
+let record g v e = { src = v; dst = g.dst.(e); label = label_of g e }
 
 let out_edges g i =
   check_node g i "out_edges";
@@ -292,19 +321,26 @@ let fold_edges f acc g =
   iter_csr_edges g (fun v e -> acc := f !acc (record g v e));
   !acc
 
-let bytes g =
+let bytes : type a. a t -> int =
+ fun g ->
   let index = function
     | None -> 0
     | Some c ->
         Array.length c.off + Array.length c.ids
         + if c.ends == g.dst then 0 else Array.length c.ends
   in
-  8
-  * (Array.length g.src + Array.length g.dst + Array.length g.label
-    + index g.out_idx + index g.in_idx)
+  let labels =
+    match g.label with
+    | Words a -> 8 * Array.length a
+    | Bytes8 b -> Bytes.length b
+  in
+  labels
+  + 8
+    * (Array.length g.src + Array.length g.dst + index g.out_idx
+     + index g.in_idx)
 
 let pp pp_label ppf g =
   Format.fprintf ppf "@[<v>digraph (%d nodes, %d edges)@," g.n g.m;
   iter_csr_edges g (fun v e ->
-      Format.fprintf ppf "  %d -> %d [%a]@," v g.dst.(e) pp_label g.label.(e));
+      Format.fprintf ppf "  %d -> %d [%a]@," v g.dst.(e) pp_label (label_of g e));
   Format.fprintf ppf "@]"

@@ -7,14 +7,17 @@
 
     {b Storage.} Edges live in flat arrays indexed by edge id (the
     [e]-th inserted edge has id [e]): destination and label, one word
-    each, plus either a source array or — for graphs built by {!of_csr},
-    whose edges come grouped by source — nothing at all, the sources
-    being read off the per-node offsets of the out-index. An
-    int-labelled graph from {!of_arrays} costs 24 bytes per edge; one
-    from {!of_csr} costs 16 bytes per edge plus 8 per node (the label
-    array holds pointers for boxed labels). Graphs built by either hold
-    exactly [edge_count] slots; {!add_edge} grows the arrays by doubling,
-    first writing out the sources of a source-free graph.
+    each, plus either a source array or — for graphs built by {!of_csr}
+    or {!of_csr_bytes}, whose edges come grouped by source — nothing at
+    all, the sources being read off the per-node offsets of the
+    out-index. An int-labelled graph from {!of_arrays} costs 24 bytes
+    per edge; one from {!of_csr} costs 16 bytes per edge plus 8 per node
+    (the label array holds pointers for boxed labels); one from
+    {!of_csr_bytes}, whose int labels take one byte each, 9 bytes per
+    edge plus 8 per node. Graphs built by any of them hold exactly
+    [edge_count] slots; {!add_edge} grows the arrays by doubling, first
+    writing out the sources of a source-free graph and widening byte
+    labels to words.
 
     {b Index.} Adjacency queries go through a CSR index: per-node offsets
     plus the edge ids in source order, from a stable counting sort. The
@@ -63,6 +66,14 @@ val of_csr : int -> off:int array -> dst:int array -> label:'a array -> 'a t
     entries from [0] to [Array.length dst], the lengths of [dst] and
     [label] agree, and every destination is in range. *)
 
+val of_csr_bytes :
+  int -> off:int array -> dst:int array -> label:Bytes.t -> int t
+(** {!of_csr} with one byte per label: edge [e] is labelled
+    [Char.code (Bytes.get label e)], an int in [0 .. 255]. Every accessor
+    returns the same ints as {!of_csr} over the widened array. Takes
+    [label] over without copying.
+    @raise Invalid_argument like {!of_csr}. *)
+
 val add_edge : 'a t -> src:int -> dst:int -> 'a -> unit
 (** Appends an edge (the next id) and drops the indexes.
     @raise Invalid_argument if an endpoint is out of range. *)
@@ -75,7 +86,8 @@ val bytes : 'a t -> int
     whichever indexes are built; boxed labels' own blocks are not
     counted. A graph fresh from {!of_arrays} with [int] labels costs
     exactly [24 * edge_count]; one from {!of_csr}, whose out-index is
-    built in, [16 * edge_count + 8 * (node_count + 1)]. *)
+    built in, [16 * edge_count + 8 * (node_count + 1)]; one from
+    {!of_csr_bytes}, [9 * edge_count + 8 * (node_count + 1)]. *)
 
 (** {2 Adjacency}
 

@@ -3,7 +3,8 @@
    in-edge is released, and the first [count] slots are the order found
    ([count = n] iff the graph is acyclic). Successors are released in
    reverse insertion order — the order [Digraph.iter_succ] walks — which
-   fixes the tie order. With [skip_self], self-loops are ignored. *)
+   fixes the tie order. With [skip_self], self-loops are ignored. The
+   in-degree array is returned too: all zero after a complete pass. *)
 let kahn ~skip_self g =
   let n = Digraph.node_count g in
   let { Digraph.off; ends; _ } = Digraph.out_csr g in
@@ -37,24 +38,27 @@ let kahn ~skip_self g =
       end
     done
   done;
-  (order, !tail)
+  (order, !tail, indeg)
 
 let topological_order g =
-  let order, count = kahn ~skip_self:false g in
+  let order, count, _ = kahn ~skip_self:false g in
   if count = Digraph.node_count g then Some (Array.to_list order) else None
 
-let is_acyclic g = snd (kahn ~skip_self:false g) = Digraph.node_count g
+let complete g ~skip_self =
+  let _, count, _ = kahn ~skip_self g in
+  count = Digraph.node_count g
 
-let is_acyclic_ignoring_self_loops g =
-  snd (kahn ~skip_self:true g) = Digraph.node_count g
+let is_acyclic g = complete g ~skip_self:false
+let is_acyclic_ignoring_self_loops g = complete g ~skip_self:true
 
 (* [dist.(w) = max (dist.(w), dist.(v) + 1)] along every edge [v -> w]
    (self-loops skipped), relaxed in topological order so each [dist.(v)]
-   is final before it is read. *)
-let relax_forward g order ~init =
+   is final before it is read. [dist] is Kahn's spent in-degree array,
+   reused rather than a third n-word array. *)
+let relax_forward g order dist ~init =
   let n = Digraph.node_count g in
   let { Digraph.off; ends; _ } = Digraph.out_csr g in
-  let dist = Array.make n init in
+  Array.fill dist 0 n init;
   for i = 0 to n - 1 do
     let v = order.(i) in
     let d = dist.(v) + 1 in
@@ -66,14 +70,14 @@ let relax_forward g order ~init =
   dist
 
 let ranks g =
-  let order, count = kahn ~skip_self:true g in
+  let order, count, indeg = kahn ~skip_self:true g in
   if count < Digraph.node_count g then None
-  else Some (relax_forward g order ~init:1)
+  else Some (relax_forward g order indeg ~init:1)
 
 let longest_path_lengths g =
-  let order, count = kahn ~skip_self:false g in
+  let order, count, indeg = kahn ~skip_self:false g in
   if count < Digraph.node_count g then None
-  else Some (relax_forward g order ~init:0)
+  else Some (relax_forward g order indeg ~init:0)
 
 let find_cycle g =
   let n = Digraph.node_count g in

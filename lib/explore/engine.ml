@@ -373,6 +373,16 @@ let restore_region t cp snap ~add ~node_keys ~nonmembers ~terminals ~edges =
     nonm;
   Array.iter (fun v -> ignore (Vec.push terminals v)) terms;
   let n_edges = Rt.Snapshot.meta_int snap "n_edges" in
+  (* a search commits edges grouped by source, so a snapshot whose
+     sources decrease (or leave the member nodes) was not written by one *)
+  let n_members = Array.length members in
+  let last_src = ref 0 in
+  let push s d a =
+    if s < !last_src || s >= n_members || d < 0 || d >= n_members then
+      raise (Rt.Snapshot.Corrupt "edges out of order or out of range");
+    last_src := s;
+    Edgebuf.push edges s d a
+  in
   if Rt.Snapshot.meta_int snap "edges_packed" = 1 then begin
     let node_bits = Rt.Snapshot.meta_int snap "node_bits" in
     let act_bits = Rt.Snapshot.meta_int snap "act_bits" in
@@ -381,7 +391,7 @@ let restore_region t cp snap ~add ~node_keys ~nonmembers ~terminals ~edges =
     let nmask = (1 lsl node_bits) - 1 and amask = (1 lsl act_bits) - 1 in
     Array.iter
       (fun w ->
-        Edgebuf.push edges
+        push
           ((w lsr (act_bits + node_bits)) land nmask)
           ((w lsr act_bits) land nmask)
           (w land amask))
@@ -391,7 +401,7 @@ let restore_region t cp snap ~add ~node_keys ~nonmembers ~terminals ~edges =
     if Array.length edges_arr mod 3 <> 0 then
       raise (Rt.Snapshot.Corrupt "inconsistent edge count");
     for j = 0 to (Array.length edges_arr / 3) - 1 do
-      Edgebuf.push edges
+      push
         edges_arr.(3 * j)
         edges_arr.((3 * j) + 1)
         edges_arr.((3 * j) + 2)

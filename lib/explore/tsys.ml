@@ -119,7 +119,11 @@ let region_graph_full t ~member =
       end)
     state_to_node;
   let m = off.(!node_count) in
-  let dst = Array.make m 0 and label = Array.make m 0 in
+  (* action indices take one byte each when there are at most 256 *)
+  let narrow = Array.length t.program.Compile.actions <= 256 in
+  let dst = Array.make m 0 in
+  let label8 = Bytes.create (if narrow then m else 0) in
+  let label = Array.make (if narrow then 0 else m) 0 in
   let e = ref 0 in
   Array.iteri
     (fun id node ->
@@ -128,12 +132,16 @@ let region_graph_full t ~member =
           let d = state_to_node.(t.dsts.(k)) in
           if d >= 0 then begin
             dst.(!e) <- d;
-            label.(!e) <- t.acts.(k);
+            if narrow then Bytes.set label8 !e (Char.chr t.acts.(k))
+            else label.(!e) <- t.acts.(k);
             incr e
           end
         done)
     state_to_node;
-  let g = Dgraph.Digraph.of_csr !node_count ~off ~dst ~label in
+  let g =
+    if narrow then Dgraph.Digraph.of_csr_bytes !node_count ~off ~dst ~label:label8
+    else Dgraph.Digraph.of_csr !node_count ~off ~dst ~label
+  in
   (g, node_to_state, fun id -> state_to_node.(id))
 
 let region_graph t ~member =

@@ -33,8 +33,9 @@ val reachable : t -> int list -> Bitset.t
 val region_graph : t -> member:(int -> bool) -> int Dgraph.Digraph.t
 (** The subgraph induced on [{ id | member id }]: nodes are re-indexed
     densely; use the returned mapping functions below. Edge labels are
-    action indices; the graph is source-free
-    ({!Dgraph.Digraph.of_csr}). *)
+    action indices; the graph is source-free, its labels one byte each
+    when the program has at most 256 actions
+    ({!Dgraph.Digraph.of_csr_bytes}, else {!Dgraph.Digraph.of_csr}). *)
 
 val region_graph_full :
   t ->

@@ -644,7 +644,7 @@ let model ?(params = []) (src : Source.t) (m : Ast.model) : t =
     env_actions = List.rev !env_acts;
     constraints;
     invariant_expr;
-    invariant = (fun st -> Expr.eval st invariant_expr);
+    invariant = Compile.pred invariant_expr;
     init;
     params = ctx.params;
   }

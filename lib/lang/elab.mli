@@ -31,6 +31,9 @@ type t = {
   invariant_expr : Guarded.Expr.boolean;
       (** conjunction of all constraints and [invariant] items *)
   invariant : Guarded.State.t -> bool;
+      (** [invariant_expr] compiled ({!Guarded.Compile.pred}): the same
+          verdicts, and the same [Division_by_zero] cases, as
+          [Guarded.Expr.eval] over it *)
   init : Guarded.State.t;
       (** the [init] item applied over domain-minimal defaults; always
           satisfies [invariant] *)

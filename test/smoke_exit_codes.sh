@@ -97,6 +97,19 @@ if [ $? -ne 0 ]; then
 else
   echo "ok:   out-of-range size names its flag and range"
 fi
+# 1: a grid spanning tree needs a square size; the error names the
+# nearest squares instead of building a smaller grid
+expect 1 show spanning-tree --tree grid --size 5
+expect 1 check spanning-tree --tree grid --size 5
+expect 1 certify spanning-tree --tree grid --size 7
+grep -q -- '--size must be a square of at least 4 with --tree grid (got 7; nearest: 4 or 9)' "$stderr_file"
+if [ $? -ne 0 ]; then
+  echo "FAIL: a non-square grid size does not name its flag and the nearest squares"
+  failed=1
+else
+  echo "ok:   non-square grid size names its flag and the nearest squares"
+fi
+expect 0 show spanning-tree --tree grid --size 9
 # 1: storm/simulate option ranges — the Sim.Storm rules serve applies to
 # its trials/rate/max_steps options (trials >= 0, 0 <= rate <= 1 and not
 # NaN, max_steps > 0), plus simulate's non-negative --faults K

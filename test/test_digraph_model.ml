@@ -376,6 +376,62 @@ let prop_scc_classes =
       && scc.Scc.members = m_tarjan m
       && (Scc.compute (build_csr m)).Scc.members = m_tarjan (grouped m))
 
+(* --- one-byte labels ---------------------------------------------------
+
+   Models whose labels lie in 0 .. 255, or up to 1000. A source-free
+   graph stores them one byte each when they all fit (of_csr_bytes), as
+   the exploration backends do, and in words otherwise (of_csr); either
+   way every accessor returns the ints of the of_arrays graph over the
+   same grouped edges. add_edge widens byte labels to words first. *)
+
+let arb_wide_labels =
+  let gen =
+    QCheck.Gen.(
+      gen_model ~max_n:8 ~max_e:24 >>= fun m ->
+      oneofl [ 255; 1000 ] >>= fun bound ->
+      list_repeat (List.length m.es) (int_bound bound) >|= fun labels ->
+      { m with es = List.map2 (fun (s, d, _) l -> (s, d, l)) m.es labels })
+  in
+  QCheck.make ~print:print_model gen
+
+let prop_byte_labels =
+  QCheck.Test.make ~name:"digraph: one-byte labels agree with of_arrays"
+    ~count:300 arb_wide_labels (fun m ->
+      let gm = grouped m in
+      let off, dst, label = csr_parts m in
+      let narrow = Array.for_all (fun l -> l <= 255) label in
+      let build () =
+        if narrow then
+          Digraph.of_csr_bytes m.n ~off ~dst
+            ~label:(Bytes.init (Array.length label) (fun e -> Char.chr label.(e)))
+        else Digraph.of_csr m.n ~off ~dst ~label
+      in
+      let g = build () and reference = build_arrays gm in
+      let ids g = List.init (Digraph.edge_count g) Fun.id in
+      let by_id g = List.map (Digraph.edge g) (ids g) in
+      let render g = Format.asprintf "%a" (Digraph.pp Format.pp_print_int) g in
+      let extra = List.map (fun (s, d, l) -> (d, s, l + 200)) gm.es in
+      let doubled = List.map (fun (s, d, l) -> (s, d, 2 * l)) (m_edges gm) in
+      (* bytes first: the queries below build the in-index *)
+      Digraph.bytes g
+      = ((if narrow then 9 else 16) * List.length m.es) + (8 * (m.n + 1))
+      && List.map (Digraph.edge_label g) (ids g)
+         = List.map (Digraph.edge_label reference) (ids reference)
+      && by_id g = by_id reference
+      && render g = render reference
+      && agrees gm g
+      && List.init m.n (Digraph.in_edges g)
+         = List.init m.n (Digraph.in_edges reference)
+      && agrees { gm with es = doubled } (Digraph.map_labels (fun l -> 2 * l) g)
+      && Topo.longest_path_lengths g = Topo.longest_path_lengths reference
+      && begin
+           (* on a fresh copy, with labels past a byte after the first *)
+           let g = build () in
+           List.iter (fun (src, dst, l) -> Digraph.add_edge g ~src ~dst l) extra;
+           by_id g = List.map to_edge (gm.es @ extra)
+           && agrees { gm with es = gm.es @ extra } g
+         end)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -388,4 +444,5 @@ let suite =
       prop_find_cycle;
       prop_longest_paths;
       prop_scc_classes;
+      prop_byte_labels;
     ]

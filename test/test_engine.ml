@@ -285,17 +285,20 @@ let test_lazy_beyond_eager_cap () =
 (* --- allocation per region edge ---
 
    The lazy and parallel searches append each committed edge to blocks
-   and copy the blocks once into the graph's exact arrays: 24 B per edge
-   in the blocks, 16 B in the source-free graph, plus a few for the
-   offsets and node tables. A doubling buffer of interleaved triples
-   copied out at the end costs 80 and more. The region is token_ring.nm
-   at N=5, K=5 under program ∪ corrupt:k=1 faults from every state:
-   71,912 edges. Allocation counts are deterministic for a single-domain
-   search once a full major collection has run: 44.2 B per edge on
-   lazy and on parallel at jobs 1, which run the same one-worker path
-   and write no phase-A records, pinned here with a margin of about 9%
-   (58.7 B parallel at jobs 1 while it wrote records; 51.8 and 66.3 B
-   while the graph kept a source array). *)
+   and copy the blocks once into the graph's exact arrays: 9 B per edge
+   in the blocks (a destination word and a one-byte action label; the
+   sources are per-node offsets), 9 B in the source-free graph, plus a
+   few for the offsets and node tables. A doubling buffer of interleaved
+   triples copied out at the end costs 80 and more. The region is
+   token_ring.nm at N=5, K=5 under program ∪ corrupt:k=1 faults from
+   every state: 71,912 edges. Allocation counts are deterministic for a
+   single-domain search once a full major collection has run: 22.75 B
+   per edge on lazy and on parallel at jobs 1, which run the same
+   one-worker path and write no phase-A records, pinned here with a
+   margin of about 9% (44.2 B while the blocks held a source and a label
+   word per edge and the graph a label word; 58.7 B parallel at jobs 1
+   while it wrote records; 51.8 and 66.3 B while the graph kept a source
+   array). *)
 
 let test_region_alloc_per_edge () =
   let em =
@@ -324,10 +327,10 @@ let test_region_alloc_per_edge () =
     allocated /. float edges
   in
   let lazy_b = per_edge Engine.Lazy and par_b = per_edge Engine.Parallel in
-  if lazy_b > 48. then
-    Alcotest.failf "lazy: %.1f B per edge (at most 48)" lazy_b;
-  if par_b > 48. then
-    Alcotest.failf "parallel at jobs 1: %.1f B per edge (at most 48)" par_b
+  if lazy_b > 25. then
+    Alcotest.failf "lazy: %.1f B per edge (at most 25)" lazy_b;
+  if par_b > 25. then
+    Alcotest.failf "parallel at jobs 1: %.1f B per edge (at most 25)" par_b
 
 (* --- successor stepping: Engine.step against apply_into + encode_key ---
 
@@ -556,6 +559,42 @@ let test_kernel_target_once_per_state () =
         "parallel j1 pred" );
     ]
 
+(* More than 256 actions: the token ring at N=2, K=130 under corrupt:k=1
+   (two ring actions and 130 corruptions per variable). Action labels no
+   longer fit in a byte, so the frontier kernel's edge buffer and the
+   eager graph switch to word labels; every edge's label must still be
+   the eager graph's. *)
+let test_region_wide_labels () =
+  let em =
+    Lang.Driver.compile_file
+      ~params:[ ("N", 2); ("K", 130) ]
+      (Test_lang.model_path "token_ring.nm")
+  in
+  let faults = Sim.Fault.actions (Sim.Fault.corrupt em.Lang.Elab.env ~k:1) in
+  let cp =
+    Compile.program (Guarded.Program.add_actions em.Lang.Elab.program faults)
+  in
+  Alcotest.(check int) "actions" 262 (Array.length cp.Compile.actions);
+  let region backend jobs =
+    (Engine.region
+       (Engine.create ~backend ~jobs em.Lang.Elab.env)
+       cp ~from:Engine.All ~target:em.Lang.Elab.invariant)
+      .Engine.graph
+  in
+  let labels g =
+    List.init (Dgraph.Digraph.edge_count g) (Dgraph.Digraph.edge_label g)
+  in
+  let eager = region Engine.Eager 1 in
+  Alcotest.(check bool) "labels past 255" true
+    (List.exists (fun l -> l > 255) (labels eager));
+  List.iter
+    (fun (backend, jobs) ->
+      let g = region backend jobs in
+      Alcotest.(check int) "edge count" (Dgraph.Digraph.edge_count eager)
+        (Dgraph.Digraph.edge_count g);
+      Alcotest.(check (list int)) "edge labels" (labels eager) (labels g))
+    [ (Engine.Lazy, 1); (Engine.Parallel, 1); (Engine.Parallel, 2) ]
+
 let suite =
   [
     Alcotest.test_case "space roundtrip (exhaustive)" `Quick
@@ -593,4 +632,6 @@ let suite =
         `Quick test_kernel_agrees_generated;
       Alcotest.test_case "kernel: target once per state at one worker" `Quick
         test_kernel_target_once_per_state;
+      Alcotest.test_case "region labels past one byte agree with eager" `Quick
+        test_region_wide_labels;
     ]

@@ -443,6 +443,32 @@ let test_export_goldens () =
       ("diffusing.nm", "diffusing.tla", "diffusing.dot");
     ]
 
+(* --- the compiled invariant ------------------------------------------
+
+   Elab hands out [invariant_expr] compiled; on random in-domain states
+   of generated models it must give the interpreter's verdict, or raise
+   [Division_by_zero] exactly when the interpreter does. *)
+
+let prop_compiled_invariant =
+  QCheck.Test.make ~name:"elab: compiled invariant agrees with Expr.eval"
+    ~count:200
+    (QCheck.make ~print:string_of_int (QCheck.Gen.int_bound 1_000_000))
+    (fun seed ->
+      let rng = Prng.create seed in
+      let text = Gen.Emit.spec_to_nm (Gen.Generate.spec rng) in
+      let em = Lang.Driver.compile_string ~file:"<generated>" text in
+      let outcome f st = try Ok (f st) with Division_by_zero -> Error () in
+      List.for_all
+        (fun _ ->
+          let st =
+            State.init em.Lang.Elab.env (fun v ->
+                let d = Var.domain v in
+                Guarded.Domain.first d + Prng.int rng (Guarded.Domain.size d))
+          in
+          outcome em.Lang.Elab.invariant st
+          = outcome (fun st -> Guarded.Expr.eval st em.Lang.Elab.invariant_expr) st)
+        (List.init 32 Fun.id))
+
 let suite =
   [
     Alcotest.test_case "twin: xyz-good-tree" `Quick test_twin_xyz;
@@ -462,3 +488,4 @@ let suite =
     Alcotest.test_case "nesting: 300 levels still parse" `Quick
       test_nesting_below_limit;
   ]
+  @ [ QCheck_alcotest.to_alcotest prop_compiled_invariant ]

@@ -259,8 +259,8 @@ let test_trace_stable_across_jobs () =
     "identical event profile at jobs 1 and 4" (profile t1) (profile t4)
 
 (* engine.graph_bytes: the region graph as handed back is source-free —
-   16 bytes per edge (destination and label words) plus 8 per node (the
-   offsets) — the same on every backend. *)
+   9 bytes per edge (a destination word and a one-byte action label)
+   plus 8 per node (the offsets) — the same on every backend. *)
 let test_graph_bytes_every_backend () =
   let tr = Token_ring.make ~nodes:4 ~k:4 in
   let gauge backend =
@@ -279,8 +279,8 @@ let test_graph_bytes_every_backend () =
   in
   let ((bytes, (edges, nodes)) as eager) = gauge Engine.Eager in
   Alcotest.(check bool) "region has edges" true (edges > 0);
-  Alcotest.(check int) "16 B per edge plus 8 per node"
-    ((16 * edges) + (8 * (nodes + 1)))
+  Alcotest.(check int) "9 B per edge plus 8 per node"
+    ((9 * edges) + (8 * (nodes + 1)))
     bytes;
   List.iter
     (fun backend ->
@@ -406,7 +406,7 @@ let suite =
     Alcotest.test_case "trace stable across jobs" `Quick
       test_trace_stable_across_jobs;
     Alcotest.test_case
-      "graph bytes: 16 B per edge on every backend, plus 8 per node" `Quick
+      "graph bytes: 9 B per edge on every backend, plus 8 per node" `Quick
       test_graph_bytes_every_backend;
     Alcotest.test_case "storm trial events" `Quick test_storm_trial_events;
     Alcotest.test_case "certify span events" `Quick test_certify_span_events;

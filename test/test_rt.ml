@@ -776,6 +776,50 @@ let test_region_mid_wave_cut () =
         (snap = List.hd snaps))
     snaps
 
+(* A region snapshot whose edges are not grouped by source — its
+   committed edges reversed — cannot have been written by a search, on
+   any resuming backend. The untouched snapshot still resumes. *)
+let test_resume_rejects_unordered_edges () =
+  let _, env, cp = ring_with_corrupt ~nodes:5 ~k:5 in
+  let from = Engine.Seeds [ State.make env ] in
+  let target _ = false in
+  let snap =
+    match
+      interrupt_region ~backend:Engine.Lazy ~jobs:1 ~budget_states:1_500 env cp
+        ~from ~target ()
+    with
+    | `Snapshot (snap, _) -> snap
+    | `Completed _ -> Alcotest.fail "budget 1500 must cut a 3125-state run"
+  in
+  let edges = Rt.Snapshot.section snap "edges" in
+  Alcotest.(check int) "edges packed one per word" 1
+    (Rt.Snapshot.meta_int snap "edges_packed");
+  let shift =
+    Rt.Snapshot.meta_int snap "node_bits" + Rt.Snapshot.meta_int snap "act_bits"
+  in
+  let n = Array.length edges in
+  Alcotest.(check bool) "edges leave more than one node" true
+    (n > 1 && edges.(0) lsr shift < edges.(n - 1) lsr shift);
+  let reversed =
+    {
+      snap with
+      Rt.Snapshot.sections =
+        List.map
+          (fun (name, a) ->
+            if name = "edges" then
+              (name, Array.init n (fun i -> a.(n - 1 - i)))
+            else (name, a))
+          snap.Rt.Snapshot.sections;
+    }
+  in
+  List.iter
+    (fun (backend, jobs) ->
+      ignore (resume_region ~backend ~jobs env cp ~target snap);
+      match resume_region ~backend ~jobs env cp ~target reversed with
+      | _ -> Alcotest.failf "%s j%d accepted unordered edges" (bname backend) jobs
+      | exception Rt.Snapshot.Corrupt _ -> ())
+    resumers
+
 let suite =
   [
     Alcotest.test_case "budget validation" `Quick test_budget_validation;
@@ -820,4 +864,6 @@ let suite =
       test_span_extension_resume;
     Alcotest.test_case "region cut mid-wave resumes identically" `Quick
       test_region_mid_wave_cut;
+    Alcotest.test_case "resume rejects out-of-order edges" `Quick
+      test_resume_rejects_unordered_edges;
   ]

@@ -645,55 +645,83 @@ let test_faultspan_storage_invariant () =
       incr i);
   Alcotest.(check int) "indexed count" (Faultspan.count reference) !i
 
-(* --- Edgebuf: lengths at and around the block-size boundaries --- *)
+(* --- Edgebuf: lengths at and around the block-size boundaries ---
+
+   Labels come from one of three ranges: bytes (0 .. 255), which keep
+   the one-byte layout, and -500 .. 500 or 256 .. 1000, which switch it
+   to words. Sources are sorted, as every search pushes them, or left
+   unsorted, when the first push whose source decreases must be refused
+   and leave the buffer as it was. *)
 
 let prop_edgebuf_boundaries =
   let first = Edgebuf.first_block and cap = Edgebuf.max_block in
   let lengths =
     [ 0; 1; first - 1; first; first + 1; cap - 1; cap; cap + 1; (5 * cap) + 3 ]
   in
+  let ranges = [ (0, 255); (-500, 500); (256, 1000) ] in
   QCheck.Test.make ~name:"edgebuf: to_graph and iter across block sizes"
     ~count:100
     (QCheck.make
-       ~print:(fun (m, seed, sorted) ->
-         Printf.sprintf "length=%d seed=%d sorted=%b" m seed sorted)
-       QCheck.Gen.(triple (oneofl lengths) (int_bound 1_000_000) bool))
-    (fun (m, seed, sorted) ->
+       ~print:(fun ((m, seed), (sorted, (lo, hi))) ->
+         Printf.sprintf "length=%d seed=%d sorted=%b labels=%d..%d" m seed
+           sorted lo hi)
+       QCheck.Gen.(
+         pair
+           (pair (oneofl lengths) (int_bound 1_000_000))
+           (pair bool (oneofl ranges))))
+    (fun ((m, seed), (sorted, (lo, hi))) ->
       let rng = Prng.create seed in
       let n = 1 + Prng.int rng 50 in
       let src = Array.init m (fun _ -> Prng.int rng n) in
       (* the searches push edges grouped by source *)
       if sorted then Array.sort compare src;
-      let grouped =
-        let ok = ref true in
-        Array.iteri (fun e s -> if e > 0 && s < src.(e - 1) then ok := false) src;
-        !ok
+      let first_drop =
+        let rec go e =
+          if e >= m then None
+          else if e > 0 && src.(e) < src.(e - 1) then Some e
+          else go (e + 1)
+        in
+        go 0
       in
       let dst = Array.init m (fun _ -> Prng.int rng n) in
-      let label = Array.init m (fun _ -> Prng.int rng 1000 - 500) in
+      let label = Array.init m (fun _ -> lo + Prng.int rng (hi - lo + 1)) in
       let b = Edgebuf.create () in
-      for e = 0 to m - 1 do
-        Edgebuf.push b src.(e) dst.(e) label.(e)
-      done;
-      let g = Edgebuf.to_graph b n in
-      let reference = Dgraph.Digraph.of_arrays n ~src ~dst ~label in
-      let visited = ref [] in
-      Edgebuf.iter b (fun s d l -> visited := (s, d, l) :: !visited);
-      (* bytes first: walking the graph below builds its indexes.
-         Grouped edges make a source-free graph: dst and label words
-         plus n + 1 offsets; any other order keeps the source array. *)
-      Dgraph.Digraph.bytes g
-      = (if grouped then (16 * m) + (8 * (n + 1)) else 24 * m)
-      && Edgebuf.length b = m
-      && Dgraph.Digraph.node_count g = n
-      && Dgraph.Digraph.edge_count g = m
-      && List.init m (Dgraph.Digraph.edge g)
-         = List.init m (Dgraph.Digraph.edge reference)
-      && Dgraph.Digraph.edges g = Dgraph.Digraph.edges reference
-      && List.init n (Dgraph.Digraph.in_edges g)
-         = List.init n (Dgraph.Digraph.in_edges reference)
-      && List.rev !visited
-         = List.init m (fun e -> (src.(e), dst.(e), label.(e))))
+      match first_drop with
+      | Some bad ->
+          for e = 0 to bad - 1 do
+            Edgebuf.push b src.(e) dst.(e) label.(e)
+          done;
+          (match Edgebuf.push b src.(bad) dst.(bad) label.(bad) with
+          | () -> false
+          | exception Invalid_argument _ -> true)
+          && Edgebuf.length b = bad
+      | None ->
+          for e = 0 to m - 1 do
+            Edgebuf.push b src.(e) dst.(e) label.(e)
+          done;
+          let g = Edgebuf.to_graph b n in
+          let reference = Dgraph.Digraph.of_arrays n ~src ~dst ~label in
+          let visited = ref [] in
+          Edgebuf.iter b (fun s d l -> visited := (s, d, l) :: !visited);
+          (* bytes first: walking the graph below builds its indexes. The
+             graph is source-free: dst words plus n + 1 offsets, and one
+             byte per label while every label fits in one, else a word. *)
+          let bytes_per_label =
+            if Array.for_all (fun l -> l >= 0 && l <= 255) label then 1 else 8
+          in
+          Dgraph.Digraph.bytes g
+          = ((8 + bytes_per_label) * m) + (8 * (n + 1))
+          && Edgebuf.length b = m
+          && Dgraph.Digraph.node_count g = n
+          && Dgraph.Digraph.edge_count g = m
+          && List.init m (Dgraph.Digraph.edge g)
+             = List.init m (Dgraph.Digraph.edge reference)
+          && List.init m (Dgraph.Digraph.edge_label g) = Array.to_list label
+          && Dgraph.Digraph.edges g = Dgraph.Digraph.edges reference
+          && List.init n (Dgraph.Digraph.in_edges g)
+             = List.init n (Dgraph.Digraph.in_edges reference)
+          && List.rev !visited
+             = List.init m (fun e -> (src.(e), dst.(e), label.(e))))
 
 let suite =
   [
