@@ -24,20 +24,12 @@
    position also accepts a path to a .nm model-language file (shaped by
    repeatable --param NAME=INT overrides); see README "Model language".
 
-   Exit codes (documented in the README, asserted by
-   test/smoke_exit_codes.sh):
-     0  success
-     1  usage or instance-construction error (including corrupt or
-        mismatched --resume snapshots)
-     2  failed certificate or convergence verdict
-     3  state space over the eager engine's budget (Space.Too_large);
-        for fuzz: a surviving minimized counterexample
-     4  lazy exploration over budget (Engine.Region_overflow)
-     5  incomplete: a --deadline/--budget-* ceiling or SIGINT/SIGTERM
-        stopped the run before a verdict; stderr carries one
-        machine-readable "error: incomplete: {...}" line, and
-        --checkpoint-out (check, certify --faults) holds a snapshot
-        that --resume continues bit-identically *)
+   check, certify, tolerance, storm and fuzz run the analysis runners of
+   Serve.Job, the ones `nonmask serve` runs, and print their answers as
+   text. Exit codes are Serve.Job.exit_code (README "Exit codes",
+   asserted by test/smoke_exit_codes.sh): 0 success, 1 usage error,
+   2 failed verdict, 3 too large or a fuzz counterexample, 4 region
+   overflow, 5 incomplete. *)
 
 open Cmdliner
 
@@ -45,23 +37,24 @@ module Tree = Topology.Tree
 module State = Guarded.State
 module Compile = Guarded.Compile
 
-(* A protocol instance, abstracted over what the CLI needs. Both
-   built-in protocols and compiled .nm model files resolve to this. *)
+(* A protocol instance: the model the analysis runners take, plus what
+   only a built-in protocol has — its theorem certificate and constraint
+   graphs. Both built-in protocols and compiled .nm model files resolve
+   to this. *)
 type instance = {
-  i_name : string;
-  env : Guarded.Env.t;
-  program : Guarded.Program.t;
-  invariant : Guarded.State.t -> bool;
-  legitimate : unit -> Guarded.State.t;
+  model : Serve.Job.model;
   certify : (engine:Explore.Engine.t -> Nonmask.Certify.t) option;
   cgraphs : Nonmask.Cgraph.t list;
-  declared_faults : Guarded.Action.t list;
-      (* the fault actions a .nm model declares ([] for built-in
-         protocols) — the default fault class when --faults is absent *)
-  declared_envs : Guarded.Action.t list;
-      (* the environment actions a .nm model declares ([] for built-in
-         protocols) — threaded into tolerance certification *)
 }
+
+(* A built-in protocol declares no fault or environment actions. *)
+let builtin ?certify ?(cgraphs = []) name ~env ~program ~invariant ~init =
+  {
+    model =
+      { Serve.Job.name; env; program; invariant; init; faults = []; envs = [] };
+    certify;
+    cgraphs;
+  }
 
 let protocols =
   [
@@ -121,56 +114,40 @@ let build_instance proto ~shape ~size ~nodes ~k ~seed =
   match proto with
   | "diffusing" ->
       let d = Protocols.Diffusing.make (tree_of ~shape ~size ~seed) in
-      {
-        i_name = Printf.sprintf "diffusing %s-%d" shape size;
-        declared_faults = [];
-        declared_envs = [];
-        env = Protocols.Diffusing.env d;
-        program = Protocols.Diffusing.combined d;
-        invariant = (fun s -> Protocols.Diffusing.invariant d s);
-        legitimate = (fun () -> Protocols.Diffusing.all_green d);
-        certify = Some (fun ~engine -> Protocols.Diffusing.certificate ~engine d);
-        cgraphs = [ Protocols.Diffusing.cgraph d ];
-      }
+      builtin
+        (Printf.sprintf "diffusing %s-%d" shape size)
+        ~env:(Protocols.Diffusing.env d)
+        ~program:(Protocols.Diffusing.combined d)
+        ~invariant:(Protocols.Diffusing.invariant d)
+        ~init:(fun () -> Protocols.Diffusing.all_green d)
+        ~certify:(fun ~engine -> Protocols.Diffusing.certificate ~engine d)
+        ~cgraphs:[ Protocols.Diffusing.cgraph d ]
   | "lowatomic" ->
       let d = Protocols.Diffusing_lowatomic.make (tree_of ~shape ~size ~seed) in
-      {
-        i_name = Printf.sprintf "lowatomic %s-%d" shape size;
-        declared_faults = [];
-        declared_envs = [];
-        env = Protocols.Diffusing_lowatomic.env d;
-        program = Protocols.Diffusing_lowatomic.program d;
-        invariant = (fun s -> Protocols.Diffusing_lowatomic.invariant d s);
-        legitimate = (fun () -> Protocols.Diffusing_lowatomic.all_green d);
-        certify = None;
-        cgraphs = [];
-      }
+      builtin
+        (Printf.sprintf "lowatomic %s-%d" shape size)
+        ~env:(Protocols.Diffusing_lowatomic.env d)
+        ~program:(Protocols.Diffusing_lowatomic.program d)
+        ~invariant:(Protocols.Diffusing_lowatomic.invariant d)
+        ~init:(fun () -> Protocols.Diffusing_lowatomic.all_green d)
   | "token-ring" ->
       let tr = Protocols.Token_ring.make ~nodes ~k in
-      {
-        i_name = Printf.sprintf "token-ring %d (K=%d)" nodes k;
-        declared_faults = [];
-        declared_envs = [];
-        env = Protocols.Token_ring.env tr;
-        program = Protocols.Token_ring.combined tr;
-        invariant = (fun s -> Protocols.Token_ring.invariant tr s);
-        legitimate = (fun () -> Protocols.Token_ring.all_zero tr);
-        certify = Some (fun ~engine -> Protocols.Token_ring.certificate ~engine tr);
-        cgraphs = Protocols.Token_ring.layers tr;
-      }
+      builtin
+        (Printf.sprintf "token-ring %d (K=%d)" nodes k)
+        ~env:(Protocols.Token_ring.env tr)
+        ~program:(Protocols.Token_ring.combined tr)
+        ~invariant:(Protocols.Token_ring.invariant tr)
+        ~init:(fun () -> Protocols.Token_ring.all_zero tr)
+        ~certify:(fun ~engine -> Protocols.Token_ring.certificate ~engine tr)
+        ~cgraphs:(Protocols.Token_ring.layers tr)
   | "dijkstra" ->
       let dr = Protocols.Dijkstra_ring.make ~nodes ~k in
-      {
-        i_name = Printf.sprintf "dijkstra %d (K=%d)" nodes k;
-        declared_faults = [];
-        declared_envs = [];
-        env = Protocols.Dijkstra_ring.env dr;
-        program = Protocols.Dijkstra_ring.program dr;
-        invariant = (fun s -> Protocols.Dijkstra_ring.invariant dr s);
-        legitimate = (fun () -> Protocols.Dijkstra_ring.all_zero dr);
-        certify = None;
-        cgraphs = [];
-      }
+      builtin
+        (Printf.sprintf "dijkstra %d (K=%d)" nodes k)
+        ~env:(Protocols.Dijkstra_ring.env dr)
+        ~program:(Protocols.Dijkstra_ring.program dr)
+        ~invariant:(Protocols.Dijkstra_ring.invariant dr)
+        ~init:(fun () -> Protocols.Dijkstra_ring.all_zero dr)
   | "xyz-good-tree" | "xyz-good-ordered" | "xyz-bad" ->
       let variant =
         match proto with
@@ -179,67 +156,46 @@ let build_instance proto ~shape ~size ~nodes ~k ~seed =
         | _ -> Protocols.Xyz_demo.Bad
       in
       let d = Protocols.Xyz_demo.make variant in
-      {
-        i_name = proto;
-        declared_faults = [];
-        declared_envs = [];
-        env = Protocols.Xyz_demo.env d;
-        program = Protocols.Xyz_demo.program d;
-        invariant = (fun s -> Protocols.Xyz_demo.invariant d s);
-        legitimate =
-          (fun () ->
-            State.of_list (Protocols.Xyz_demo.env d)
-              [
-                (Protocols.Xyz_demo.x d, 0);
-                (Protocols.Xyz_demo.y d, 1);
-                (Protocols.Xyz_demo.z d, 1);
-              ]);
-        certify = Some (fun ~engine -> Protocols.Xyz_demo.certificate ~engine d);
-        cgraphs = [ Protocols.Xyz_demo.cgraph d ];
-      }
+      builtin proto ~env:(Protocols.Xyz_demo.env d)
+        ~program:(Protocols.Xyz_demo.program d)
+        ~invariant:(Protocols.Xyz_demo.invariant d)
+        ~init:(fun () ->
+          State.of_list (Protocols.Xyz_demo.env d)
+            [
+              (Protocols.Xyz_demo.x d, 0);
+              (Protocols.Xyz_demo.y d, 1);
+              (Protocols.Xyz_demo.z d, 1);
+            ])
+        ~certify:(fun ~engine -> Protocols.Xyz_demo.certificate ~engine d)
+        ~cgraphs:[ Protocols.Xyz_demo.cgraph d ]
   | "atomic" ->
       let a = Protocols.Atomic_action.make (tree_of ~shape ~size ~seed) in
-      {
-        i_name = Printf.sprintf "atomic %s-%d" shape size;
-        declared_faults = [];
-        declared_envs = [];
-        env = Protocols.Atomic_action.env a;
-        program = Protocols.Atomic_action.program a;
-        invariant = (fun s -> Protocols.Atomic_action.invariant a s);
-        legitimate =
-          (fun () ->
-            Protocols.Atomic_action.initial a
-              ~decision:Protocols.Atomic_action.commit);
-        certify =
-          Some (fun ~engine -> Protocols.Atomic_action.certificate ~engine a);
-        cgraphs = [ Protocols.Atomic_action.cgraph a ];
-      }
+      builtin
+        (Printf.sprintf "atomic %s-%d" shape size)
+        ~env:(Protocols.Atomic_action.env a)
+        ~program:(Protocols.Atomic_action.program a)
+        ~invariant:(Protocols.Atomic_action.invariant a)
+        ~init:(fun () ->
+          Protocols.Atomic_action.initial a
+            ~decision:Protocols.Atomic_action.commit)
+        ~certify:(fun ~engine -> Protocols.Atomic_action.certificate ~engine a)
+        ~cgraphs:[ Protocols.Atomic_action.cgraph a ]
   | "naive-ring" ->
       let nr = Protocols.Naive_ring.make ~nodes in
-      {
-        i_name = Printf.sprintf "naive-ring %d" nodes;
-        declared_faults = [];
-        declared_envs = [];
-        env = Protocols.Naive_ring.env nr;
-        program = Protocols.Naive_ring.program nr;
-        invariant = (fun s -> Protocols.Naive_ring.invariant nr s);
-        legitimate = (fun () -> Protocols.Naive_ring.one_token nr);
-        certify = None;
-        cgraphs = [];
-      }
+      builtin
+        (Printf.sprintf "naive-ring %d" nodes)
+        ~env:(Protocols.Naive_ring.env nr)
+        ~program:(Protocols.Naive_ring.program nr)
+        ~invariant:(Protocols.Naive_ring.invariant nr)
+        ~init:(fun () -> Protocols.Naive_ring.one_token nr)
   | "reset" ->
       let r = Protocols.Reset.make (tree_of ~shape ~size ~seed) in
-      {
-        i_name = Printf.sprintf "reset %s-%d" shape size;
-        declared_faults = [];
-        declared_envs = [];
-        env = Protocols.Reset.env r;
-        program = Protocols.Reset.program r;
-        invariant = (fun s -> Protocols.Reset.invariant r s);
-        legitimate = (fun () -> Protocols.Reset.all_green r);
-        certify = None;
-        cgraphs = [];
-      }
+      builtin
+        (Printf.sprintf "reset %s-%d" shape size)
+        ~env:(Protocols.Reset.env r)
+        ~program:(Protocols.Reset.program r)
+        ~invariant:(Protocols.Reset.invariant r)
+        ~init:(fun () -> Protocols.Reset.all_green r)
   | "spanning-tree" ->
       let g =
         match shape with
@@ -256,17 +212,12 @@ let build_instance proto ~shape ~size ~nodes ~k ~seed =
               ~extra_edges:(size / 2)
       in
       let st = Protocols.Spanning_tree.make ~root:0 g in
-      {
-        i_name = Printf.sprintf "spanning-tree %s-%d" shape size;
-        declared_faults = [];
-        declared_envs = [];
-        env = Protocols.Spanning_tree.env st;
-        program = Protocols.Spanning_tree.program st;
-        invariant = (fun s -> Protocols.Spanning_tree.invariant st s);
-        legitimate = (fun () -> Protocols.Spanning_tree.bfs_state st);
-        certify = None;
-        cgraphs = [];
-      }
+      builtin
+        (Printf.sprintf "spanning-tree %s-%d" shape size)
+        ~env:(Protocols.Spanning_tree.env st)
+        ~program:(Protocols.Spanning_tree.program st)
+        ~invariant:(Protocols.Spanning_tree.invariant st)
+        ~init:(fun () -> Protocols.Spanning_tree.bfs_state st)
   | p ->
       failwith
         (Printf.sprintf
@@ -294,18 +245,7 @@ let parse_model_file path =
 
 let nm_instance ~params path =
   let em = compile_model ~params path in
-  {
-    i_name = em.Lang.Elab.name;
-    env = em.Lang.Elab.env;
-    program = em.Lang.Elab.program;
-    invariant = em.Lang.Elab.invariant;
-    (* a copy per call: storm and simulate inject faults into it *)
-    legitimate = (fun () -> Guarded.State.copy em.Lang.Elab.init);
-    certify = None;
-    cgraphs = [];
-    declared_faults = em.Lang.Elab.fault_actions;
-    declared_envs = em.Lang.Elab.env_actions;
-  }
+  { model = Serve.Job.model_of_elab em; certify = None; cgraphs = [] }
 
 (* Model selection, shared by every verb: a PROTOCOL argument is either a
    built-in name (flags like --tree/--size/--nodes/-k shape it) or a path
@@ -374,23 +314,17 @@ let k_arg =
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
 
-let backend_str = function
-  | Explore.Engine.Eager -> "eager"
-  | Explore.Engine.Lazy -> "lazy"
-  | Explore.Engine.Parallel -> "parallel"
-
 let backend_conv =
-  let parse = function
-    | "eager" -> Ok Explore.Engine.Eager
-    | "lazy" -> Ok Explore.Engine.Lazy
-    | "parallel" -> Ok Explore.Engine.Parallel
-    | s ->
+  let parse s =
+    match List.assoc_opt s Serve.Job.backends with
+    | Some b -> Ok b
+    | None ->
         Error
           (`Msg
             (Printf.sprintf
                "unknown engine %S; valid values are eager, lazy, parallel" s))
   in
-  let print ppf b = Format.pp_print_string ppf (backend_str b) in
+  let print ppf b = Format.pp_print_string ppf (Serve.Job.backend_name b) in
   Arg.conv (parse, print)
 
 let engine_arg =
@@ -429,14 +363,27 @@ let jobs_arg =
            Verdicts, spans, and statistics are bit-identical at any job \
            count.")
 
+(* --max-states takes serve's max_states range rule. *)
+let max_states_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | None -> Error (`Msg (Printf.sprintf "expected an integer (got %S)" s))
+    | Some n ->
+        Result.map_error
+          (fun why -> `Msg (Printf.sprintf "%s (got %d)" why n))
+          (Serve.Job.check_max_states n)
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let max_states_arg =
   Arg.(
     value
-    & opt int 2_000_000
+    & opt max_states_conv 2_000_000
     & info [ "max-states" ] ~docv:"N"
         ~doc:
-          "State budget. The eager engine refuses spaces larger than this; \
-           the lazy engine aborts once it has discovered this many states.")
+          "State budget, positive. The eager engine refuses spaces larger \
+           than this; the lazy engine aborts once it has discovered this \
+           many states.")
 
 let ball_arg =
   Arg.(
@@ -448,10 +395,6 @@ let ball_arg =
            of the legitimate state (at most $(docv) corrupted variables) \
            instead of from every state. Lets the lazy engine give verdicts \
            on spaces far beyond $(b,--max-states).")
-
-let make_engine ~backend ~max_states ~jobs ?obs ?guard ?snapshots ?salt env =
-  Explore.Engine.create ~backend ~max_states ~jobs ?obs ?guard ?snapshots
-    ?salt env
 
 (* --- graceful degradation: budgets, signals, checkpoints --- *)
 
@@ -528,8 +471,6 @@ let trial_retries_arg =
     & info [ "trial-retries" ] ~docv:"N"
         ~doc:"Extra attempts after a trial times out (default 1).")
 
-let exit_incomplete = 5
-
 (* First signal: request cooperative cancellation; the run stops at the
    next polling point, saves its checkpoint, flushes --trace-out and
    --metrics-out, and exits 5. Second signal: stop waiting and exit 5
@@ -539,8 +480,10 @@ let install_signal_handlers cancel =
   let handle name =
     Sys.Signal_handle
       (fun _ ->
-        if Rt.Cancel.get cancel <> None then exit exit_incomplete
-        else Rt.Cancel.request cancel (Rt.Cancel.Signal name))
+        let reason = Rt.Cancel.Signal name in
+        if Rt.Cancel.get cancel <> None then
+          exit (Serve.Job.exit_code (Serve.Job.Cancelled reason))
+        else Rt.Cancel.request cancel reason)
   in
   List.iter
     (fun (s, name) ->
@@ -630,17 +573,7 @@ let report_incomplete ~obs ?checkpoint_out (it : Explore.Engine.interrupt) =
               | Some f -> Obs.Json.Str f
               | None -> Obs.Json.Null );
           ]));
-  exit exit_incomplete
-
-(* The reason a guard-governed Monte-Carlo sweep (storm, fuzz) went
-   partial: the cancel token records what tripped first. *)
-let guard_reason guard =
-  match Rt.Guard.cancel guard with
-  | Some c -> (
-      match Rt.Cancel.get c with
-      | Some r -> r
-      | None -> Rt.Cancel.Deadline)
-  | None -> Rt.Cancel.Deadline
+  exit (Serve.Job.exit_code (Serve.Job.Interrupted it))
 
 (* --- observability flags (check / certify / storm) --- *)
 
@@ -680,7 +613,17 @@ let progress_arg =
    exits (code 2) and overflow exits (3/4) still produce their files;
    both output files are opened up front so an unwritable path fails
    fast with the documented usage exit code 1. *)
-let obs_setup ~trace_out ~metrics_out ~progress ~meta =
+let obs_setup ~trace_out ~metrics_out ~progress ~command ~instance ~engine
+    ~jobs =
+  let meta =
+    [
+      ("command", Obs.Json.Str command);
+      ("instance", Obs.Json.Str instance);
+      ("engine", Obs.Json.Str engine);
+      ("jobs", Obs.Json.Int jobs);
+      ("version", Obs.Json.Str Version_info.version);
+    ]
+  in
   if trace_out = None && metrics_out = None && not progress then
     Obs.Ctx.disabled
   else begin
@@ -716,45 +659,58 @@ let obs_setup ~trace_out ~metrics_out ~progress ~meta =
     obs
   end
 
-let run_meta ~command ~instance ~engine ~jobs =
-  [
-    ("command", Obs.Json.Str command);
-    ("instance", Obs.Json.Str instance);
-    ("engine", Obs.Json.Str engine);
-    ("jobs", Obs.Json.Int jobs);
-    ("version", Obs.Json.Str Version_info.version);
-  ]
+(* The CLI's text for a runner's answer: [print] writes a finished
+   analysis to stdout, [failed v] says on stderr why a failed verdict or a
+   counterexample exits non-zero, and every stop writes one line to
+   stderr; the exit code is Serve.Job.exit_code. Non-zero exits must say
+   why on stderr, even though the verdict details go to stdout — scripts
+   routinely discard stdout and keep stderr. *)
+let conclude ~name ~obs ?checkpoint_out ?(failed = fun _ -> "") print answer
+    =
+  let stop msg =
+    Printf.eprintf "error: %s\n" msg;
+    exit (Serve.Job.exit_code answer)
+  in
+  let incomplete it = report_incomplete ~obs ?checkpoint_out it in
+  match answer with
+  | Serve.Job.Holds v -> print v
+  | Fails v | Counterexamples v ->
+      print v;
+      stop (failed v)
+  | Partial (v, it) ->
+      print v;
+      incomplete it
+  | Error msg -> failwith msg
+  | Too_large total ->
+      stop
+        (Printf.sprintf
+           "%s has ~%.3g states, over the budget; retry with --engine lazy \
+            (and --ball R for huge spaces) or raise --max-states"
+           name total)
+  | Unaddressable { layout; bits; states } ->
+      stop
+        (Printf.sprintf
+           "%s has ~%.3g states, more than the %s state encoding can \
+            address (%d bits needed); shrink the instance"
+           name states layout bits)
+  | Region_overflow n ->
+      stop
+        (Printf.sprintf
+           "%s: lazy exploration exceeded the budget after %d states; raise \
+            --max-states or shrink --ball"
+           name n)
+  | Interrupted it -> incomplete it
+  | Cancelled reason ->
+      incomplete { reason; states_seen = 0; frontier_size = 0; snapshot = None }
 
-let exit_verdict_failed = 2
-let exit_too_large = 3
-let exit_region_overflow = 4
-
-(* Non-zero exits must say why on stderr, even though the verdict details
-   go to stdout — scripts routinely discard stdout and keep stderr. *)
-let fail_verdict what =
-  Printf.eprintf "error: %s\n" what;
-  exit exit_verdict_failed
-
-let report_overflow i = function
-  | Explore.Space.Too_large total ->
-      Printf.eprintf
-        "error: %s has ~%.3g states, over the budget; retry with --engine \
-         lazy (and --ball R for huge spaces) or raise --max-states\n"
-        i.i_name total;
-      exit exit_too_large
-  | Explore.Codec.Overflow { layout; bits; states } ->
-      Printf.eprintf
-        "error: %s has ~%.3g states, more than the %s state encoding can \
-         address (%d bits needed); shrink the instance\n"
-        i.i_name states layout bits;
-      exit exit_too_large
-  | Explore.Engine.Region_overflow n ->
-      Printf.eprintf
-        "error: %s: lazy exploration exceeded the budget after %d states; \
-         raise --max-states or shrink --ball\n"
-        i.i_name n;
-      exit exit_region_overflow
-  | e -> raise e
+(* A subcommand body: a Failure is a usage error, one line on stderr. *)
+let usage f =
+  try
+    f ();
+    0
+  with Failure msg ->
+    Printf.eprintf "error: %s\n" msg;
+    Serve.Job.exit_code (Serve.Job.Error msg)
 
 (* A Sim.Fault.resolve result, or the CLI's error for a bad --faults SPEC. *)
 let fault_or_bad_spec = function
@@ -764,21 +720,16 @@ let fault_or_bad_spec = function
         (Printf.sprintf "bad fault spec %S (%s)" spec Sim.Fault.spec_syntax)
 
 (* A storm flag checked by its Sim.Storm range rule. *)
-let storm_flag flag check show v =
+let range_flag flag check show v =
   match check v with
   | Ok v -> v
   | Error why -> failwith (Printf.sprintf "%s %s (got %s)" flag why (show v))
 
-let trials_flag = storm_flag "--trials" Sim.Storm.check_trials string_of_int
+let trials_flag = range_flag "--trials" Sim.Storm.check_trials string_of_int
 
 let with_instance f proto shape size nodes k seed params =
-  try
-    let i = load_instance proto ~shape ~size ~nodes ~k ~seed ~params in
-    f i seed;
-    0
-  with Failure msg ->
-    Printf.eprintf "error: %s\n" msg;
-    1
+  usage @@ fun () ->
+  f (load_instance proto ~shape ~size ~nodes ~k ~seed ~params) seed
 
 let instance_term f =
   Term.(
@@ -799,7 +750,7 @@ let list_cmd =
 
 let show_cmd =
   let run i _seed =
-    Format.printf "%a@." Guarded.Program.pp i.program;
+    Format.printf "%a@." Guarded.Program.pp i.model.program;
     List.iteri
       (fun l g ->
         if List.length i.cgraphs > 1 then Format.printf "layer %d:@." l;
@@ -836,104 +787,59 @@ let certify_cmd =
   let run proto shape size nodes k seed params backend max_states jobs
       fault_spec fault_budget ball trace_out metrics_out progress deadline
       budget_states budget_bytes checkpoint_out resume_file =
-    try
-      let i = load_instance proto ~shape ~size ~nodes ~k ~seed ~params in
-      (* --faults wins; a .nm model's declared fault actions are the
-         default fault class when the flag is absent. *)
-      let fault_opt =
-        fault_or_bad_spec
-          (Sim.Fault.resolve i.env ~spec:fault_spec
-             ~declared:i.declared_faults)
-      in
-      if (checkpoint_out <> None || resume_file <> None) && fault_opt = None
-      then
-        failwith
-          "certify: --checkpoint-out/--resume require --faults (only the \
-           computed fault span is checkpointable)";
-      let obs =
-        obs_setup ~trace_out ~metrics_out ~progress
-          ~meta:
-            (run_meta ~command:"certify" ~instance:i.i_name
-               ~engine:(backend_str backend) ~jobs)
-      in
-      let guard = make_guard ~deadline ~budget_states ~budget_bytes in
-      let handle_incomplete work =
-        try work () with
-        | Explore.Engine.Interrupted it ->
-            report_incomplete ~obs ?checkpoint_out it
-        | Rt.Cancel.Cancelled reason ->
-            report_incomplete ~obs ?checkpoint_out
-              { reason; states_seen = 0; frontier_size = 0; snapshot = None }
-        | Rt.Snapshot.Corrupt msg ->
-            failwith (Printf.sprintf "cannot resume: %s" msg)
-      in
-      (match fault_opt with
-      | Some fault -> (
-          let resume = Option.map load_snapshot resume_file in
-          prepare_checkpoint checkpoint_out;
-          let salt =
-            Printf.sprintf "certify|%s|seed=%d|faults=%s|ball=%d" i.i_name
-              seed fault.Sim.Fault.name ball
-          in
-          try
-            handle_incomplete @@ fun () ->
-            let engine =
-              make_engine ~backend ~max_states ~jobs ~obs ~guard
-                ~snapshots:(checkpoint_out <> None) ~salt i.env
-            in
-            let from =
-              if ball < 0 then None
-              else
-                Some
-                  (Explore.Engine.Seeds
-                     (Explore.Engine.ball i.env ~center:(i.legitimate ())
-                        ~radius:ball))
-            in
-            let budget =
-              match fault_budget with
-              | Some b when b < 0 -> None
-              | Some b -> Some b
-              | None -> Some (Sim.Fault.burst fault)
-            in
+    usage @@ fun () ->
+    let i = load_instance proto ~shape ~size ~nodes ~k ~seed ~params in
+    let m = i.model in
+    (* --faults wins; a .nm model's declared fault actions are the
+       default fault class when the flag is absent. *)
+    let fault_opt =
+      fault_or_bad_spec
+        (Sim.Fault.resolve m.env ~spec:fault_spec ~declared:m.faults)
+    in
+    if (checkpoint_out <> None || resume_file <> None) && fault_opt = None then
+      failwith
+        "certify: --checkpoint-out/--resume require --faults (only the \
+         computed fault span is checkpointable)";
+    let obs =
+      obs_setup ~trace_out ~metrics_out ~progress ~command:"certify"
+        ~instance:m.name ~engine:(Serve.Job.backend_name backend) ~jobs
+    in
+    let guard = make_guard ~deadline ~budget_states ~budget_bytes in
+    let opts =
+      { Serve.Job.defaults with engine = backend; max_states; ball; fault_budget }
+    in
+    let print cert = Format.printf "%a@." Nonmask.Certify.pp_full cert in
+    match (fault_opt, i.certify) with
+    | Some fault, _ ->
+        let resume = Option.map load_snapshot resume_file in
+        prepare_checkpoint checkpoint_out;
+        let salt =
+          Printf.sprintf "certify|%s|seed=%d|faults=%s|ball=%d" m.name seed
+            fault.Sim.Fault.name ball
+        in
+        Serve.Job.certify ~jobs ~obs ~guard
+          ~snapshots:(checkpoint_out <> None) ~salt ?resume m fault opts
+        |> conclude ~name:m.name ~obs ?checkpoint_out
+             ~failed:(fun _ ->
+               Printf.sprintf "%s: tolerance certificate failed" m.name)
+             (fun cert ->
+               cleanup_checkpoint checkpoint_out;
+               print cert)
+    | None, None ->
+        Printf.printf
+          "%s has no theorem certificate (validated by direct model \
+           checking; use `check`, or `certify --faults SPEC` for a \
+           tolerance certificate).\n"
+          m.name
+    | None, Some certify ->
+        Serve.Job.catch (fun () ->
             let cert =
-              Nonmask.Certify.tolerance ~engine ~program:i.program
-                ~faults:(Sim.Fault.actions fault) ~invariant:i.invariant
-                ?from ?budget ?resume
-                ~name:
-                  (Printf.sprintf "%s under %s" i.i_name
-                     fault.Sim.Fault.name)
-                ()
+              certify ~engine:(Serve.Job.engine ~jobs ~obs ~guard m opts)
             in
-            cleanup_checkpoint checkpoint_out;
-            Format.printf "%a@." Nonmask.Certify.pp_full cert;
-            if not (Nonmask.Certify.ok cert) then
-              fail_verdict
-                (Printf.sprintf "%s: tolerance certificate failed" i.i_name)
-          with e -> report_overflow i e)
-      | None -> (
-          match i.certify with
-          | None ->
-              Printf.printf
-                "%s has no theorem certificate (validated by direct model \
-                 checking; use `check`, or `certify --faults SPEC` for a \
-                 tolerance certificate).\n"
-                i.i_name
-          | Some certify -> (
-              try
-                handle_incomplete @@ fun () ->
-                let engine =
-                  make_engine ~backend ~max_states ~jobs ~obs ~guard i.env
-                in
-                let cert = certify ~engine in
-                Format.printf "%a@." Nonmask.Certify.pp_full cert;
-                if not (Nonmask.Certify.ok cert) then
-                  fail_verdict
-                    (Printf.sprintf "%s: certificate failed" i.i_name)
-              with e -> report_overflow i e)));
-      0
-    with Failure msg ->
-      Printf.eprintf "error: %s\n" msg;
-      1
+            if Nonmask.Certify.ok cert then Holds cert else Fails cert)
+        |> conclude ~name:m.name ~obs
+             ~failed:(fun _ -> Printf.sprintf "%s: certificate failed" m.name)
+             print
   in
   Cmd.v
     (Cmd.info "certify"
@@ -1002,96 +908,60 @@ let tolerance_cmd =
   let run proto shape size nodes k seed params backend max_states jobs
       fault_spec budget_max budgets_csv adversary report ball trace_out
       metrics_out progress deadline budget_states budget_bytes =
-    try
-      let i = load_instance proto ~shape ~size ~nodes ~k ~seed ~params in
-      let fault =
-        fault_or_bad_spec
-          (Sim.Fault.resolve_or_corrupt i.env ~spec:fault_spec
-             ~declared:i.declared_faults)
-      in
-      let budgets =
-        match budgets_csv with
-        | Some csv ->
-            List.map
-              (fun s ->
-                match int_of_string_opt (String.trim s) with
-                | Some b when b >= 0 -> b
-                | Some b ->
-                    failwith
-                      (Printf.sprintf "tolerance: negative budget %d" b)
-                | None ->
-                    failwith
-                      (Printf.sprintf "tolerance: bad --budgets entry %S" s))
-              (String.split_on_char ',' csv)
-        | None ->
-            if budget_max < 0 then
-              failwith
-                (Printf.sprintf "tolerance: --budget-max must be >= 0 (got %d)"
-                   budget_max);
-            Tol.Sweep.range ~max:budget_max
-      in
-      let report_oc =
-        Option.map
-          (fun file ->
-            let oc =
-              try open_out file
-              with Sys_error msg ->
-                failwith (Printf.sprintf "cannot open --report: %s" msg)
-            in
-            at_exit (fun () -> close_out_noerr oc);
-            oc)
-          report
-      in
-      let obs =
-        obs_setup ~trace_out ~metrics_out ~progress
-          ~meta:
-            (run_meta ~command:"tolerance" ~instance:i.i_name
-               ~engine:(backend_str backend) ~jobs)
-      in
-      let guard = make_guard ~deadline ~budget_states ~budget_bytes in
-      (try
-         let engine =
-           make_engine ~backend ~max_states ~jobs ~obs ~guard i.env
-         in
-         let from =
-           if ball < 0 then None
-           else
-             Some
-               (Explore.Engine.Seeds
-                  (Explore.Engine.ball i.env ~center:(i.legitimate ())
-                     ~radius:ball))
-         in
-         let on_point p =
-           match report_oc with
-           | None -> ()
-           | Some oc ->
-               output_string oc
-                 (Obs.Json.to_string (Tol.Sweep.point_json p));
-               output_char oc '\n';
-               flush oc
-         in
-         let frontier =
-           Tol.Sweep.run ~engine ~program:i.program
-             ~faults:(Sim.Fault.actions fault) ~envs:i.declared_envs
-             ~invariant:i.invariant ?from ~budgets ~adversary ~on_point
-             ~name:
-               (Printf.sprintf "%s under %s" i.i_name fault.Sim.Fault.name)
-             ()
-         in
-         Format.printf "%s under %s (%s engine):@.%a@." i.i_name
-           fault.Sim.Fault.name
-           (Explore.Engine.backend_name engine)
-           Tol.Sweep.pp_frontier frontier
-       with
-       | Explore.Engine.Interrupted it -> report_incomplete ~obs it
-       | Rt.Cancel.Cancelled reason ->
-           report_incomplete ~obs
-             { reason; states_seen = 0; frontier_size = 0; snapshot = None }
-       | e -> report_overflow i e);
-      0
-    with Failure msg ->
-      Printf.eprintf "error: %s\n" msg;
-      1
+    usage @@ fun () ->
+    let i = load_instance proto ~shape ~size ~nodes ~k ~seed ~params in
+    let m = i.model in
+    let fault =
+      fault_or_bad_spec
+        (Sim.Fault.resolve_or_corrupt m.env ~spec:fault_spec ~declared:m.faults)
+    in
+    let budgets =
+      match budgets_csv with
+      | Some csv ->
+          List.map
+            (fun s ->
+              match int_of_string_opt (String.trim s) with
+              | Some b when b >= 0 -> b
+              | Some b ->
+                  failwith (Printf.sprintf "tolerance: negative budget %d" b)
+              | None ->
+                  failwith
+                    (Printf.sprintf "tolerance: bad --budgets entry %S" s))
+            (String.split_on_char ',' csv)
+      | None ->
+          if budget_max < 0 then
+            failwith
+              (Printf.sprintf "tolerance: --budget-max must be >= 0 (got %d)"
+                 budget_max);
+          Tol.Sweep.range ~max:budget_max
+    in
+    let on_point =
+      Option.map
+        (fun file ->
+          let oc =
+            try open_out file
+            with Sys_error msg ->
+              failwith (Printf.sprintf "cannot open --report: %s" msg)
+          in
+          at_exit (fun () -> close_out_noerr oc);
+          fun p ->
+            output_string oc (Obs.Json.to_string (Tol.Sweep.point_json p));
+            output_char oc '\n';
+            flush oc)
+        report
+    in
+    let obs =
+      obs_setup ~trace_out ~metrics_out ~progress ~command:"tolerance"
+        ~instance:m.name ~engine:(Serve.Job.backend_name backend) ~jobs
+    in
+    let guard = make_guard ~deadline ~budget_states ~budget_bytes in
+    let opts =
+      { Serve.Job.defaults with engine = backend; max_states; ball; adversary }
+    in
+    Serve.Job.tolerance ~jobs ~obs ~guard ~budgets ?on_point m fault opts
+    |> conclude ~name:m.name ~obs (fun (engine, frontier) ->
+           Format.printf "%s (%s engine):@.%a@." (Serve.Job.title m fault)
+             engine Tol.Sweep.pp_frontier frontier)
   in
   Cmd.v
     (Cmd.info "tolerance"
@@ -1111,73 +981,46 @@ let check_cmd =
   let run proto shape size nodes k seed params backend max_states jobs ball
       trace_out metrics_out progress deadline budget_states budget_bytes
       checkpoint_out resume_file =
-    try
-      let i = load_instance proto ~shape ~size ~nodes ~k ~seed ~params in
-      let obs =
-        obs_setup ~trace_out ~metrics_out ~progress
-          ~meta:
-            (run_meta ~command:"check" ~instance:i.i_name
-               ~engine:(backend_str backend) ~jobs)
-      in
-      let guard =
-        make_guard ~deadline ~budget_states ~budget_bytes
-      in
-      let resume = Option.map load_snapshot resume_file in
-      prepare_checkpoint checkpoint_out;
-      (* The salt excludes engine and jobs (checkpoints resume across
-         both) but pins everything else that shapes the result. *)
-      let salt =
-        Printf.sprintf "check|%s|seed=%d|ball=%d" i.i_name seed ball
-      in
-      (try
-         let engine =
-           make_engine ~backend ~max_states ~jobs ~obs ~guard
-             ~snapshots:(checkpoint_out <> None) ~salt i.env
-         in
-         let from, from_desc =
-           if ball < 0 then (Explore.Engine.All, "every state")
-           else
-             ( Explore.Engine.Seeds
-                 (Explore.Engine.ball i.env ~center:(i.legitimate ())
-                    ~radius:ball),
-               Printf.sprintf "every state within %d faults of legitimacy"
-                 ball )
-         in
-         match
-           Explore.Convergence.check_unfair ?resume engine
-             (Compile.program i.program) ~from ~target:i.invariant
-         with
-         | Ok { region_states; explored; worst_case_steps } ->
-             cleanup_checkpoint checkpoint_out;
-             Printf.printf
-               "%s (%s engine): converges from %s, even without fairness\n\
-               \  explored: %d  outside invariant: %d  worst-case steps: %s\n"
-               i.i_name
-               (Explore.Engine.backend_name engine)
-               from_desc explored region_states
-               (match worst_case_steps with
-               | Some w -> string_of_int w
-               | None -> "-")
-         | Error f ->
-             cleanup_checkpoint checkpoint_out;
-             Format.printf "%s: FAILS@.%a@." i.i_name
-               (Explore.Convergence.pp_failure i.env)
-               f;
-             fail_verdict
-               (Printf.sprintf "%s: convergence check failed" i.i_name)
-       with
-       | Explore.Engine.Interrupted it ->
-           report_incomplete ~obs ?checkpoint_out it
-       | Rt.Cancel.Cancelled reason ->
-           report_incomplete ~obs ?checkpoint_out
-             { reason; states_seen = 0; frontier_size = 0; snapshot = None }
-       | Rt.Snapshot.Corrupt msg ->
-           failwith (Printf.sprintf "cannot resume: %s" msg)
-       | e -> report_overflow i e);
-      0
-    with Failure msg ->
-      Printf.eprintf "error: %s\n" msg;
-      1
+    usage @@ fun () ->
+    let i = load_instance proto ~shape ~size ~nodes ~k ~seed ~params in
+    let m = i.model in
+    let obs =
+      obs_setup ~trace_out ~metrics_out ~progress ~command:"check"
+        ~instance:m.name ~engine:(Serve.Job.backend_name backend) ~jobs
+    in
+    let guard = make_guard ~deadline ~budget_states ~budget_bytes in
+    let resume = Option.map load_snapshot resume_file in
+    prepare_checkpoint checkpoint_out;
+    (* The salt excludes engine and jobs (checkpoints resume across
+       both) but pins everything else that shapes the result. *)
+    let salt = Printf.sprintf "check|%s|seed=%d|ball=%d" m.name seed ball in
+    let from_desc =
+      if ball < 0 then "every state"
+      else Printf.sprintf "every state within %d faults of legitimacy" ball
+    in
+    let opts = { Serve.Job.defaults with engine = backend; max_states; ball } in
+    Serve.Job.check ~jobs ~obs ~guard ~snapshots:(checkpoint_out <> None)
+      ~salt ?resume m opts
+    |> conclude ~name:m.name ~obs ?checkpoint_out
+         ~failed:(fun _ ->
+           Printf.sprintf "%s: convergence check failed" m.name)
+         (fun (engine, result) ->
+           cleanup_checkpoint checkpoint_out;
+           match result with
+           | Ok { Explore.Convergence.region_states; explored; worst_case_steps }
+             ->
+               Printf.printf
+                 "%s (%s engine): converges from %s, even without fairness\n\
+                 \  explored: %d  outside invariant: %d  worst-case steps: \
+                  %s\n"
+                 m.name engine from_desc explored region_states
+                 (match worst_case_steps with
+                 | Some w -> string_of_int w
+                 | None -> "-")
+           | Error f ->
+               Format.printf "%s: FAILS@.%a@." m.name
+                 (Explore.Convergence.pp_failure m.env)
+                 f)
   in
   Cmd.v
     (Cmd.info "check"
@@ -1203,34 +1046,30 @@ let faults_arg =
 
 let simulate_cmd =
   let run i seed trials faults =
+    let m = i.model in
     let trials = trials_flag trials in
     if faults < 0 then
       failwith (Printf.sprintf "--faults must be non-negative (got %d)" faults);
-    let cp = Compile.program i.program in
+    let cp = Compile.program m.program in
     let fault =
-      if faults = 0 then Sim.Fault.scramble i.env
-      else Sim.Fault.corrupt i.env ~k:faults
+      if faults = 0 then Sim.Fault.scramble m.env
+      else Sim.Fault.corrupt m.env ~k:faults
     in
     let result =
       Sim.Experiment.convergence_trials ~rng:(Prng.create seed) ~trials
         ~daemon:(fun r -> Sim.Daemon.random r)
         ~prepare:(fun r ->
-          let s = i.legitimate () in
+          let s = m.init () in
           fault.Sim.Fault.inject r s;
           s)
-        ~stop:i.invariant cp
+        ~stop:m.invariant cp
     in
-    Format.printf "%s under %s, %d trials: %a@." i.i_name
+    Format.printf "%s under %s, %d trials: %a@." m.name
       fault.Sim.Fault.name trials Sim.Experiment.pp_result result
   in
   let wrapped proto shape size nodes k seed params trials faults =
-    try
-      let i = load_instance proto ~shape ~size ~nodes ~k ~seed ~params in
-      run i seed trials faults;
-      0
-    with Failure msg ->
-      Printf.eprintf "error: %s\n" msg;
-      1
+    with_instance (fun i seed -> run i seed trials faults) proto shape size
+      nodes k seed params
   in
   Cmd.v
     (Cmd.info "simulate"
@@ -1270,57 +1109,34 @@ let storm_cmd =
   let run proto shape size nodes k seed params trials fault_spec rate
       fault_budget max_steps jobs trace_out metrics_out progress deadline
       trial_timeout trial_retries =
-    try
-      let trials = trials_flag trials in
-      let rate =
-        storm_flag "--rate" Sim.Storm.check_rate (Printf.sprintf "%g") rate
-      in
-      let max_steps =
-        storm_flag "--max-steps" Sim.Storm.check_max_steps string_of_int
-          max_steps
-      in
-      let i = load_instance proto ~shape ~size ~nodes ~k ~seed ~params in
-      let obs =
-        obs_setup ~trace_out ~metrics_out ~progress
-          ~meta:(run_meta ~command:"storm" ~instance:i.i_name ~engine:"-" ~jobs)
-      in
-      let guard =
-        make_guard ~deadline ~budget_states:None ~budget_bytes:None
-      in
-      let watchdog = make_watchdog ~trial_timeout ~trial_retries in
-      let cp = Compile.program i.program in
-      let fault =
-        fault_or_bad_spec
-          (Sim.Fault.resolve_or_corrupt i.env ~spec:fault_spec
-             ~declared:i.declared_faults)
-      in
-      let fault_budget =
-        match fault_budget with Some b when b >= 0 -> Some b | _ -> None
-      in
-      let result =
-        Sim.Storm.trials ~max_steps ?fault_budget ~jobs ~obs ~guard ?watchdog
-          ~rng:(Prng.create seed) ~trials
-          ~daemon:(fun r -> Sim.Daemon.random r)
-          ~prepare:(fun r ->
-            let s = i.legitimate () in
-            fault.Sim.Fault.inject r s;
-            s)
-          ~stop:i.invariant ~fault ~rate cp
-      in
-      Format.printf "%s: storm %s rate=%g, %d trials: %a@." i.i_name
-        fault.Sim.Fault.name rate trials Sim.Storm.pp_result result;
-      if result.Sim.Storm.skipped > 0 then
-        report_incomplete ~obs
-          {
-            Explore.Engine.reason = guard_reason guard;
-            states_seen = trials - result.Sim.Storm.skipped;
-            frontier_size = result.Sim.Storm.skipped;
-            snapshot = None;
-          };
-      0
-    with Failure msg ->
-      Printf.eprintf "error: %s\n" msg;
-      1
+    usage @@ fun () ->
+    let trials = trials_flag trials in
+    let rate =
+      range_flag "--rate" Sim.Storm.check_rate (Printf.sprintf "%g") rate
+    in
+    let max_steps =
+      range_flag "--max-steps" Sim.Storm.check_max_steps string_of_int
+        max_steps
+    in
+    let i = load_instance proto ~shape ~size ~nodes ~k ~seed ~params in
+    let m = i.model in
+    let obs =
+      obs_setup ~trace_out ~metrics_out ~progress ~command:"storm"
+        ~instance:m.name ~engine:"-" ~jobs
+    in
+    let guard = make_guard ~deadline ~budget_states:None ~budget_bytes:None in
+    let watchdog = make_watchdog ~trial_timeout ~trial_retries in
+    let fault =
+      fault_or_bad_spec
+        (Sim.Fault.resolve_or_corrupt m.env ~spec:fault_spec ~declared:m.faults)
+    in
+    let opts =
+      { Serve.Job.defaults with seed; trials; rate; max_steps; fault_budget }
+    in
+    Serve.Job.storm ~jobs ~obs ~guard ?watchdog m fault opts
+    |> conclude ~name:m.name ~obs (fun r ->
+           Format.printf "%s: storm %s rate=%g, %d trials: %a@." m.name
+             fault.Sim.Fault.name rate trials Sim.Storm.pp_result r)
   in
   Cmd.v
     (Cmd.info "storm"
@@ -1357,8 +1173,6 @@ let no_shrink_arg =
     & info [ "no-shrink" ]
         ~doc:"Report counterexamples as generated, without minimizing them.")
 
-let exit_counterexample = 3
-
 let corpus_out_arg =
   Arg.(
     value
@@ -1380,56 +1194,27 @@ let corpus_all_arg =
 let fuzz_cmd =
   let run seed count max_vars jobs no_shrink corpus_out corpus_all trace_out
       metrics_out progress deadline trial_timeout trial_retries =
-    try
-      if max_vars < 2 then failwith "fuzz: --max-vars must be at least 2";
-      if count < 0 then failwith "fuzz: --count must be non-negative";
-      let obs =
-        obs_setup ~trace_out ~metrics_out ~progress
-          ~meta:
-            (run_meta ~command:"fuzz"
-               ~instance:(Printf.sprintf "seed=%d count=%d" seed count)
-               ~engine:"all" ~jobs)
-      in
-      let guard =
-        make_guard ~deadline ~budget_states:None ~budget_bytes:None
-      in
-      let watchdog = make_watchdog ~trial_timeout ~trial_retries in
-      if corpus_all && corpus_out = None then
-        failwith "fuzz: --corpus-all requires --corpus-out";
-      let report =
-        Gen.Fuzz.run
-          ~gen_config:(Gen.Generate.with_max_vars max_vars)
-          ~shrink:(not no_shrink) ~jobs ~obs ~guard ?watchdog
-          ?corpus_out ~corpus_all ~seed ~count ()
-      in
-      Format.printf "%a@." Gen.Fuzz.pp_report report;
-      if report.Gen.Fuzz.counterexamples <> [] then begin
-        Printf.eprintf
-          "error: fuzz found %d counterexample(s); reproduce with the seeds \
-           above\n"
-          (List.length report.Gen.Fuzz.counterexamples);
-        exit exit_counterexample
-      end;
-      (* A counterexample outranks a partial sweep: exit 3 above wins.
-         Watchdog-abandoned trials also leave the sample incomplete —
-         but only a skip means the global guard tripped; a timeout-only
-         sweep names the watchdog, not a budget. *)
-      if report.Gen.Fuzz.skipped > 0 || report.Gen.Fuzz.timeouts <> [] then
-        report_incomplete ~obs
-          {
-            Explore.Engine.reason =
-              (if report.Gen.Fuzz.skipped > 0 then guard_reason guard
-               else Rt.Cancel.Requested "trial-timeout");
-            states_seen =
-              count - report.Gen.Fuzz.skipped
-              - List.length report.Gen.Fuzz.timeouts;
-            frontier_size = report.Gen.Fuzz.skipped;
-            snapshot = None;
-          };
-      0
-    with Failure msg ->
-      Printf.eprintf "error: %s\n" msg;
-      1
+    usage @@ fun () ->
+    if max_vars < 2 then failwith "fuzz: --max-vars must be at least 2";
+    if count < 0 then failwith "fuzz: --count must be non-negative";
+    let obs =
+      obs_setup ~trace_out ~metrics_out ~progress ~command:"fuzz"
+        ~instance:(Printf.sprintf "seed=%d count=%d" seed count)
+        ~engine:"all" ~jobs
+    in
+    let guard = make_guard ~deadline ~budget_states:None ~budget_bytes:None in
+    let watchdog = make_watchdog ~trial_timeout ~trial_retries in
+    if corpus_all && corpus_out = None then
+      failwith "fuzz: --corpus-all requires --corpus-out";
+    Serve.Job.fuzz ~jobs ~obs ~guard ~shrink:(not no_shrink) ?watchdog
+      ?corpus_out ~corpus_all
+      { Serve.Job.defaults with seed; count; max_vars }
+    |> conclude ~name:"fuzz" ~obs
+         ~failed:(fun r ->
+           Printf.sprintf
+             "fuzz found %d counterexample(s); reproduce with the seeds above"
+             (List.length r.Gen.Fuzz.counterexamples))
+         (fun r -> Format.printf "%a@." Gen.Fuzz.pp_report r)
   in
   Cmd.v
     (Cmd.info "fuzz"
@@ -1446,19 +1231,16 @@ let fuzz_cmd =
 
 let dot_cmd =
   let run proto shape size nodes k seed params =
-    try
-      (if is_model_path proto then
-         let em = compile_model ~params:(parse_param_overrides params) proto in
-         print_string (Lang.Dot.render em)
-       else
-         let i = load_instance proto ~shape ~size ~nodes ~k ~seed ~params in
-         match i.cgraphs with
-         | [] -> failwith (Printf.sprintf "%s has no constraint graph" i.i_name)
-         | gs -> List.iter (fun g -> print_string (Nonmask.Cgraph.to_dot g)) gs);
-      0
-    with Failure msg ->
-      Printf.eprintf "error: %s\n" msg;
-      1
+    usage @@ fun () ->
+    if is_model_path proto then
+      let em = compile_model ~params:(parse_param_overrides params) proto in
+      print_string (Lang.Dot.render em)
+    else
+      let i = load_instance proto ~shape ~size ~nodes ~k ~seed ~params in
+      match i.cgraphs with
+      | [] ->
+          failwith (Printf.sprintf "%s has no constraint graph" i.model.name)
+      | gs -> List.iter (fun g -> print_string (Nonmask.Cgraph.to_dot g)) gs
   in
   Cmd.v
     (Cmd.info "dot" ~doc:"Emit the constraint graph(s) as Graphviz DOT")
@@ -1486,54 +1268,49 @@ let model_hash ~params ~shape ~size ~nodes ~k ~seed target =
     Lang.Canon.with_params ~params:em.Lang.Elab.params
       (Lang.Canon.model_digest ast)
   else
-    let i = load_instance target ~shape ~size ~nodes ~k ~seed ~params in
+    let m = (load_instance target ~shape ~size ~nodes ~k ~seed ~params).model in
     let text =
-      Printf.sprintf "%s\n%s\nlegitimate: %s\n" i.i_name
-        (Guarded.Program.to_string i.program)
-        (State.to_string i.env (i.legitimate ()))
+      Printf.sprintf "%s\n%s\nlegitimate: %s\n" m.name
+        (Guarded.Program.to_string m.program)
+        (State.to_string m.env (m.init ()))
     in
     Lang.Canon.digest_text text
 
 let fmt_cmd =
   let run file write check hash shape size nodes k seed params =
-    try
-      if hash then begin
-        if write || check then
-          failwith "fmt: --hash conflicts with --write/--check";
-        print_endline (model_hash ~params ~shape ~size ~nodes ~k ~seed file)
+    usage @@ fun () ->
+    if hash then begin
+      if write || check then
+        failwith "fmt: --hash conflicts with --write/--check";
+      print_endline (model_hash ~params ~shape ~size ~nodes ~k ~seed file)
+    end
+    else begin
+      if write && check then failwith "fmt: --write and --check conflict";
+      if not (is_model_path file) then
+        failwith
+          (Printf.sprintf
+             "fmt: %S is not a .nm file (built-in protocols are accepted \
+              only with --hash)"
+             file);
+      let _src, ast = parse_model_file file in
+      let formatted = Lang.Pretty.print ast in
+      if check then begin
+        let original =
+          let ic = open_in_bin file in
+          Fun.protect
+            ~finally:(fun () -> close_in_noerr ic)
+            (fun () -> really_input_string ic (in_channel_length ic))
+        in
+        if original <> formatted then
+          failwith (Printf.sprintf "fmt: %s is not canonically formatted" file)
       end
-      else begin
-        if write && check then failwith "fmt: --write and --check conflict";
-        if not (is_model_path file) then
-          failwith
-            (Printf.sprintf
-               "fmt: %S is not a .nm file (built-in protocols are accepted \
-                only with --hash)"
-               file);
-        let _src, ast = parse_model_file file in
-        let formatted = Lang.Pretty.print ast in
-        if check then begin
-          let original =
-            let ic = open_in_bin file in
-            Fun.protect
-              ~finally:(fun () -> close_in_noerr ic)
-              (fun () -> really_input_string ic (in_channel_length ic))
-          in
-          if original <> formatted then
-            failwith
-              (Printf.sprintf "fmt: %s is not canonically formatted" file)
-        end
-        else if write then begin
-          let oc = open_out file in
-          output_string oc formatted;
-          close_out oc
-        end
-        else print_string formatted
-      end;
-      0
-    with Failure msg ->
-      Printf.eprintf "error: %s\n" msg;
-      1
+      else if write then begin
+        let oc = open_out file in
+        output_string oc formatted;
+        close_out oc
+      end
+      else print_string formatted
+    end
   in
   let write_arg =
     Arg.(
@@ -1571,24 +1348,20 @@ let fmt_cmd =
 
 let export_cmd =
   let run file params tla dot out =
-    try
-      let text =
-        let em = compile_model ~params:(parse_param_overrides params) file in
-        match (tla, dot) with
-        | true, false -> Lang.Tla.render em
-        | false, true -> Lang.Dot.render em
-        | _ -> failwith "export: pass exactly one of --tla, --dot"
-      in
-      (match out with
-      | None -> print_string text
-      | Some path ->
-          let oc = open_out path in
-          output_string oc text;
-          close_out oc);
-      0
-    with Failure msg ->
-      Printf.eprintf "error: %s\n" msg;
-      1
+    usage @@ fun () ->
+    let text =
+      let em = compile_model ~params:(parse_param_overrides params) file in
+      match (tla, dot) with
+      | true, false -> Lang.Tla.render em
+      | false, true -> Lang.Dot.render em
+      | _ -> failwith "export: pass exactly one of --tla, --dot"
+    in
+    match out with
+    | None -> print_string text
+    | Some path ->
+        let oc = open_out path in
+        output_string oc text;
+        close_out oc
   in
   let tla_arg =
     Arg.(

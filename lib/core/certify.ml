@@ -165,6 +165,18 @@ let tolerance ~engine ~program ~faults ?(envs = []) ~invariant ?from ?budget
           ~faults:fp ~from ()
   in
   let span_states = Explore.Faultspan.states span in
+  let n = Explore.Faultspan.count span in
+  (* A span scan's guard poll before index [i]; a trip reports the whole
+     span as seen. *)
+  let poll_scan i =
+    if guard_on then
+      match Rt.Guard.poll guard ~states:i ~bytes:0 with
+      | None -> ()
+      | Some reason ->
+          raise
+            (Explore.Engine.Interrupted
+               { reason; states_seen = n; frontier_size = 0; snapshot = None })
+  in
   let span_check =
     let hist = Explore.Faultspan.depth_histogram span in
     check_info
@@ -209,26 +221,14 @@ let tolerance ~engine ~program ~faults ?(envs = []) ~invariant ?from ?budget
     (* Stream the span by index in {!Explore.Faultspan.iter} order —
        decode-on-demand into a stepper instead of materializing |T| boxed
        states — stopping at the first violating action in state order ×
-       action order. The order is the same for the sequential and the
-       chunk-ordered parallel scan, so both report the same first
-       violation. *)
-    let first_violation ~poll st lo hi =
+       action order. The scan runs in slices of 2048 states per worker
+       with a guard poll before each; a slice's chunks reduce in index
+       order, so every job count reports the same first violation. *)
+    let first_violation st lo hi =
       let buf = Explore.Engine.stepper_state st in
       let violation = ref None in
       (try
          for i = lo to hi - 1 do
-           (if poll && i land 2047 = 0 then
-              match Rt.Guard.poll guard ~states:i ~bytes:0 with
-              | None -> ()
-              | Some reason ->
-                  raise
-                    (Explore.Engine.Interrupted
-                       {
-                         reason;
-                         states_seen = Explore.Faultspan.count span;
-                         frontier_size = 0;
-                         snapshot = None;
-                       }));
            Explore.Engine.load st (Explore.Faultspan.nth_key span i);
            Array.iter
              (fun (ca : Guarded.Compile.action) ->
@@ -252,41 +252,28 @@ let tolerance ~engine ~program ~faults ?(envs = []) ~invariant ?from ?budget
        with Exit -> ());
       !violation
     in
-    let n = Explore.Faultspan.count span in
-    let jobs = Explore.Engine.jobs engine in
     let violation =
-      if Explore.Engine.backend engine <> Explore.Engine.Parallel || jobs = 1
-      then first_violation ~poll:guard_on (Explore.Engine.stepper engine) 0 n
-      else begin
-        (* Chunk-boundary cancellation point: worker loops do not raise
-           across the pool, so the parallel scan checks once up front and
-           runs to completion (bounded by the already-materialized span). *)
-        if guard_on then begin
-          match Rt.Guard.poll guard ~states:n ~bytes:0 with
-          | None -> ()
-          | Some reason ->
-              raise
-                (Explore.Engine.Interrupted
-                   {
-                     reason;
-                     states_seen = n;
-                     frontier_size = 0;
-                     snapshot = None;
-                   })
-        end;
-        Par.Pool.use ?pool:(Explore.Engine.pool engine) ~jobs @@ fun pool ->
-        let worker_st =
-          Array.init (Par.Pool.jobs pool) (fun _ ->
-              Explore.Engine.stepper engine)
-        in
-        (* Chunk-ordered reduce: the first Some is the violation the
-           sequential scan would have reported. *)
-        Par.Pool.map_reduce pool ~n
-          ~map:(fun ~worker lo hi ->
-            first_violation ~poll:false worker_st.(worker) lo hi)
-          (fun acc v -> match acc with Some _ -> acc | None -> v)
-          None
-      end
+      Explore.Engine.with_workers engine @@ fun pool ->
+      let steppers =
+        Array.init (Par.Pool.jobs pool) (fun _ -> Explore.Engine.stepper engine)
+      in
+      let slice = 2048 * Par.Pool.jobs pool in
+      let rec scan lo =
+        if lo >= n then None
+        else begin
+          poll_scan lo;
+          match
+            Par.Pool.map_reduce pool ~n:(min slice (n - lo))
+              ~map:(fun ~worker a b ->
+                first_violation steppers.(worker) (lo + a) (lo + b))
+              (fun acc v -> match acc with Some _ -> acc | None -> v)
+              None
+          with
+          | Some _ as v -> v
+          | None -> scan (lo + slice)
+        end
+      in
+      scan 0
     in
     match violation with
     | None -> check_pass label
@@ -308,22 +295,10 @@ let tolerance ~engine ~program ~faults ?(envs = []) ~invariant ?from ?budget
             in
             let buf = Guarded.State.make env in
             let post = Guarded.State.make env in
-            let n = Explore.Faultspan.count span in
             let violation = ref None in
             (try
                for i = 0 to n - 1 do
-                 (if guard_on && i land 2047 = 0 then
-                    match Rt.Guard.poll guard ~states:i ~bytes:0 with
-                    | None -> ()
-                    | Some reason ->
-                        raise
-                          (Explore.Engine.Interrupted
-                             {
-                               reason;
-                               states_seen = n;
-                               frontier_size = 0;
-                               snapshot = None;
-                             }));
+                 if i land 2047 = 0 then poll_scan i;
                  Explore.Faultspan.decode_nth_into span i buf;
                  if invariant buf then
                    Array.iter

@@ -135,6 +135,11 @@ let sharing_pool t f =
           Fun.protect ~finally:(fun () -> t.pool <- None) f)
   | _ -> f ()
 
+let with_workers t f =
+  match t.backend with
+  | Parallel -> Par.Pool.use ?pool:t.pool ~jobs:t.jobs f
+  | Eager | Lazy -> Par.Pool.with_pool ~jobs:1 f
+
 let storage_name t =
   match t.backend with
   | Eager -> "csr"

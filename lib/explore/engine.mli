@@ -134,6 +134,14 @@ val sharing_pool : t -> (unit -> 'a) -> 'a
     a certificate) wrap themselves in it, so they join their domains
     once instead of once per search. Other backends run [f] as is. *)
 
+val with_workers : t -> (Par.Pool.t -> 'a) -> 'a
+(** [with_workers t f] runs [f] on the pool a span-indexed loop splits
+    its work over: the parallel backend's pool (its own, the one
+    {!sharing_pool} lent it, or a fresh one of [jobs t] workers), else a
+    one-worker pool, which starts no domain and runs every chunk inline.
+    The fault-span search, the certificate's closure scan and the
+    adversary's expansion share this one rule. *)
+
 val obs : t -> Obs.Ctx.t
 (** The engine's observability context. Analyses layered on the engine
     ({!Faultspan}, certification) record into the same context, so one

@@ -508,15 +508,9 @@ let run_layers s ~closure ~fault budget =
     end
   done
 
-(* The parallel backend's pool, else a one-worker pool, which starts no
-   domain. *)
 let run_search s budget =
   let guard = Engine.guard s.engine in
-  (match Engine.backend s.engine with
-  | Engine.Parallel ->
-      Par.Pool.use ?pool:(Engine.pool s.engine) ~jobs:(Engine.jobs s.engine)
-  | Engine.Eager | Engine.Lazy -> Par.Pool.with_pool ~jobs:1)
-  @@ fun pool ->
+  Engine.with_workers s.engine @@ fun pool ->
   let steppers =
     Array.init (Par.Pool.jobs pool) (fun _ -> Engine.stepper s.engine)
   in

@@ -1,13 +1,17 @@
 (* One serve job: a validated request, its compiled model, its cache
-   key, and the execution mapping onto the engine/certify/storm/fuzz
-   pipelines.
+   key, and the analysis runners both front ends share.
 
    [prepare] runs on the reader thread — it is the cheap, allocation-
    bounded part (option validation, one compile of a size-capped model
    text, a SHA-256) whose results let the reader answer cache hits and
    rejections without ever touching the executor. [run] is the
    expensive part, executed one job at a time on the executor over the
-   server's shared Par.Pool.
+   server's shared Par.Pool: the op's runner, then its JSON.
+
+   The runners ([check], [certify], [tolerance], [storm], [fuzz]) are
+   the one place an analysis is set up and its stops are sorted: the
+   CLI calls the same functions with its flags and renders the same
+   [answer] as text, and [exit_code] is the exit-code contract of both.
 
    Cache-key policy: the key covers exactly the inputs that determine
    the result bytes — the op, the canonical model digest (params
@@ -60,10 +64,10 @@ let defaults =
     budget_bytes = None;
   }
 
-let backend_name = function
-  | Explore.Engine.Eager -> "eager"
-  | Explore.Engine.Lazy -> "lazy"
-  | Explore.Engine.Parallel -> "parallel"
+let backends =
+  Explore.Engine.[ ("eager", Eager); ("lazy", Lazy); ("parallel", Parallel) ]
+
+let backend_name b = fst (List.find (fun (_, b') -> b' = b) backends)
 
 let ( let* ) = Result.bind
 
@@ -81,14 +85,14 @@ let as_string name = function
   | Obs.Json.Str s -> Ok s
   | _ -> Error (Printf.sprintf "option %s: expected a string" name)
 
-let positive name n =
-  if n > 0 then Ok n
-  else Error (Printf.sprintf "option %s: must be positive" name)
-
 (* A value checked by a shared range rule, its reason prefixed with the
    option's name. *)
 let in_range name check v =
   Result.map_error (Printf.sprintf "option %s: %s" name) (check v)
+
+let check_positive n = if n > 0 then Ok n else Error "must be positive"
+let positive name n = in_range name check_positive n
+let check_max_states = check_positive
 
 let non_negative name n =
   if n >= 0 then Ok n
@@ -113,17 +117,15 @@ let options_of_json fields =
       match name with
       | "engine" -> (
           let* s = as_string name value in
-          match s with
-          | "eager" -> Ok { o with engine = Explore.Engine.Eager }
-          | "lazy" -> Ok { o with engine = Explore.Engine.Lazy }
-          | "parallel" -> Ok { o with engine = Explore.Engine.Parallel }
-          | s ->
+          match List.assoc_opt s backends with
+          | Some engine -> Ok { o with engine }
+          | None ->
               Error
                 (Printf.sprintf
                    "option engine: unknown engine %S (eager|lazy|parallel)" s))
       | "max_states" ->
           let* n = as_int name value in
-          let* n = positive name n in
+          let* n = in_range name check_max_states n in
           Ok { o with max_states = n }
       | "ball" ->
           let* n = as_int name value in
@@ -183,10 +185,33 @@ let options_of_json fields =
       | name -> Error (Printf.sprintf "unknown option %S" name))
     (Ok defaults) fields
 
+(* A model as the runners see it, built from a compiled .nm model here
+   and from a built-in instance or a .nm model by the CLI. *)
+type model = {
+  name : string;
+  env : Guarded.Env.t;
+  program : Guarded.Program.t;
+  invariant : Guarded.State.t -> bool;
+  init : unit -> Guarded.State.t;  (* fresh per call: storms inject into it *)
+  faults : Guarded.Action.t list;  (* declared: the default fault class *)
+  envs : Guarded.Action.t list;  (* declared environment actions *)
+}
+
+let model_of_elab (em : Lang.Elab.t) =
+  {
+    name = em.name;
+    env = em.env;
+    program = em.program;
+    invariant = em.invariant;
+    init = (fun () -> Guarded.State.copy em.init);
+    faults = em.fault_actions;
+    envs = em.env_actions;
+  }
+
 type prepared = {
   op : Proto.op;
   opts : options;
-  elab : Lang.Elab.t option;  (* [None] only for fuzz *)
+  model : model option;  (* [None] only for fuzz *)
   fault : Sim.Fault.t option;  (* resolved fault class (certify/storm) *)
   model_digest : string;  (* ["-"] for fuzz *)
   key : string;
@@ -263,7 +288,7 @@ let prepare (req : Proto.request) =
                 {
                   op;
                   opts;
-                  elab = None;
+                  model = None;
                   fault = None;
                   model_digest = digest;
                   key = key_of ~op ~digest opts;
@@ -311,84 +336,85 @@ let prepare (req : Proto.request) =
                         {
                           op;
                           opts;
-                          elab = Some em;
+                          model = Some (model_of_elab em);
                           fault;
                           model_digest = digest;
                           key = key_of ~op ~digest opts;
                         }))))
 
-(* --- execution --- *)
+(* --- the runners --- *)
 
-type outcome = {
-  exit_code : int;  (* the CLI's exit-code contract, in-protocol *)
-  cacheable : bool;
-  result : Obs.Json.t;  (* the reply's [result] object *)
-  states_explored : int;  (* work accounting for the server metrics *)
-}
+type 'a answer =
+  | Holds of 'a
+  | Fails of 'a
+  | Counterexamples of 'a
+  | Partial of 'a * Explore.Engine.interrupt
+  | Error of string
+  | Too_large of float
+  | Unaddressable of { layout : string; bits : int; states : float }
+  | Region_overflow of int
+  | Interrupted of Explore.Engine.interrupt
+  | Cancelled of Rt.Cancel.reason
 
-let render pp v = Format.asprintf "%a" pp v
+let exit_code = function
+  | Holds _ -> 0
+  | Error _ -> 1
+  | Fails _ -> 2
+  | Too_large _ | Unaddressable _ | Counterexamples _ -> 3
+  | Region_overflow _ -> 4
+  | Partial _ | Interrupted _ | Cancelled _ -> 5
 
-let result_obj ~status ~exit_code fields =
-  Obs.Json.Obj
-    (("status", Obs.Json.Str status)
-    :: ("exit", Obs.Json.Int exit_code)
-    :: fields)
+let catch f =
+  try f () with
+  | Explore.Space.Too_large total -> Too_large total
+  | Explore.Codec.Overflow { layout; bits; states } ->
+      Unaddressable { layout; bits; states }
+  | Explore.Engine.Region_overflow n -> Region_overflow n
+  | Explore.Engine.Interrupted it -> Interrupted it
+  | Rt.Cancel.Cancelled reason -> Cancelled reason
+  | Rt.Snapshot.Corrupt msg -> Error ("cannot resume: " ^ msg)
+  | Failure msg | Invalid_argument msg -> Error msg
 
-let ok_outcome ?(cacheable = true) ~exit_code ~states ~status fields =
-  {
-    exit_code;
-    cacheable;
-    result = result_obj ~status ~exit_code fields;
-    states_explored = states;
-  }
+type 'a runner =
+  ?pool:Par.Pool.t -> ?jobs:int -> obs:Obs.Ctx.t -> guard:Rt.Guard.t -> 'a
 
-let run_check ~pool ~obs ~guard (em : Lang.Elab.t) o =
-  let engine =
-    Explore.Engine.create ~backend:o.engine ~max_states:o.max_states ~pool
-      ~obs ~guard em.env
+type checked =
+  string * (Explore.Convergence.stats, Explore.Convergence.failure) result
+
+let engine ?pool ?jobs ~obs ~guard ?snapshots ?salt m o =
+  Explore.Engine.create ~backend:o.engine ~max_states:o.max_states ?jobs
+    ?pool ~obs ~guard ?snapshots ?salt m.env
+
+(* [None] (each analysis's own default roots) unless [ball] asks for the
+   states within [ball] faults of the model's initial state. *)
+let roots m o =
+  if o.ball < 0 then None
+  else
+    Some
+      (Explore.Engine.Seeds
+         (Explore.Engine.ball m.env ~center:(m.init ()) ~radius:o.ball))
+
+let title m (fault : Sim.Fault.t) =
+  Printf.sprintf "%s under %s" m.name fault.name
+
+let verdict ok v = if ok then Holds v else Fails v
+
+let check ?pool ?jobs ~obs ~guard ?snapshots ?salt ?resume m o =
+  catch @@ fun () ->
+  let engine = engine ?pool ?jobs ~obs ~guard ?snapshots ?salt m o in
+  let from = Option.value (roots m o) ~default:Explore.Engine.All in
+  let result =
+    Explore.Convergence.check_unfair ?resume engine
+      (Guarded.Compile.program m.program)
+      ~from ~target:m.invariant
   in
-  let from =
-    if o.ball < 0 then Explore.Engine.All
-    else
-      Explore.Engine.Seeds
-        (Explore.Engine.ball em.env ~center:em.init ~radius:o.ball)
-  in
-  match
-    Explore.Convergence.check_unfair engine
-      (Guarded.Compile.program em.program)
-      ~from ~target:em.invariant
-  with
-  | Ok { region_states; explored; worst_case_steps } ->
-      ok_outcome ~exit_code:0 ~states:explored ~status:"converges"
-        [
-          ("explored", Obs.Json.Int explored);
-          ("region_states", Obs.Json.Int region_states);
-          ( "worst_case_steps",
-            match worst_case_steps with
-            | Some w -> Obs.Json.Int w
-            | None -> Obs.Json.Null );
-          ("engine", Obs.Json.Str (Explore.Engine.backend_name engine));
-        ]
-  | Error f ->
-      ok_outcome ~exit_code:2 ~states:0 ~status:"fails"
-        [
-          ("engine", Obs.Json.Str (Explore.Engine.backend_name engine));
-          ( "failure",
-            Obs.Json.Str (render (Explore.Convergence.pp_failure em.env) f) );
-        ]
+  verdict (Result.is_ok result) (Explore.Engine.backend_name engine, result)
 
-let run_certify ~pool ~obs ~guard (em : Lang.Elab.t) fault o =
-  let engine =
-    Explore.Engine.create ~backend:o.engine ~max_states:o.max_states ~pool
-      ~obs ~guard em.env
-  in
-  let from =
-    if o.ball < 0 then None
-    else
-      Some
-        (Explore.Engine.Seeds
-           (Explore.Engine.ball em.env ~center:em.init ~radius:o.ball))
-  in
+let certify ?pool ?jobs ~obs ~guard ?snapshots ?salt ?resume m fault o =
+  catch @@ fun () ->
+  let engine = engine ?pool ?jobs ~obs ~guard ?snapshots ?salt m o in
+  let from = roots m o in
+  (* a negative budget asks for the unbounded, recurring-fault span *)
   let budget =
     match o.fault_budget with
     | Some b when b < 0 -> None
@@ -396,12 +422,186 @@ let run_certify ~pool ~obs ~guard (em : Lang.Elab.t) fault o =
     | None -> Some (Sim.Fault.burst fault)
   in
   let cert =
-    Nonmask.Certify.tolerance ~engine ~program:em.program
-      ~faults:(Sim.Fault.actions fault) ~invariant:em.invariant ?from ?budget
-      ~name:(Printf.sprintf "%s under %s" em.name fault.Sim.Fault.name)
-      ()
+    Nonmask.Certify.tolerance ~engine ~program:m.program
+      ~faults:(Sim.Fault.actions fault) ~envs:m.envs ~invariant:m.invariant
+      ?from ?budget ?resume ~name:(title m fault) ()
   in
-  let ok = Nonmask.Certify.ok cert in
+  verdict (Nonmask.Certify.ok cert) cert
+
+let tolerance ?pool ?jobs ~obs ~guard ?budgets ?on_point m fault o =
+  catch @@ fun () ->
+  let engine = engine ?pool ?jobs ~obs ~guard m o in
+  let from = roots m o in
+  let budgets =
+    match budgets with Some b -> b | None -> Tol.Sweep.range ~max:o.budget_max
+  in
+  let frontier =
+    Tol.Sweep.run ~engine ~program:m.program
+      ~faults:(Sim.Fault.actions fault) ~envs:m.envs ~invariant:m.invariant
+      ?from ~budgets ~adversary:o.adversary ?on_point ~name:(title m fault) ()
+  in
+  (* a completed sweep holds whatever its points' verdicts: the curve is
+     the result *)
+  Holds (Explore.Engine.backend_name engine, frontier)
+
+(* The reason a guard-governed trial sweep went partial: the cancel
+   token records what tripped first. *)
+let guard_reason guard =
+  match Option.bind (Rt.Guard.cancel guard) Rt.Cancel.get with
+  | Some r -> r
+  | None -> Rt.Cancel.Deadline
+
+(* A trial sweep's progress: [done_] trials ran, [skipped] never did. *)
+let partial reason ~done_ ~skipped =
+  {
+    Explore.Engine.reason;
+    states_seen = done_;
+    frontier_size = skipped;
+    snapshot = None;
+  }
+
+let storm ?pool ?jobs ~obs ~guard ?watchdog m fault o =
+  catch @@ fun () ->
+  let fault_budget =
+    match o.fault_budget with Some b when b >= 0 -> Some b | _ -> None
+  in
+  let r =
+    Sim.Storm.trials ~max_steps:o.max_steps ?fault_budget ?jobs ?pool ~obs
+      ~guard ?watchdog ~rng:(Prng.create o.seed) ~trials:o.trials
+      ~daemon:(fun r -> Sim.Daemon.random r)
+      ~prepare:(fun r ->
+        let s = m.init () in
+        fault.Sim.Fault.inject r s;
+        s)
+      ~stop:m.invariant ~fault ~rate:o.rate
+      (Guarded.Compile.program m.program)
+  in
+  let skipped = r.Sim.Storm.skipped in
+  if skipped = 0 then Holds r
+  else
+    Partial
+      (r, partial (guard_reason guard) ~done_:(o.trials - skipped) ~skipped)
+
+let fuzz ?pool ?jobs ~obs ~guard ?shrink ?watchdog ?corpus_out ?corpus_all o
+    =
+  catch @@ fun () ->
+  let r =
+    Gen.Fuzz.run
+      ~gen_config:(Gen.Generate.with_max_vars o.max_vars)
+      ?shrink ?jobs ?pool ~obs ~guard ?watchdog ?corpus_out ?corpus_all
+      ~seed:o.seed ~count:o.count ()
+  in
+  let skipped = r.Gen.Fuzz.skipped and timeouts = r.Gen.Fuzz.timeouts in
+  (* a counterexample outranks a partial sweep; watchdog-abandoned trials
+     also leave the sample partial, but only a skip means the guard
+     tripped *)
+  if r.Gen.Fuzz.counterexamples <> [] then Counterexamples r
+  else if skipped = 0 && timeouts = [] then Holds r
+  else
+    Partial
+      ( r,
+        partial
+          (if skipped > 0 then guard_reason guard
+           else Rt.Cancel.Requested "trial-timeout")
+          ~done_:(o.count - skipped - List.length timeouts)
+          ~skipped )
+
+(* --- the JSON renderer --- *)
+
+type outcome = {
+  exit_code : int;  (* [exit_code] of the runner's answer *)
+  cacheable : bool;
+  result : Obs.Json.t;  (* the reply's [result] object *)
+  states_explored : int;  (* work accounting for the server metrics *)
+}
+
+let render pp v = Format.asprintf "%a" pp v
+
+(* A runner's answer as a reply. [fields v] gives a finished analysis's
+   work count and fields; [holds] and [fails] name its two verdicts. A
+   stop renders here, once; only complete outcomes (exit 0/2/3/4) are
+   cacheable, and [complete v] can withhold a finished one. *)
+let reply ?(holds = "done") ?(fails = "failed") ?(complete = fun _ -> true)
+    fields answer =
+  let exit_code = exit_code answer in
+  let obj status fields =
+    Obs.Json.Obj
+      (("status", Obs.Json.Str status)
+      :: ("exit", Obs.Json.Int exit_code)
+      :: fields)
+  in
+  let finished status v =
+    let states, fs = fields v in
+    {
+      exit_code;
+      cacheable = exit_code <> 5 && complete v;
+      result = obj status fs;
+      states_explored = states;
+    }
+  in
+  let stopped ?(cacheable = false) ?states status msg =
+    let seen =
+      match states with
+      | Some n -> [ ("states_seen", Obs.Json.Int n) ]
+      | None -> []
+    in
+    {
+      exit_code;
+      cacheable;
+      result = obj status (("message", Obs.Json.Str msg) :: seen);
+      states_explored = Option.value states ~default:0;
+    }
+  in
+  match answer with
+  | Holds v -> finished holds v
+  | Fails v -> finished fails v
+  | Counterexamples v -> finished "counterexamples" v
+  | Partial (v, _) -> finished "incomplete" v
+  | Error msg -> stopped "error" msg
+  | Too_large total ->
+      stopped ~cacheable:true "too-large"
+        (Printf.sprintf
+           "~%.3g states, over the eager budget; use engine=lazy or raise \
+            max_states"
+           total)
+  | Unaddressable { layout; bits; states } ->
+      stopped ~cacheable:true "too-large"
+        (Printf.sprintf
+           "~%.3g states, more than the %s encoding can address (%d bits \
+            needed)"
+           states layout bits)
+  | Region_overflow n ->
+      stopped ~cacheable:true ~states:n "region-overflow"
+        (Printf.sprintf "lazy exploration exceeded the budget after %d states"
+           n)
+  | Interrupted it ->
+      stopped ~states:it.Explore.Engine.states_seen "incomplete"
+        (Rt.Cancel.reason_label it.Explore.Engine.reason)
+  | Cancelled reason -> stopped "incomplete" (Rt.Cancel.reason_label reason)
+
+let check_fields env (engine, result) =
+  let engine = ("engine", Obs.Json.Str engine) in
+  match result with
+  | Ok { Explore.Convergence.region_states; explored; worst_case_steps } ->
+      ( explored,
+        [
+          ("explored", Obs.Json.Int explored);
+          ("region_states", Obs.Json.Int region_states);
+          ( "worst_case_steps",
+            match worst_case_steps with
+            | Some w -> Obs.Json.Int w
+            | None -> Obs.Json.Null );
+          engine;
+        ] )
+  | Error f ->
+      ( 0,
+        [
+          engine;
+          ( "failure",
+            Obs.Json.Str (render (Explore.Convergence.pp_failure env) f) );
+        ] )
+
+let certify_fields cert =
   let failures =
     List.map
       (fun (c : Nonmask.Certify.check) ->
@@ -415,110 +615,47 @@ let run_certify ~pool ~obs ~guard (em : Lang.Elab.t) fault o =
           ])
       (Nonmask.Certify.failures cert)
   in
-  ok_outcome
-    ~exit_code:(if ok then 0 else 2)
-    ~states:0
-    ~status:(if ok then "certified" else "failed")
+  ( 0,
     [
       ("theorem", Obs.Json.Str cert.Nonmask.Certify.theorem);
       ("checks", Obs.Json.Int (List.length cert.Nonmask.Certify.checks));
       ("failures", Obs.Json.List failures);
       ("certificate", Obs.Json.Str (render Nonmask.Certify.pp_full cert));
-    ]
+    ] )
 
-let run_tolerance ~pool ~obs ~guard (em : Lang.Elab.t) fault o =
-  let engine =
-    Explore.Engine.create ~backend:o.engine ~max_states:o.max_states ~pool
-      ~obs ~guard em.env
-  in
-  let from =
-    if o.ball < 0 then None
-    else
-      Some
-        (Explore.Engine.Seeds
-           (Explore.Engine.ball em.env ~center:em.init ~radius:o.ball))
-  in
-  let frontier =
-    Tol.Sweep.run ~engine ~program:em.program
-      ~faults:(Sim.Fault.actions fault) ~envs:em.env_actions
-      ~invariant:em.invariant ?from
-      ~budgets:(Tol.Sweep.range ~max:o.budget_max)
-      ~adversary:o.adversary
-      ~name:(Printf.sprintf "%s under %s" em.name fault.Sim.Fault.name)
-      ()
-  in
-  let span_total =
-    List.fold_left
+let tolerance_fields (engine, frontier) =
+  let points = frontier.Tol.Sweep.points in
+  ( List.fold_left
       (fun acc (p : Tol.Sweep.point) ->
-        if p.Tol.Sweep.reused then acc else acc + p.Tol.Sweep.span_states)
-      0 frontier.Tol.Sweep.points
-  in
-  (* the sweep either completes or raises (Interrupted/overflow), so a
-     returned frontier is always a complete, cacheable curve *)
-  ok_outcome ~exit_code:0 ~states:span_total ~status:"done"
+        if p.reused then acc else acc + p.span_states)
+      0 points,
     [
-      ( "points",
-        Obs.Json.List (List.map Tol.Sweep.point_json frontier.Tol.Sweep.points)
-      );
+      ("points", Obs.Json.List (List.map Tol.Sweep.point_json points));
       ( "cliff",
         match frontier.Tol.Sweep.cliff with
         | Some c -> Obs.Json.Int c
         | None -> Obs.Json.Null );
       ("table", Obs.Json.Str (render Tol.Sweep.pp_frontier frontier));
-      ("engine", Obs.Json.Str (Explore.Engine.backend_name engine));
-    ]
+      ("engine", Obs.Json.Str engine);
+    ] )
 
-let run_storm ~pool ~obs ~guard (em : Lang.Elab.t) fault o =
-  let cp = Guarded.Compile.program em.program in
-  let fault_budget =
-    match o.fault_budget with Some b when b >= 0 -> Some b | _ -> None
-  in
-  let result =
-    Sim.Storm.trials ~max_steps:o.max_steps ?fault_budget ~pool ~obs ~guard
-      ~rng:(Prng.create o.seed) ~trials:o.trials
-      ~daemon:(fun r -> Sim.Daemon.random r)
-      ~prepare:(fun r ->
-        (* copy: em.init is shared across trials and [inject] mutates *)
-        let s = Guarded.State.copy em.init in
-        fault.Sim.Fault.inject r s;
-        s)
-      ~stop:em.invariant ~fault ~rate:o.rate cp
-  in
-  let steps_total = Array.fold_left ( + ) 0 result.Sim.Storm.steps in
-  let incomplete = result.Sim.Storm.skipped > 0 in
-  ok_outcome
-    ~exit_code:(if incomplete then 5 else 0)
-    ~cacheable:(not incomplete) ~states:steps_total
-    ~status:(if incomplete then "incomplete" else "done")
+let storm_fields trials (r : Sim.Storm.result) =
+  let steps_total = Array.fold_left ( + ) 0 r.steps in
+  ( steps_total,
     [
-      ("trials", Obs.Json.Int o.trials);
-      ("converged", Obs.Json.Int (Array.length result.Sim.Storm.steps));
-      ("failures", Obs.Json.Int result.Sim.Storm.failures);
-      ("skipped", Obs.Json.Int result.Sim.Storm.skipped);
+      ("trials", Obs.Json.Int trials);
+      ("converged", Obs.Json.Int (Array.length r.steps));
+      ("failures", Obs.Json.Int r.failures);
+      ("skipped", Obs.Json.Int r.skipped);
       ("steps_total", Obs.Json.Int steps_total);
-      ("summary", Obs.Json.Str (render Sim.Storm.pp_result result));
-    ]
+      ("summary", Obs.Json.Str (render Sim.Storm.pp_result r));
+    ] )
 
-let run_fuzz ~pool ~obs ~guard o =
-  let report =
-    Gen.Fuzz.run
-      ~gen_config:(Gen.Generate.with_max_vars o.max_vars)
-      ~pool ~obs ~guard ~seed:o.seed ~count:o.count ()
-  in
-  let n_cex = List.length report.Gen.Fuzz.counterexamples in
-  let incomplete = report.Gen.Fuzz.skipped > 0 in
-  let exit_code = if n_cex > 0 then 3 else if incomplete then 5 else 0 in
-  let status =
-    if n_cex > 0 then "counterexamples"
-    else if incomplete then "incomplete"
-    else "done"
-  in
-  ok_outcome ~exit_code ~cacheable:(not incomplete)
-    ~states:(o.count - report.Gen.Fuzz.skipped)
-    ~status
+let fuzz_fields count (r : Gen.Fuzz.report) =
+  ( count - r.skipped,
     [
-      ("trials", Obs.Json.Int report.Gen.Fuzz.trials);
-      ("skipped", Obs.Json.Int report.Gen.Fuzz.skipped);
+      ("trials", Obs.Json.Int r.trials);
+      ("skipped", Obs.Json.Int r.skipped);
       ( "counterexamples",
         Obs.Json.List
           (List.map
@@ -528,65 +665,26 @@ let run_fuzz ~pool ~obs ~guard o =
                    ("trial", Obs.Json.Int c.trial);
                    ("seed", Obs.Json.Int c.seed);
                  ])
-             report.Gen.Fuzz.counterexamples) );
-      ("report", Obs.Json.Str (render Gen.Fuzz.pp_report report));
-    ]
-
-let error_outcome ~exit_code ?(cacheable = false) ~status msg states =
-  {
-    exit_code;
-    cacheable;
-    result =
-      result_obj ~status ~exit_code [ ("message", Obs.Json.Str msg) ]
-      |> (fun r ->
-           match (r, states) with
-           | Obs.Json.Obj fields, Some n ->
-               Obs.Json.Obj (fields @ [ ("states_seen", Obs.Json.Int n) ])
-           | r, _ -> r);
-    states_explored = (match states with Some n -> n | None -> 0);
-  }
+             r.counterexamples) );
+      ("report", Obs.Json.Str (render Gen.Fuzz.pp_report r));
+    ] )
 
 let run ~pool ~obs ~guard p =
-  try
-    match (p.op, p.elab, p.fault) with
-    | Proto.Check, Some em, _ -> run_check ~pool ~obs ~guard em p.opts
-    | Proto.Certify, Some em, Some fault ->
-        run_certify ~pool ~obs ~guard em fault p.opts
-    | Proto.Tolerance, Some em, Some fault ->
-        run_tolerance ~pool ~obs ~guard em fault p.opts
-    | Proto.Storm, Some em, Some fault ->
-        run_storm ~pool ~obs ~guard em fault p.opts
-    | Proto.Fuzz, None, _ -> run_fuzz ~pool ~obs ~guard p.opts
-    | _ ->
-        error_outcome ~exit_code:1 ~status:"error" "malformed prepared job"
-          None
-  with
-  | Explore.Space.Too_large total ->
-      error_outcome ~exit_code:3 ~cacheable:true ~status:"too-large"
-        (Printf.sprintf
-           "~%.3g states, over the eager budget; use engine=lazy or raise \
-            max_states"
-           total)
-        None
-  | Explore.Codec.Overflow { layout; bits; states } ->
-      error_outcome ~exit_code:3 ~cacheable:true ~status:"too-large"
-        (Printf.sprintf
-           "~%.3g states, more than the %s encoding can address (%d bits \
-            needed)"
-           states layout bits)
-        None
-  | Explore.Engine.Region_overflow n ->
-      error_outcome ~exit_code:4 ~cacheable:true ~status:"region-overflow"
-        (Printf.sprintf
-           "lazy exploration exceeded the budget after %d states" n)
-        (Some n)
-  | Explore.Engine.Interrupted it ->
-      error_outcome ~exit_code:5 ~status:"incomplete"
-        (Rt.Cancel.reason_label it.Explore.Engine.reason)
-        (Some it.Explore.Engine.states_seen)
-  | Rt.Cancel.Cancelled reason ->
-      error_outcome ~exit_code:5 ~status:"incomplete"
-        (Rt.Cancel.reason_label reason) None
-  | Failure msg -> error_outcome ~exit_code:1 ~status:"error" msg None
-  | Invalid_argument msg ->
-      error_outcome ~exit_code:1 ~status:"error" msg None
+  let o = p.opts in
+  match (p.op, p.model, p.fault) with
+  | Proto.Check, Some m, _ ->
+      reply ~holds:"converges" ~fails:"fails" (check_fields m.env)
+        (check ~pool ~obs ~guard m o)
+  | Proto.Certify, Some m, Some fault ->
+      reply ~holds:"certified" certify_fields
+        (certify ~pool ~obs ~guard m fault o)
+  | Proto.Tolerance, Some m, Some fault ->
+      reply tolerance_fields (tolerance ~pool ~obs ~guard m fault o)
+  | Proto.Storm, Some m, Some fault ->
+      reply (storm_fields o.trials) (storm ~pool ~obs ~guard m fault o)
+  | Proto.Fuzz, None, _ ->
+      reply
+        ~complete:(fun (r : Gen.Fuzz.report) -> r.skipped = 0)
+        (fuzz_fields o.count)
+        (fuzz ~pool ~obs ~guard o)
+  | _ -> reply (fun () -> (0, [])) (Error "malformed prepared job")

@@ -1,11 +1,17 @@
 (** One serve job: request validation, content-addressed cache key, and
-    the execution mapping onto the engine/certify/storm/fuzz pipelines.
+    the analysis runners both front ends share.
 
     {!prepare} is the reader-thread half — cheap and bounded (option
     validation, one compile of the size-capped model text, a SHA-256) —
     so cache probes and rejections never occupy the executor. {!run} is
     the executor half, one job at a time over the server's shared
-    {!Par.Pool}. *)
+    {!Par.Pool}: the op's runner, then its JSON.
+
+    The runners ({!check}, {!certify}, {!tolerance}, {!storm},
+    {!fuzz}) set an analysis up and sort every way it can stop into one
+    typed {!answer}; the CLI subcommands call the same runners and
+    render the same answer as text, so {!exit_code} is the one
+    definition of both front ends' exit codes. *)
 
 type options = {
   engine : Explore.Engine.backend;
@@ -33,10 +39,39 @@ type options = {
 
 val defaults : options
 
+val backends : (string * Explore.Engine.backend) list
+(** The [engine] option's values, by name. *)
+
+val backend_name : Explore.Engine.backend -> string
+
+val check_max_states : int -> (int, string) result
+(** The range rule of [max_states] (the CLI's [--max-states]): positive.
+    [Error] carries the reason, for each front end to prefix with its
+    spelling of the option. *)
+
+(** A model as the runners see it: the CLI builds one from a built-in
+    instance or a .nm model, serve from the request's model. *)
+type model = {
+  name : string;
+  env : Guarded.Env.t;
+  program : Guarded.Program.t;
+  invariant : Guarded.State.t -> bool;
+  init : unit -> Guarded.State.t;
+      (** a fresh legitimate state per call: the [ball] center and every
+          storm trial's start, which the fault then corrupts *)
+  faults : Guarded.Action.t list;
+      (** declared fault actions: the default fault class *)
+  envs : Guarded.Action.t list;
+      (** declared environment actions, threaded into every certificate
+          and sweep *)
+}
+
+val model_of_elab : Lang.Elab.t -> model
+
 type prepared = {
   op : Proto.op;
   opts : options;
-  elab : Lang.Elab.t option;  (** [None] only for fuzz *)
+  model : model option;  (** [None] only for fuzz *)
   fault : Sim.Fault.t option;
       (** resolved fault class (certify/tolerance/storm): the [faults]
           option, else the model's declared faults, else [corrupt:k=1]
@@ -56,11 +91,118 @@ val prepare : Proto.request -> (prepared, Proto.error_code * string) result
     error, missing model, certify without a fault class) comes back as
     [Bad_request] with a located message — never an exception. *)
 
+(** {2 Runners} *)
+
+(** What a runner returns: the finished analysis, or why it stopped.
+    Exceptions never escape a runner. *)
+type 'a answer =
+  | Holds of 'a  (** the verdict holds, or the sweep completed: exit 0 *)
+  | Fails of 'a  (** a failed verdict: exit 2 *)
+  | Counterexamples of 'a  (** fuzz kept a counterexample: exit 3 *)
+  | Partial of 'a * Explore.Engine.interrupt
+      (** a trial sweep stopped early; the trials it finished: exit 5 *)
+  | Error of string  (** a usage or input error: exit 1 *)
+  | Too_large of float  (** over the eager engine's cap: exit 3 *)
+  | Unaddressable of { layout : string; bits : int; states : float }
+      (** more states than the state encoding can address: exit 3 *)
+  | Region_overflow of int
+      (** lazy or parallel search over [max_states]: exit 4 *)
+  | Interrupted of Explore.Engine.interrupt
+      (** the guard tripped mid-search: exit 5 *)
+  | Cancelled of Rt.Cancel.reason
+      (** cancelled outside a search: exit 5 *)
+
+val exit_code : 'a answer -> int
+(** The exit code both front ends report for an answer: 0 holds,
+    1 error, 2 failed verdict, 3 too large or a fuzz counterexample,
+    4 region overflow, 5 incomplete. *)
+
+val catch : (unit -> 'a answer) -> 'a answer
+(** Run an analysis, sorting the exceptions an engine run raises into
+    the answer. The runners use it; so does the CLI's theorem
+    certificate for built-in protocols. *)
+
+(** Every runner (and {!engine}) runs over a caller's [pool] (serve) or
+    a transient one of [jobs] workers (CLI), records into [obs] and
+    polls [guard]. *)
+type 'a runner =
+  ?pool:Par.Pool.t -> ?jobs:int -> obs:Obs.Ctx.t -> guard:Rt.Guard.t -> 'a
+
+val engine :
+  (?snapshots:bool -> ?salt:string -> model -> options -> Explore.Engine.t)
+  runner
+(** The engine the options ask for ([engine], [max_states]). *)
+
+val title : model -> Sim.Fault.t -> string
+(** ["NAME under FAULT"]: the name of a certificate or a sweep. *)
+
+type checked =
+  string * (Explore.Convergence.stats, Explore.Convergence.failure) result
+
+val check :
+  (?snapshots:bool ->
+  ?salt:string ->
+  ?resume:Rt.Snapshot.t ->
+  model ->
+  options ->
+  checked answer)
+  runner
+(** Convergence without fairness from every state, or from the states
+    within [ball] faults of [init]: the engine's backend name and the
+    verdict. [snapshots], [salt] and [resume] are the CLI's
+    checkpoint/resume arguments. *)
+
+val certify :
+  (?snapshots:bool ->
+  ?salt:string ->
+  ?resume:Rt.Snapshot.t ->
+  model ->
+  Sim.Fault.t ->
+  options ->
+  Nonmask.Certify.t answer)
+  runner
+(** Nonmasking tolerance of the fault over the computed span, under the
+    model's environment actions. The fault budget is [fault_budget]
+    (negative: unbounded), by default the fault's burst. *)
+
+val tolerance :
+  (?budgets:int list ->
+  ?on_point:(Tol.Sweep.point -> unit) ->
+  model ->
+  Sim.Fault.t ->
+  options ->
+  (string * Tol.Sweep.frontier) answer)
+  runner
+(** The frontier over [budgets] (default [0..budget_max]), with the
+    adversary bound when [adversary]; [on_point] streams each point as
+    it completes. A completed sweep [Holds], with the engine's backend
+    name. *)
+
+val storm :
+  (?watchdog:Rt.Watchdog.t ->
+  model ->
+  Sim.Fault.t ->
+  options ->
+  Sim.Storm.result answer)
+  runner
+(** [trials] storms from [init] at [rate]; [Partial] when the guard
+    stopped the sweep before every trial ran. *)
+
+val fuzz :
+  (?shrink:bool ->
+  ?watchdog:Rt.Watchdog.t ->
+  ?corpus_out:string ->
+  ?corpus_all:bool ->
+  options ->
+  Gen.Fuzz.report answer)
+  runner
+(** [count] generated models from [seed]; [Counterexamples] outranks
+    [Partial] (skipped or watchdog-abandoned trials). *)
+
+(** {2 The JSON renderer} *)
+
 type outcome = {
-  exit_code : int;
-      (** the CLI's exit-code contract, carried in-protocol: 0 ok,
-          1 error, 2 failed verdict, 3 too-large / fuzz counterexample,
-          4 region overflow, 5 incomplete *)
+  exit_code : int;  (** {!exit_code} of the runner's answer *)
   cacheable : bool;
       (** complete deterministic outcomes only (exit 0/2/3/4) — an
           incomplete (exit-5) outcome is never cached, so a budget trip
@@ -71,5 +213,6 @@ type outcome = {
 
 val run :
   pool:Par.Pool.t -> obs:Obs.Ctx.t -> guard:Rt.Guard.t -> prepared -> outcome
-(** Execute. Never raises: engine overflows, guard trips, and
-    cancellation map to the matching in-protocol outcome. *)
+(** Execute: the op's runner, then its answer as JSON. Never raises:
+    engine overflows, guard trips, and cancellation map to the matching
+    in-protocol outcome. *)

@@ -109,18 +109,14 @@ let worst_case engine ~program ?envs ~span ~invariant () =
       end
     done
   in
-  let jobs = Engine.jobs engine in
-  (if Engine.backend engine <> Engine.Parallel || jobs <= 1 then
-     expand (Engine.stepper engine) (Array.make (Array.length acts) 0) 0 n
-   else
-     Par.Pool.use ?pool:(Engine.pool engine) ~jobs @@ fun pool ->
-     let j = Par.Pool.jobs pool in
-     let worker_st = Array.init j (fun _ -> Engine.stepper engine) in
-     let worker_scratch =
-       Array.init j (fun _ -> Array.make (Array.length acts) 0)
-     in
-     Par.Pool.parallel_for pool ~n (fun ~worker lo hi ->
-         expand worker_st.(worker) worker_scratch.(worker) lo hi));
+  (Engine.with_workers engine @@ fun pool ->
+   let j = Par.Pool.jobs pool in
+   let worker_st = Array.init j (fun _ -> Engine.stepper engine) in
+   let worker_scratch =
+     Array.init j (fun _ -> Array.make (Array.length acts) 0)
+   in
+   Par.Pool.parallel_for pool ~n (fun ~worker lo hi ->
+       expand worker_st.(worker) worker_scratch.(worker) lo hi));
   let outside = ref 0 in
   for i = 0 to n - 1 do
     if Bytes.unsafe_get in_s i = '\000' then incr outside

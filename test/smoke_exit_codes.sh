@@ -135,6 +135,17 @@ expect 2 check xyz-bad
 expect 2 certify xyz-bad
 expect 2 certify xyz-bad --engine parallel --jobs 2
 expect 2 certify naive-ring --nodes 3 --faults corrupt:k=1
+# 2: a certificate holds under the model's environment actions — the
+# hostile ring's env action breaks S, as `tolerance` reports at budget 1
+expect 2 certify test/golden/ring_hostile.nm --faults corrupt:k=1
+$CLI certify test/golden/ring_hostile.nm --faults corrupt:k=1 2>/dev/null \
+  | grep -q '^  \[FAIL\] environment closure'
+if [ $? -ne 0 ]; then
+  echo "FAIL: certify under a hostile environment does not report the environment-closure failure"
+  failed=1
+else
+  echo "ok:   certify under a hostile environment reports the environment-closure failure"
+fi
 # 3: eager refuses an oversized space
 expect 3 check dijkstra --nodes 12 -k 13 --engine eager
 # 3: even the lazy engine refuses a space the 60-bit state encoding cannot
@@ -156,6 +167,19 @@ expect 5 check dijkstra --nodes 12 -k 13 --engine lazy --ball 2 --deadline 0
 # 5: storm and fuzz report a partial sample instead of pretending coverage
 expect 5 storm token-ring --nodes 3 -k 4 --rate 0.1 --trials 20 --deadline 0
 expect 5 fuzz --seed 42 --count 5 --deadline 0
+# 1: --max-states must be positive (serve's max_states rule), on the
+# eager and the lazy engine alike, and the error names the flag
+for cmd in "check examples/models/token_ring.nm" \
+  "tolerance examples/models/token_ring.nm --engine lazy"; do
+  expect 1 $cmd --max-states 0
+  grep -q -- '--max-states' "$stderr_file"
+  if [ $? -ne 0 ]; then
+    echo "FAIL: $cmd --max-states 0 stderr does not name the flag"
+    failed=1
+  else
+    echo "ok:   $cmd --max-states 0 stderr names the flag"
+  fi
+done
 # 1: graceful-degradation flag validation
 expect 1 check token-ring --nodes 3 -k 3 --budget-states 0
 expect 1 storm token-ring --nodes 3 -k 4 --trials 5 --trial-timeout 0

@@ -80,6 +80,13 @@ note $? "daemon alive after hostile jobs"
 note $? "storm job over the wire"
 "$BIN" submit --to "$sock" certify "$model" --opt faults=corrupt:k=1 >"$out" 2>&1
 note $? "certify job over the wire"
+# certify honours the model's environment actions, as the CLI does: the
+# hostile ring's env action breaks S
+"$BIN" submit --to "$sock" certify test/golden/ring_hostile.nm \
+  --opt faults=corrupt:k=1 >"$out" 2>&1
+rc=$?
+[ "$rc" -eq 2 ] && grep -q '"exit":2' "$out" && grep -q '"status":"failed"' "$out"
+note $? "certify under a hostile environment -> in-protocol exit 2 (got $rc)"
 
 # metrics reports the cache traffic this script generated
 "$BIN" submit --to "$sock" metrics >"$out" 2>&1

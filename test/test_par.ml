@@ -405,6 +405,61 @@ let test_certify_parallel_identical () =
         (render (cert Engine.Parallel jobs)))
     [ 1; 2; 4 ]
 
+(* The closure scan runs in slices of 2048 states per worker: a span
+   computed without [flip] has 4096 states, indexed in reverse discovery
+   order (x = 4095 first), and the full program's [flip] leaves it up to
+   x = 1000, so the first violation (index 3095) sits past the first
+   slice at one worker and inside it at two and four. Every job count
+   must report the same one. *)
+let test_certify_closure_violation_across_slices () =
+  let em =
+    Lang.Driver.compile_string ~file:"walk.nm"
+      {|model walk
+var x : 0..4095
+var y : 0..1
+action step: x < 4095 -> x := x + 1
+action flip: x <= 1000 /\ y = 0 -> y := 1
+invariant x = 0 /\ y = 0
+|}
+  in
+  let env = em.Lang.Elab.env and program = em.Lang.Elab.program in
+  let walk =
+    Guarded.Program.restrict program (fun a -> Guarded.Action.name a = "step")
+  in
+  let closure backend jobs =
+    let engine = Engine.create ~backend ~jobs env in
+    let from = Engine.Seeds [ em.Lang.Elab.init ] in
+    let span =
+      Explore.Faultspan.compute engine ~program:(Compile.program walk)
+        ~faults:(Compile.program (Guarded.Program.make ~name:"none" env []))
+        ~from ~budget:0 ()
+    in
+    let cert =
+      Nonmask.Certify.tolerance ~engine ~program ~faults:[]
+        ~invariant:em.Lang.Elab.invariant ~from ~budget:0 ~span ~name:"walk"
+        ()
+    in
+    match
+      List.filter
+        (fun (c : Nonmask.Certify.check) ->
+          String.starts_with ~prefix:"closure" c.label)
+        (Nonmask.Certify.failures cert)
+    with
+    | [ c ] -> Option.value c.detail ~default:""
+    | _ -> Alcotest.fail "expected one failed closure check"
+  in
+  let expected = closure Engine.Lazy 1 in
+  Alcotest.(check bool)
+    "first violation at x = 1000" true
+    (Astring_contains.contains expected "{x=1000, y=0}");
+  List.iter
+    (fun jobs ->
+      Alcotest.(check string)
+        (Printf.sprintf "violation jobs=%d" jobs)
+        expected
+        (closure Engine.Parallel jobs))
+    [ 1; 2; 4 ]
+
 (* --- parallel storm trials --- *)
 
 let test_storm_jobs_deterministic () =
@@ -493,6 +548,8 @@ let suite =
       test_engine_jobs_validation;
     Alcotest.test_case "faultspan: parallel identical" `Quick
       test_faultspan_parallel_identical;
+    Alcotest.test_case "certify: closure violation past one slice" `Quick
+      test_certify_closure_violation_across_slices;
     Alcotest.test_case "certify: parallel identical" `Quick
       test_certify_parallel_identical;
     Alcotest.test_case "storm: deterministic across jobs" `Quick

@@ -678,6 +678,138 @@ let test_storm_summary_matches_cli () =
        summary)
     out
 
+(* CLI ≡ serve, as one table: each row runs a job in-process through
+   Job.run and the same job as a CLI subcommand. The CLI's exit code
+   must be serve's [exit], and its stdout the text serve renders into
+   the op's field (failure, certificate, table, summary or report) under
+   the CLI's heading; a run that stops prints nothing on stdout. The
+   first row of each op pins its cache key: a key that moves orphans
+   every cached result. *)
+type row = {
+  label : string;
+  op : string;
+  file : string option;
+  options : (string * Json.t) list;  (* serve's options *)
+  flags : string list;  (* the CLI's spelling of the same options *)
+  status : string;
+  exit : int;
+  stdout : Json.t -> string;  (* the CLI's stdout, from serve's result *)
+  key : string option;
+}
+
+let str name result =
+  match field name result with
+  | Json.Str s -> s
+  | _ -> Alcotest.failf "result field %S is not a string" name
+
+let cli_serve_rows =
+  let tr = Some (Test_lang.model_path "token_ring.nm")
+  and chase = Some (Test_lang.golden_path "chase.nm")
+  and hostile = Some (Test_lang.golden_path "ring_hostile.nm") in
+  let small = ("params", Json.Obj [ ("N", Json.Int 3); ("K", Json.Int 4) ])
+  and small_flags = [ "--param"; "N=3"; "--param"; "K=4" ] in
+  let lazy_ = [ "--engine"; "lazy" ] and corrupt = [ "--faults"; "corrupt:k=1" ] in
+  let faults = ("faults", Json.Str "corrupt:k=1") in
+  let text name r = str name r ^ "\n" in
+  let under heading name r = heading ^ text name r in
+  let row ?key ?(file = tr) label op options flags status exit stdout =
+    { label; op; file; options; flags; status; exit; stdout; key }
+  in
+  [
+    row "check converges" "check" [ small ] (small_flags @ lazy_) "converges"
+      0
+      ~key:"b640f8ed75a0aa4af0d9a208d7a116cbc2c81559095046bfcb22a2be51a586c9"
+      (fun r ->
+        let int name = Option.get (Json.to_int (field name r)) in
+        Printf.sprintf
+          "token-ring (%s engine): converges from every state, even without \
+           fairness\n\
+          \  explored: %d  outside invariant: %d  worst-case steps: %d\n"
+          (str "engine" r) (int "explored") (int "region_states")
+          (int "worst_case_steps"));
+    row "check fails" "check" ~file:chase [] lazy_ "fails" 2
+      (under "chase: FAILS\n" "failure");
+    row "certify holds" "certify" [ small; faults ] (small_flags @ lazy_ @ corrupt)
+      "certified" 0
+      ~key:"0fbc7ef95eaf9bafb6489f6c423765ca2fbdfccc8b422437fba69bf969a9a520"
+      (text "certificate");
+    row "certify fails" "certify" ~file:chase [ faults ] (lazy_ @ corrupt)
+      "failed" 2 (text "certificate");
+    row "certify under a hostile environment" "certify" ~file:hostile
+      [ faults ] (lazy_ @ corrupt) "failed" 2 (text "certificate");
+    row "tolerance" "tolerance"
+      [ small; ("budget_max", Json.Int 1) ]
+      (small_flags @ lazy_ @ [ "--budget-max"; "1" ])
+      "done" 0
+      ~key:"c75b28dfa3c2c44d41d67a85dac85227ebd7280ac5f126b57e55f30898e6089c"
+      (under "token-ring under corrupt-1 (lazy engine):\n" "table");
+    row "tolerance on a livelock" "tolerance" ~file:chase
+      [ ("budget_max", Json.Int 1) ]
+      (lazy_ @ [ "--budget-max"; "1" ])
+      "done" 0
+      (under "chase under corrupt-1 (lazy engine):\n" "table");
+    row "storm" "storm"
+      [ small; ("trials", Json.Int 30) ]
+      (small_flags @ [ "--trials"; "30" ])
+      "done" 0
+      ~key:"6bd1ba2da79b15cdc9c7309cbe04f9d95f52122a0963a05a4b65d88c13c74a7d"
+      (under "token-ring: storm corrupt-1 rate=0.05, 30 trials: " "summary");
+    row "storm on a livelock" "storm" ~file:chase
+      [ ("trials", Json.Int 30); ("max_steps", Json.Int 2000) ]
+      [ "--trials"; "30"; "--max-steps"; "2000" ]
+      "done" 0
+      (under "chase: storm corrupt-1 rate=0.05, 30 trials: " "summary");
+    row "fuzz" "fuzz" ~file:None
+      [ ("seed", Json.Int 42); ("count", Json.Int 3) ]
+      [ "--seed"; "42"; "--count"; "3" ]
+      "done" 0
+      ~key:"2ac0eda18f194ebe8e8d59948e9596e909ab83cee281297a030359105b03a58c"
+      (text "report");
+    row "too large" "check"
+      [ small; ("engine", Json.Str "eager"); ("max_states", Json.Int 10) ]
+      (small_flags @ [ "--engine"; "eager"; "--max-states"; "10" ])
+      "too-large" 3 (fun _ -> "");
+    row "region overflow" "check"
+      [ small; ("max_states", Json.Int 10) ]
+      (small_flags @ lazy_ @ [ "--max-states"; "10" ])
+      "region-overflow" 4 (fun _ -> "");
+    row "budget incomplete" "check"
+      [ small; ("budget_states", Json.Int 10) ]
+      (small_flags @ lazy_ @ [ "--budget-states"; "10" ])
+      "incomplete" 5 (fun _ -> "");
+  ]
+
+let test_cli_equals_serve () =
+  List.iter
+    (fun r ->
+      let p =
+        prepare_exn ~op:r.op ~model:(Option.map Test_lang.read_file r.file)
+          r.options
+      in
+      Option.iter (fun k -> checks (r.label ^ ": cache key") k p.Job.key) r.key;
+      let guard =
+        Rt.Guard.create
+          ~budget:(Rt.Budget.make ?max_states:p.Job.opts.Job.budget_states ())
+          ~cancel:(Rt.Cancel.create ()) ()
+      in
+      let outcome =
+        Par.Pool.with_pool ~jobs:1 @@ fun pool ->
+        Job.run ~pool ~obs:Obs.Ctx.disabled ~guard p
+      in
+      let result = outcome.Job.result in
+      checks (r.label ^ ": serve status") r.status (str "status" result);
+      checki (r.label ^ ": serve exit") r.exit outcome.Job.exit_code;
+      check
+        Alcotest.(option int)
+        (r.label ^ ": result exit") (Some r.exit)
+        (Json.to_int (field "exit" result));
+      let code, out =
+        Test_witness.run ((r.op :: Option.to_list r.file) @ r.flags)
+      in
+      checki (r.label ^ ": CLI exit") r.exit code;
+      checks (r.label ^ ": CLI stdout") (r.stdout result) out)
+    cli_serve_rows
+
 let suite =
   [
     Alcotest.test_case "sched: round-robin fairness" `Quick
@@ -718,4 +850,6 @@ let suite =
       `Quick test_tolerance_points_match_cli_golden;
     Alcotest.test_case "job: storm summary matches the CLI" `Quick
       test_storm_summary_matches_cli;
+    Alcotest.test_case "job: the CLI and serve agree on every op" `Quick
+      test_cli_equals_serve;
   ]

@@ -240,27 +240,10 @@ env flip:
 invariant (forall j in 0..N-2: x[j] >= x[j+1]) /\ (x[0] = x[N-1] \/ x[0] = x[N-1] + 1)
 |}
 
-let ring_hostile_src =
-  {|model ring-hostile
-
-param N = 3
-param K = 4
-
-topology ring(N)
-
-var x[N] : 0..K-1
-
-action increment:
-  x[0] = x[N-1] /\ x[0] < K-1 -> x[0] := x[0] + 1
-
-action copy[j in 0..N-2]:
-  x[j] <> x[j+1] -> x[j+1] := x[j]
-
-env corrupt_head:
-  x[0] < K-1 -> x[0] := x[0] + 1
-
-invariant (forall j in 0..N-2: x[j] >= x[j+1]) /\ (x[0] = x[N-1] \/ x[0] = x[N-1] + 1)
-|}
+(* The same ring with a hostile environment action that pushes the head
+   counter; also the CLI and serve fixture. *)
+let ring_hostile_src () =
+  Test_lang.read_file (Test_lang.golden_path "ring_hostile.nm")
 
 (* A benign environment (a sensor the invariant ignores) keeps the
    certificate valid — but the unfair daemon can schedule the sensor
@@ -307,7 +290,7 @@ let test_env_benign_certifies_adversary_unbounded () =
    fails at every budget, including 0. *)
 let test_env_hostile_fails_certification () =
   let em =
-    Lang.Driver.compile_string ~file:"ring-hostile.nm" ring_hostile_src
+    Lang.Driver.compile_string ~file:"ring-hostile.nm" (ring_hostile_src ())
   in
   let f =
     sweep ~adversary:false ~envs:em.Lang.Elab.env_actions
@@ -323,6 +306,46 @@ let test_env_hostile_fails_certification () =
     f.Tol.Sweep.points;
   Alcotest.(check (option int)) "uniformly failed: no cliff" None
     f.Tol.Sweep.cliff
+
+(* [certify --faults] runs under the model's environment actions as the
+   sweep does: on the hostile ring the environment-closure check fails
+   and the verdict is the sweep's at the same budget; the benign sensor
+   stays certified. Both front ends run this runner. *)
+let test_env_certify_matches_sweep () =
+  List.iter
+    (fun (file, src, holds) ->
+      let em = Lang.Driver.compile_string ~file src in
+      let m = Serve.Job.model_of_elab em in
+      let fault = Fault.corrupt em.Lang.Elab.env ~k:1 in
+      let o = { Serve.Job.defaults with fault_budget = Some 1 } in
+      let obs = Obs.Ctx.disabled and guard = Rt.Guard.inert in
+      let cert =
+        match Serve.Job.certify ~jobs:1 ~obs ~guard m fault o with
+        | Serve.Job.Holds c | Serve.Job.Fails c -> c
+        | _ -> Alcotest.failf "%s: certify did not finish" file
+      in
+      let point =
+        match
+          Serve.Job.tolerance ~jobs:1 ~obs ~guard ~budgets:[ 1 ] m fault o
+        with
+        | Serve.Job.Holds (_, { Tol.Sweep.points = [ p ]; _ }) -> p
+        | _ -> Alcotest.failf "%s: sweep did not finish" file
+      in
+      Alcotest.(check bool) (file ^ ": verdict") holds (Nonmask.Certify.ok cert);
+      Alcotest.(check bool)
+        (file ^ ": certify = sweep point at budget 1")
+        point.Tol.Sweep.certified (Nonmask.Certify.ok cert);
+      Alcotest.(check bool)
+        (file ^ ": environment closure fails")
+        (not holds)
+        (List.exists
+           (fun (c : Nonmask.Certify.check) ->
+             String.starts_with ~prefix:"environment closure" c.label)
+           (Nonmask.Certify.failures cert)))
+    [
+      ("ring-sensor.nm", ring_sensor_src, true);
+      ("ring-hostile.nm", ring_hostile_src (), false);
+    ]
 
 (* --- cross-backend / cross-job bit-identity -------------------------- *)
 
@@ -550,6 +573,8 @@ let suite =
       test_env_benign_certifies_adversary_unbounded;
     Alcotest.test_case "env hostile: certification fails" `Quick
       test_env_hostile_fails_certification;
+    Alcotest.test_case "env: certify honours env actions like the sweep"
+      `Quick test_env_certify_matches_sweep;
     Alcotest.test_case "cross-backend bit-identity" `Quick
       test_cross_backend_identity;
     Alcotest.test_case "storm observed/bound labels" `Quick
