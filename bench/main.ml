@@ -1637,13 +1637,11 @@ let boxed_baseline_bytes_per_entry n =
 
 let e19_run ~vars ~det_vars ~baseline_keys () =
   let pow10 n = int_of_float (10.0 ** float_of_int n) in
-  let sweep ?(backend = Engine.Lazy) ?(jobs = 1) ?(packed_keys = false)
-      ~storage model nvars target =
+  let sweep ?(backend = Engine.Lazy) ?(jobs = 1) ~storage model nvars target =
     let env, cp = model nvars in
     let zero = Guarded.State.init env (fun _ -> 0) in
     let engine =
-      Engine.create ~backend ~max_states:(4 * pow10 nvars) ~jobs ~storage
-        ~packed_keys env
+      Engine.create ~backend ~max_states:(4 * pow10 nvars) ~jobs ~storage env
     in
     let region, ms =
       time (fun () ->
@@ -1685,19 +1683,13 @@ let e19_run ~vars ~det_vars ~baseline_keys () =
         Printf.sprintf "%.1fx" (base_bpe /. bps);
       ];
     ];
-  (* Storage/keying comparison at the smaller tier: every representation
-     must visit exactly the same set of states. *)
-  let legs =
-    [
-      ("direct", Engine.Direct, false);
-      ("probed", Engine.Probed, false);
-      ("probed + packed keys", Engine.Probed, true);
-    ]
-  in
+  (* Storage comparison at the smaller tier: every representation must
+     visit exactly the same set of states. *)
+  let legs = [ ("direct", Engine.Direct); ("probed", Engine.Probed) ] in
   let comparison =
     List.map
-      (fun (label, storage, packed_keys) ->
-        let e, r, ms = sweep ~storage ~packed_keys grid_model det_vars all in
+      (fun (label, storage) ->
+        let e, r, ms = sweep ~storage grid_model det_vars all in
         (label, e, r, ms))
       legs
   in

@@ -719,7 +719,8 @@ let fault_or_bad_spec = function
       failwith
         (Printf.sprintf "bad fault spec %S (%s)" spec Sim.Fault.spec_syntax)
 
-(* A storm flag checked by its Sim.Storm range rule. *)
+(* A flag checked by the range rule serve applies to the same option
+   (Sim.Storm's for storm flags, Serve.Job's for the others). *)
 let range_flag flag check show v =
   match check v with
   | Ok v -> v
@@ -796,10 +797,19 @@ let certify_cmd =
       fault_or_bad_spec
         (Sim.Fault.resolve m.env ~spec:fault_spec ~declared:m.faults)
     in
-    if (checkpoint_out <> None || resume_file <> None) && fault_opt = None then
-      failwith
-        "certify: --checkpoint-out/--resume require --faults (only the \
-         computed fault span is checkpointable)";
+    if fault_opt = None then begin
+      if checkpoint_out <> None || resume_file <> None then
+        failwith
+          "certify: --checkpoint-out/--resume require --faults (only the \
+           computed fault span is checkpointable)";
+      (* the theorem certificate has no fault span to seed or bound *)
+      if ball >= 0 then
+        failwith "certify: --ball requires --faults (it seeds the fault span)";
+      if fault_budget <> None then
+        failwith
+          "certify: --fault-budget requires --faults (it bounds the fault \
+           span)"
+    end;
     let obs =
       obs_setup ~trace_out ~metrics_out ~progress ~command:"certify"
         ~instance:m.name ~engine:(Serve.Job.backend_name backend) ~jobs
@@ -921,19 +931,18 @@ let tolerance_cmd =
           List.map
             (fun s ->
               match int_of_string_opt (String.trim s) with
-              | Some b when b >= 0 -> b
               | Some b ->
-                  failwith (Printf.sprintf "tolerance: negative budget %d" b)
+                  range_flag "--budgets entry" Serve.Job.check_budget_max
+                    string_of_int b
               | None ->
                   failwith
                     (Printf.sprintf "tolerance: bad --budgets entry %S" s))
             (String.split_on_char ',' csv)
       | None ->
-          if budget_max < 0 then
-            failwith
-              (Printf.sprintf "tolerance: --budget-max must be >= 0 (got %d)"
-                 budget_max);
-          Tol.Sweep.range ~max:budget_max
+          Tol.Sweep.range
+            ~max:
+              (range_flag "--budget-max" Serve.Job.check_budget_max
+                 string_of_int budget_max)
     in
     let on_point =
       Option.map
@@ -1195,8 +1204,10 @@ let fuzz_cmd =
   let run seed count max_vars jobs no_shrink corpus_out corpus_all trace_out
       metrics_out progress deadline trial_timeout trial_retries =
     usage @@ fun () ->
-    if max_vars < 2 then failwith "fuzz: --max-vars must be at least 2";
-    if count < 0 then failwith "fuzz: --count must be non-negative";
+    let max_vars =
+      range_flag "--max-vars" Serve.Job.check_max_vars string_of_int max_vars
+    in
+    let count = range_flag "--count" Serve.Job.check_count string_of_int count in
     let obs =
       obs_setup ~trace_out ~metrics_out ~progress ~command:"fuzz"
         ~instance:(Printf.sprintf "seed=%d count=%d" seed count)

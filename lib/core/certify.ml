@@ -177,6 +177,67 @@ let tolerance ~engine ~program ~faults ?(envs = []) ~invariant ?from ?budget
             (Explore.Engine.Interrupted
                { reason; states_seen = n; frontier_size = 0; snapshot = None })
   in
+  (* Stream the span by index in {!Explore.Faultspan.iter} order —
+     decode-on-demand into a stepper instead of materializing |T| boxed
+     states — for the first state satisfying [pre] with an [acts] step
+     whose post-state fails [inside] (given its key and the stepped
+     buffer), in state order × action order. The scan runs in slices of
+     2048 states per worker with a guard poll before each; a slice's
+     chunks reduce in index order, so every job count reports the same
+     first violation. *)
+  let first_violation ~acts ~pre ~inside ~outside =
+    let pp = Guarded.State.pp env in
+    let slice_violation st lo hi =
+      let buf = Explore.Engine.stepper_state st in
+      let violation = ref None in
+      (try
+         for i = lo to hi - 1 do
+           Explore.Engine.load st (Explore.Faultspan.nth_key span i);
+           if pre buf then
+             Array.iter
+               (fun (ca : Guarded.Compile.action) ->
+                 if ca.enabled buf then begin
+                   let key = Explore.Engine.step st ca in
+                   if inside key buf then Explore.Engine.undo st
+                   else begin
+                     let post = Guarded.State.copy buf in
+                     Explore.Engine.undo st;
+                     violation :=
+                       Some
+                         (Format.asprintf "%a  --[%s]-->  %a  (outside %s)" pp
+                            buf
+                            (Guarded.Action.name ca.Guarded.Compile.source)
+                            pp post outside);
+                     raise Exit
+                   end
+                 end)
+               acts
+         done
+       with Exit -> ());
+      !violation
+    in
+    Explore.Engine.with_workers engine @@ fun pool ->
+    let steppers =
+      Array.init (Par.Pool.jobs pool) (fun _ -> Explore.Engine.stepper engine)
+    in
+    let slice = 2048 * Par.Pool.jobs pool in
+    let rec scan lo =
+      if lo >= n then None
+      else begin
+        poll_scan lo;
+        match
+          Par.Pool.map_reduce pool ~n:(min slice (n - lo))
+            ~map:(fun ~worker a b ->
+              slice_violation steppers.(worker) (lo + a) (lo + b))
+            (fun acc v -> match acc with Some _ -> acc | None -> v)
+            None
+        with
+        | Some _ as v -> v
+        | None -> scan (lo + slice)
+      end
+    in
+    scan 0
+  in
   let span_check =
     let hist = Explore.Faultspan.depth_histogram span in
     check_info
@@ -218,64 +279,10 @@ let tolerance ~engine ~program ~faults ?(envs = []) ~invariant ?from ?budget
       if include_faults then Array.append base fp.Guarded.Compile.actions
       else base
     in
-    (* Stream the span by index in {!Explore.Faultspan.iter} order —
-       decode-on-demand into a stepper instead of materializing |T| boxed
-       states — stopping at the first violating action in state order ×
-       action order. The scan runs in slices of 2048 states per worker
-       with a guard poll before each; a slice's chunks reduce in index
-       order, so every job count reports the same first violation. *)
-    let first_violation st lo hi =
-      let buf = Explore.Engine.stepper_state st in
-      let violation = ref None in
-      (try
-         for i = lo to hi - 1 do
-           Explore.Engine.load st (Explore.Faultspan.nth_key span i);
-           Array.iter
-             (fun (ca : Guarded.Compile.action) ->
-               if ca.enabled buf then begin
-                 let inside =
-                   Explore.Faultspan.mem_key span (Explore.Engine.step st ca)
-                 in
-                 Explore.Engine.undo st;
-                 if not inside then begin
-                   violation :=
-                     Some
-                       (Format.asprintf "%a  --[%s]-->  %a  (outside T)"
-                          (Guarded.State.pp env) buf
-                          (Guarded.Action.name ca.Guarded.Compile.source)
-                          (Guarded.State.pp env) (ca.apply buf));
-                   raise Exit
-                 end
-               end)
-             acts
-         done
-       with Exit -> ());
-      !violation
-    in
-    let violation =
-      Explore.Engine.with_workers engine @@ fun pool ->
-      let steppers =
-        Array.init (Par.Pool.jobs pool) (fun _ -> Explore.Engine.stepper engine)
-      in
-      let slice = 2048 * Par.Pool.jobs pool in
-      let rec scan lo =
-        if lo >= n then None
-        else begin
-          poll_scan lo;
-          match
-            Par.Pool.map_reduce pool ~n:(min slice (n - lo))
-              ~map:(fun ~worker a b ->
-                first_violation steppers.(worker) (lo + a) (lo + b))
-              (fun acc v -> match acc with Some _ -> acc | None -> v)
-              None
-          with
-          | Some _ as v -> v
-          | None -> scan (lo + slice)
-        end
-      in
-      scan 0
-    in
-    match violation with
+    match
+      first_violation ~acts ~pre:(fun _ -> true) ~outside:"T"
+        ~inside:(fun key _ -> Explore.Faultspan.mem_key span key)
+    with
     | None -> check_pass label
     | Some d -> check_fail label ~detail:d
   in
@@ -293,34 +300,10 @@ let tolerance ~engine ~program ~faults ?(envs = []) ~invariant ?from ?budget
             let label =
               "environment closure: every environment action maps S into S"
             in
-            let buf = Guarded.State.make env in
-            let post = Guarded.State.make env in
-            let violation = ref None in
-            (try
-               for i = 0 to n - 1 do
-                 if i land 2047 = 0 then poll_scan i;
-                 Explore.Faultspan.decode_nth_into span i buf;
-                 if invariant buf then
-                   Array.iter
-                     (fun (ca : Guarded.Compile.action) ->
-                       if ca.enabled buf then begin
-                         ca.apply_into buf post;
-                         if not (invariant post) then begin
-                           violation :=
-                             Some
-                               (Format.asprintf
-                                  "%a  --[%s]-->  %a  (outside S)"
-                                  (Guarded.State.pp env) buf
-                                  (Guarded.Action.name
-                                     ca.Guarded.Compile.source)
-                                  (Guarded.State.pp env) post);
-                           raise Exit
-                         end
-                       end)
-                     ecp.Guarded.Compile.actions
-               done
-             with Exit -> ());
-            match !violation with
+            match
+              first_violation ~acts:ecp.Guarded.Compile.actions ~pre:invariant
+                ~outside:"S" ~inside:(fun _ post -> invariant post)
+            with
             | None -> check_pass label
             | Some d -> check_fail label ~detail:d )
   in

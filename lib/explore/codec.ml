@@ -7,15 +7,9 @@ type t = {
   env : Env.t;
   bases : int array;  (** domain size per slot *)
   lows : int array;  (** smallest legal value per slot *)
-  weights : int array;  (** dense mixed-radix place values (garbage past 62 bits) *)
-  bits : int array;  (** packed field width per slot *)
-  shifts : int array;  (** packed field offset per slot *)
-  wide_word : int array;  (** two-word layout: word (0/1) per slot *)
-  wide_shift : int array;  (** two-word layout: offset within the word *)
-  wide_fits : bool;
+  weights : int array;  (** dense mixed-radix place values (garbage past 60 bits) *)
   states : float;
   dense_bits : int;
-  packed_bits : int;
 }
 
 exception Overflow of { layout : string; bits : int; states : float }
@@ -51,69 +45,28 @@ let of_env env =
     for i = 1 to n - 1 do
       weights.(i) <- weights.(i - 1) * bases.(i - 1)
     done;
-  let bits = Array.map bits_for bases in
-  let shifts = Array.make n 0 in
-  for i = 1 to n - 1 do
-    shifts.(i) <- shifts.(i - 1) + bits.(i - 1)
-  done;
-  let packed_bits = if n = 0 then 0 else shifts.(n - 1) + bits.(n - 1) in
-  (* Two-word layout: fields are assigned to word 0 until the next one
-     would cross bit 62, then continue from bit 0 of word 1 — fields
-     never straddle the word boundary, so encode/decode stay one shift
-     per slot. The alignment waste is under one field's width. *)
-  let wide_word = Array.make n 0 in
-  let wide_shift = Array.make n 0 in
-  let word = ref 0 and off = ref 0 in
-  let wide_fits = ref true in
-  for i = 0 to n - 1 do
-    if !off + bits.(i) > 62 then
-      if !word = 0 then begin
-        word := 1;
-        off := 0
-      end
-      else wide_fits := false;
-    wide_word.(i) <- !word;
-    wide_shift.(i) <- !off;
-    off := !off + bits.(i)
-  done;
-  if !off > 62 then wide_fits := false;
   let dense_bits =
     if dense_ok then bits_for (int_of_float states)
     else
-      (* over the int range: report the packed width as an upper bound,
-         floored at 61 so dense_ok and dense_bits never disagree *)
-      max 61 (min 126 packed_bits)
+      (* over the int range: ceil(log2 states), summed per slot so that it
+         stays finite when the float count does not, and floored at 61 so
+         dense_ok and dense_bits never disagree *)
+      let log2 =
+        Array.fold_left (fun acc b -> acc +. Float.log2 (float_of_int b)) 0. bases
+      in
+      max 61 (int_of_float (Float.ceil log2))
   in
-  {
-    env;
-    bases;
-    lows;
-    weights;
-    bits;
-    shifts;
-    wide_word;
-    wide_shift;
-    wide_fits = !wide_fits;
-    states;
-    dense_bits;
-    packed_bits;
-  }
+  { env; bases; lows; weights; states; dense_bits }
 
 let env t = t.env
 let states t = t.states
 let slots t = Array.length t.bases
 let dense_bits t = t.dense_bits
-let packed_bits t = t.packed_bits
 let dense_ok t = t.states <= float_of_int dense_max
-let packed_ok t = t.packed_bits <= 62
-let wide_ok t = t.wide_fits
 
-let require layout ok bits t =
-  if not ok then raise (Overflow { layout; bits; states = t.states })
-
-let require_dense t = require "dense" (dense_ok t) t.dense_bits t
-let require_packed t = require "packed" (packed_ok t) t.packed_bits t
-let require_wide t = require "wide" (wide_ok t) t.packed_bits t
+let require_dense t =
+  if not (dense_ok t) then
+    raise (Overflow { layout = "dense"; bits = t.dense_bits; states = t.states })
 
 let dense_size t =
   require_dense t;
@@ -139,47 +92,26 @@ let decode_dense_into t code s =
     rem := !rem / t.bases.(i)
   done
 
-let encode_packed t s =
-  let acc = ref 0 in
-  for i = 0 to Array.length t.bases - 1 do
-    acc := !acc lor (digit t s i lsl t.shifts.(i))
-  done;
-  !acc
+let places t = Array.copy t.weights
 
-let decode_packed_into t code s =
-  for i = 0 to Array.length t.bases - 1 do
-    let d = (code lsr t.shifts.(i)) land ((1 lsl t.bits.(i)) - 1) in
-    State.set_index s i (d + t.lows.(i))
-  done
-
-let places t ~packed =
-  if packed then Array.map (fun sh -> 1 lsl sh) t.shifts
-  else Array.copy t.weights
-
-let encode_wide t s =
-  require_wide t;
-  let lo = ref 0 and hi = ref 0 in
-  for i = 0 to Array.length t.bases - 1 do
-    let d = digit t s i lsl t.wide_shift.(i) in
-    if t.wide_word.(i) = 0 then lo := !lo lor d else hi := !hi lor d
-  done;
-  (!lo, !hi)
-
-let decode_wide_into t (lo, hi) s =
-  for i = 0 to Array.length t.bases - 1 do
-    let word = if t.wide_word.(i) = 0 then lo else hi in
-    let d = (word lsr t.wide_shift.(i)) land ((1 lsl t.bits.(i)) - 1) in
-    State.set_index s i (d + t.lows.(i))
-  done
-
+(* The table prints, per slot, the width and offset a bit-field layout
+   would give it, and their total: no key uses them, but checkpoint
+   config hashes fold this text in, so it must not change. *)
 let pp_layout ppf t =
+  let n = slots t in
+  let bits = Array.map bits_for t.bases in
+  let shifts = Array.make n 0 in
+  for i = 1 to n - 1 do
+    shifts.(i) <- shifts.(i - 1) + bits.(i - 1)
+  done;
   Format.fprintf ppf
     "@[<v>codec: %d slots, %.3g states, dense %d bits, packed %d bits@,"
-    (slots t) t.states t.dense_bits t.packed_bits;
+    n t.states t.dense_bits
+    (Array.fold_left ( + ) 0 bits);
   Array.iteri
     (fun i base ->
       Format.fprintf ppf "  slot %d: base %d  low %d  bits %d  shift %d%s@,"
-        i base t.lows.(i) t.bits.(i) t.shifts.(i)
+        i base t.lows.(i) bits.(i) shifts.(i)
         (if dense_ok t then Printf.sprintf "  weight %d" t.weights.(i) else ""))
     t.bases;
   Format.fprintf ppf "@]"

@@ -17,7 +17,6 @@ type t = {
       (* a caller-owned shared pool (the serve daemon's), or one lent by
          [sharing_pool]; searches borrow it instead of spawning a
          transient pool per call *)
-  packed : bool;  (* keys are bit-packed codes instead of dense ids *)
   direct : bool;  (* visited sets are direct-mapped over the dense range *)
   obs : Obs.Ctx.t;
   guard : Rt.Guard.t;  (* cooperative budget/cancellation polling point *)
@@ -62,7 +61,7 @@ let direct_auto_cap = 1 lsl 28
 let direct_hard_cap = 1 lsl 30
 
 let create ?(backend = Eager) ?(max_states = 2_000_000) ?jobs ?pool
-    ?(storage = Auto) ?(packed_keys = false) ?(obs = Obs.Ctx.disabled)
+    ?(storage = Auto) ?(obs = Obs.Ctx.disabled)
     ?(guard = Rt.Guard.inert) ?(snapshots = false) ?(salt = "") env =
   let jobs =
     match (jobs, pool) with
@@ -73,22 +72,20 @@ let create ?(backend = Eager) ?(max_states = 2_000_000) ?jobs ?pool
   in
   match backend with
   | Eager ->
-      if packed_keys then
-        invalid_arg "Engine.create: packed keys need the lazy or parallel backend";
       let space = Space.create ~max_states env in
       { backend; space; codec = Space.codec space; budget = Space.size space;
-        jobs; pool; packed = false; direct = false; obs; guard; snapshots;
-        salt; csr = None; last_visited_bytes = 0; last_frontier_bytes = 0 }
+        jobs; pool; direct = false; obs; guard; snapshots; salt; csr = None;
+        last_visited_bytes = 0; last_frontier_bytes = 0 }
   | Lazy | Parallel ->
+      (* past 2^60 states no key exists: refuse in the codec's terms,
+         not as a budget that a larger --max-states could lift *)
+      Codec.require_dense (Codec.of_env env);
       let space = Space.create_unbounded env in
       let codec = Space.codec space in
-      if packed_keys then Codec.require_packed codec;
       let direct =
         match storage with
         | Probed -> false
         | Direct ->
-            if packed_keys then
-              invalid_arg "Engine.create: direct storage needs dense keys";
             if Space.size space > direct_hard_cap then
               invalid_arg
                 (Printf.sprintf
@@ -97,19 +94,18 @@ let create ?(backend = Eager) ?(max_states = 2_000_000) ?jobs ?pool
                    (Space.size space));
             true
         | Auto ->
-            (not packed_keys)
-            && Space.size space <= direct_auto_cap
+            Space.size space <= direct_auto_cap
             && Space.size space / 8 <= max_states
       in
-      { backend; space; codec; budget = max_states; jobs; pool;
-        packed = packed_keys; direct; obs; guard; snapshots; salt; csr = None;
-        last_visited_bytes = 0; last_frontier_bytes = 0 }
+      { backend; space; codec; budget = max_states; jobs; pool; direct; obs;
+        guard; snapshots; salt; csr = None; last_visited_bytes = 0;
+        last_frontier_bytes = 0 }
 
 let of_space ?(obs = Obs.Ctx.disabled) space =
   { backend = Eager; space; codec = Space.codec space;
-    budget = Space.size space; jobs = 1; pool = None; packed = false;
-    direct = false; obs; guard = Rt.Guard.inert; snapshots = false; salt = "";
-    csr = None; last_visited_bytes = 0; last_frontier_bytes = 0 }
+    budget = Space.size space; jobs = 1; pool = None; direct = false; obs;
+    guard = Rt.Guard.inert; snapshots = false; salt = ""; csr = None;
+    last_visited_bytes = 0; last_frontier_bytes = 0 }
 
 let backend t = t.backend
 
@@ -125,7 +121,6 @@ let pool t = t.pool
 let obs t = t.obs
 let guard t = t.guard
 let wants_snapshots t = t.snapshots
-let packed_keys t = t.packed
 
 let sharing_pool t f =
   match (t.backend, t.pool) with
@@ -149,12 +144,8 @@ let storage_bytes t = t.last_visited_bytes + t.last_frontier_bytes
 
 (* --- state keys: how node_key / node_of_key values read --- *)
 
-let encode_key t s =
-  if t.packed then Codec.encode_packed t.codec s else Space.encode t.space s
-
-let decode_key_into t key s =
-  if t.packed then Codec.decode_packed_into t.codec key s
-  else Space.decode_into t.space key s
+let encode_key t s = Space.encode t.space s
+let decode_key_into t key s = Space.decode_into t.space key s
 
 let decode_key t key =
   let s = State.make (env t) in
@@ -163,8 +154,8 @@ let decode_key t key =
 
 (* --- successor stepping ---
 
-   An action writes only the slots in its [Compile.slots], and both key
-   layouts are positional, so firing it in place on a decoded state moves
+   An action writes only the slots in its [Compile.slots], and the key
+   layout is positional, so firing it in place on a decoded state moves
    the key by [(new - old) * place] per written slot. [step] evaluates
    every right-hand side first (a [Domain_violation] leaves the buffer as
    it was), then writes them and records the overwritten values; [undo]
@@ -184,7 +175,7 @@ type stepper = {
 let stepper t =
   let n = Codec.slots t.codec in
   { engine = t; buf = State.make (env t);
-    places = Codec.places t.codec ~packed:t.packed; key = 0;
+    places = Codec.places t.codec; key = 0;
     vals = Array.make n 0; fired = Array.make n 0; olds = Array.make n 0;
     n_fired = 0 }
 
@@ -248,8 +239,8 @@ module Vec = Par.Ivec
 (* --- configuration fingerprints for checkpoint files ---
 
    A snapshot written under one engine configuration must not silently
-   resume under another: node numbering depends on the codec layout and
-   the key representation, the overflow point on the budget, and the
+   resume under another: node numbering depends on the codec layout,
+   the overflow point on the budget, and the
    explored set on the model itself. The hash folds the engine-shape
    parameters with caller-supplied [parts] (action names, and via [salt]
    the CLI's whole instance/flag spelling). Backend and job count are
@@ -261,8 +252,9 @@ let config_hash t ~parts =
   let b = Buffer.create 160 in
   Buffer.add_string b t.salt;
   Buffer.add_string b (Format.asprintf "|layout=%a" Codec.pp_layout t.codec);
-  Buffer.add_string b
-    (Printf.sprintf "|packed=%b|budget=%d" t.packed t.budget);
+  (* keys are always dense; the [packed=false] literal stays in the
+     hashed text so checkpoints written before that still resume *)
+  Buffer.add_string b (Printf.sprintf "|packed=false|budget=%d" t.budget);
   List.iter
     (fun p ->
       Buffer.add_char b '|';
@@ -453,23 +445,42 @@ let eager_region t cp ~from ~target =
 let check_budget t visited =
   if visited > t.budget then raise (Region_overflow visited)
 
-(* Seed the search with the root states. [visit] classifies a state on
-   first sight (assigning it a member node id when the target fails) and
-   enqueues it. [All]/[Pred] need a sweep, so they require the space to
-   fit the budget; [Seeds] does not. Sweeps run in dense id order — the
-   canonical root order — whatever the key representation; under packed
-   keys the id is re-encoded from the state buffer. *)
-let seed_roots t ~from visit =
+(* The one root sweep of every frontier search: lazy and parallel
+   regions, fault spans and [iter_reachable]. [All]/[Pred] need a sweep,
+   so they require the space to fit the budget; [Seeds] does not. *)
+let seed_roots ?pool ?(target = fun _ -> false) t ~from ~mem add =
   let space = t.space in
   match from with
-  | Seeds l -> List.iter (fun s -> visit (encode_key t s) s) l
-  | All | Pred _ ->
-      check_budget t (Space.size space);
+  | Seeds l ->
+      List.iter
+        (fun s ->
+          let key = Space.encode space s in
+          if not (mem key) then add key (not (target s)))
+        l
+  | All | Pred _ -> (
+      let n = Space.size space in
+      check_budget t n;
       let p = match from with Pred p -> p | _ -> fun _ -> true in
-      if t.packed then
-        Space.iter space (fun _ s ->
-            if p s then visit (Codec.encode_packed t.codec s) s)
-      else Space.iter space (fun id s -> if p s then visit id s)
+      match pool with
+      | Some pool when Par.Pool.jobs pool > 1 ->
+          (* classify every id on the pool, then commit in id order; each
+             chunk decodes into a buffer its own domain allocates, so no
+             two workers write one cache line *)
+          let classes = Bytes.make n '\000' in
+          Par.Pool.parallel_for pool ~n (fun ~worker:_ lo hi ->
+              let buf = State.make (env t) in
+              for id = lo to hi - 1 do
+                Space.decode_into space id buf;
+                if p buf then
+                  Bytes.unsafe_set classes id
+                    (if target buf then '\002' else '\001')
+              done);
+          for id = 0 to n - 1 do
+            match Bytes.unsafe_get classes id with
+            | '\000' -> ()
+            | c -> add id (c = '\001')
+          done
+      | _ -> Space.iter space (fun id s -> if p s then add id (not (target s))))
 
 let finish_region t ~visited_bytes ~frontier_bytes ~node_keys ~terminals
     ~edges ~explored ~node_of_key =
@@ -523,7 +534,6 @@ let finish_region t ~visited_bytes ~frontier_bytes ~node_keys ~terminals
    -3    : unseen at probe time, target holds (non-member). *)
 
 let fifo_region t cp ~from ~target ~resume pool =
-  let space = t.space in
   let actions = cp.Compile.actions in
   let n_actions = Array.length actions in
   let abits = bits_for n_actions in
@@ -591,38 +601,8 @@ let fifo_region t cp ~from ~target ~resume pool =
           enqueue key node)
         frontier
   | None ->
-      (match (from, pool) with
-      | (All | Pred _), Some pool ->
-          let n = Space.size space in
-          check_budget t n;
-          let p = match from with Pred p -> p | _ -> fun _ -> true in
-          (* classify every id in parallel, then commit in id order; under
-             packed keys phase A also records each qualifying id's key, so
-             the sequential commit needs no re-decode *)
-          let classes = Bytes.make n '\000' in
-          let packed_key = if t.packed then Array.make n 0 else [||] in
-          Par.Pool.parallel_for pool ~n (fun ~worker lo hi ->
-              let buf = stepper_state worker_st.(worker) in
-              for id = lo to hi - 1 do
-                Space.decode_into space id buf;
-                if p buf then begin
-                  Bytes.unsafe_set classes id
-                    (if target buf then '\002' else '\001');
-                  if t.packed then
-                    packed_key.(id) <- Codec.encode_packed t.codec buf
-                end
-              done);
-          for id = 0 to n - 1 do
-            match Bytes.unsafe_get classes id with
-            | '\000' -> ()
-            | c ->
-                let key = if t.packed then packed_key.(id) else id in
-                ignore (visit_new key ~member:(c = '\001'))
-          done
-      | _ ->
-          seed_roots t ~from (fun key s ->
-              if not (Flatset.mem visited key) then
-                ignore (visit_new key ~member:(not (target s)))));
+      seed_roots ?pool ~target t ~from ~mem:(Flatset.mem visited)
+        (fun key member -> ignore (visit_new key ~member));
       if Obs.Ctx.enabled t.obs then
         Obs.Ctx.emit t.obs "engine.roots"
           [ ("discovered", Obs.Sink.I !explored) ]);
@@ -902,7 +882,7 @@ let iter_reachable t cp ~from f =
           Flatqueue.push queue key
         end
       in
-      seed_roots t ~from (fun key _ -> visit key);
+      seed_roots t ~from ~mem:(Flatset.mem visited) (fun key _ -> visit key);
       let st = stepper t in
       let buf = stepper_state st in
       let guard_on = Rt.Guard.active t.guard in

@@ -67,7 +67,6 @@ val create :
   ?jobs:int ->
   ?pool:Par.Pool.t ->
   ?storage:storage ->
-  ?packed_keys:bool ->
   ?obs:Obs.Ctx.t ->
   ?guard:Rt.Guard.t ->
   ?snapshots:bool ->
@@ -87,12 +86,7 @@ val create :
     given, it also supplies the default [jobs]; the caller keeps
     ownership and must not run two analyses over it concurrently.
     [storage] (default [Auto]) picks the visited-set representation for
-    the lazy/parallel backends; see {!storage}. [packed_keys] (default
-    [false]) keys states by their bit-packed {!Codec} code instead of
-    the dense mixed-radix id: decode becomes shift/mask instead of
-    division, at the cost of forcing [Probed] storage and making raw
-    [node_key] values incomparable with dense-keyed engines (use
-    {!decode_key}). [obs] (default {!Obs.Ctx.disabled}) receives the
+    the lazy/parallel backends; see {!storage}. [obs] (default {!Obs.Ctx.disabled}) receives the
     engine's metrics, trace events, and progress ticks — see the
     README's event schema. [guard] (default {!Rt.Guard.inert}) is the
     cooperative budget/cancellation point every search polls at
@@ -103,11 +97,10 @@ val create :
     instance/flag spelling — folded into snapshot config hashes so a
     checkpoint cannot silently resume against a different model.
     @raise Space.Too_large for an eager engine over a bigger space.
-    @raise Codec.Overflow when [packed_keys] and the packed layout
-    exceeds one word.
-    @raise Invalid_argument when [jobs <= 0], when [packed_keys] is
-    combined with the eager backend or [Direct] storage, or when
-    [Direct] is forced over a dense range above [2^30]. *)
+    @raise Codec.Overflow (layout ["dense"]) for a lazy or parallel
+    engine whose space has more than {!Space.encodable_max} states.
+    @raise Invalid_argument when [jobs <= 0], or when [Direct] is forced
+    over a dense range above [2^30]. *)
 
 val of_space : ?obs:Obs.Ctx.t -> Space.t -> t
 (** Eager engine over an already-created space. *)
@@ -158,15 +151,12 @@ val wants_snapshots : t -> bool
 
 val config_hash : t -> parts:string list -> string
 (** Fingerprint of this engine's result-affecting configuration (codec
-    layout, key representation, budget, [salt]) combined with
+    layout, budget, [salt]) combined with
     caller-supplied [parts] such as action names. Backend and job count
     are excluded: checkpoints resume across both. *)
 
 val codec : t -> Codec.t
-(** The bit-layout codec sized from the engine's environment. *)
-
-val packed_keys : t -> bool
-(** Whether this engine keys states by packed codes (see {!create}). *)
+(** The codec sized from the engine's environment. *)
 
 val storage_name : t -> string
 (** Resolved storage representation: ["csr"] (eager), ["direct"], or
@@ -181,8 +171,8 @@ val storage_bytes : t -> int
     bytes-per-state figure the E19 experiment reports. *)
 
 val encode_key : t -> Guarded.State.t -> int
-(** The key this engine files a state under — [Space.encode] for dense
-    engines, [Codec.encode_packed] under [packed_keys]. *)
+(** The key this engine files a state under: its dense id,
+    [Space.encode]. *)
 
 val decode_key : t -> int -> Guarded.State.t
 (** Decode an engine key (as found in [node_key]) to a fresh state. *)
@@ -195,7 +185,7 @@ val decode_key_into : t -> int -> Guarded.State.t -> unit
     A stepper fires actions in place on a decoded state and derives each
     successor's key from the slots the action writes ({!Guarded.Compile}'s
     [slots] and [rhs]): [key + Σ (new - old) · place_i], with the place
-    values of {!Codec.places} for the engine's key layout. Every keyed
+    values of {!Codec.places}. Every keyed
     successor loop (the lazy and parallel searches, {!Faultspan}, the
     certification scans) runs on it; the eager {!Tsys} build and the
     simulators keep [apply_into], so the fuzz oracles compare the two
@@ -260,9 +250,8 @@ type roots =
 
 (** The region of interest for convergence checking: the subgraph induced
     on the reachable states where the target predicate does {e not} hold.
-    Nodes are dense ints; [node_key.(v)] is the state's engine key — the
-    mixed-radix code by default, the bit-packed code under [packed_keys]
-    (decode with {!decode_key}). [terminal.(v)] says the state has no
+    Nodes are dense ints; [node_key.(v)] is the state's engine key, its
+    dense mixed-radix id (decode with {!decode_key}). [terminal.(v)] says the state has no
     enabled action in the {e full} program. [explored] counts every state
     visited by the search, members or not. *)
 type region = {
@@ -291,6 +280,26 @@ val region :
     @raise Interrupted when the engine's guard trips.
     @raise Rt.Snapshot.Corrupt when [resume] has the wrong kind or a
     mismatched config hash, or on the eager backend. *)
+
+val seed_roots :
+  ?pool:Par.Pool.t ->
+  ?target:(Guarded.State.t -> bool) ->
+  t ->
+  from:roots ->
+  mem:(int -> bool) ->
+  (int -> bool -> unit) ->
+  unit
+(** [seed_roots t ~from ~mem add] calls [add key member] once for each
+    root not yet [mem], in the canonical root order: the seeds as
+    listed, or a sweep of the qualifying dense ids in ascending order.
+    [member] is [not (target s)] (default [target]: never), and [target]
+    runs once per root added. A sweep on a [pool] of more than one
+    worker classifies the ids there and then adds them in id order; its
+    ids are distinct, so it skips [mem]. Every frontier search seeds
+    through here: lazy and parallel {!region}s, {!Faultspan} and
+    {!iter_reachable}.
+    @raise Region_overflow when [from] is [All] or [Pred] and the space
+    exceeds the budget. *)
 
 val state_of_node : t -> region -> int -> Guarded.State.t
 (** Decode a region node's state (fresh copy). *)

@@ -169,50 +169,12 @@ let create engine ?program ?envs ~faults () =
     cursor = 0; closed = false; fault_done = 0; saturated = false;
     busy = false; seen = 0; reported = 0 }
 
-(* Root sweeps run in dense id order whatever the key representation;
-   under packed keys the id's state buffer is re-encoded. The parallel
-   backend classifies the ids on its pool and commits them in id order. *)
+(* The roots, in the canonical order, classified on the engine's pool
+   when it has more than one worker. *)
 let seed s from =
-  let engine = s.engine in
-  let space = Engine.space engine in
-  (match from with
-  | Engine.Seeds l ->
-      List.iter (fun st -> visit s (Engine.encode_key engine st)) l
-  | Engine.All | Engine.Pred _ -> (
-      let cap = Engine.max_states engine in
-      if Space.size space > cap then
-        raise (Engine.Region_overflow (Space.size space));
-      let p = match from with Engine.Pred p -> p | _ -> fun _ -> true in
-      let packed = Engine.packed_keys engine in
-      match Engine.backend engine with
-      | Engine.Eager | Engine.Lazy ->
-          Space.iter space (fun id st ->
-              if p st then
-                visit s (if packed then Engine.encode_key engine st else id))
-      | Engine.Parallel ->
-          Par.Pool.use ?pool:(Engine.pool engine) ~jobs:(Engine.jobs engine)
-          @@ fun pool ->
-          let n = Space.size space in
-          let classes = Bytes.make n '\000' in
-          let packed_key = if packed then Array.make n 0 else [||] in
-          let bufs =
-            Array.init (Par.Pool.jobs pool) (fun _ ->
-                State.make (Engine.env engine))
-          in
-          Par.Pool.parallel_for pool ~n (fun ~worker lo hi ->
-              let buf = bufs.(worker) in
-              for id = lo to hi - 1 do
-                Space.decode_into space id buf;
-                if p buf then begin
-                  Bytes.unsafe_set classes id '\001';
-                  if packed then
-                    packed_key.(id) <- Engine.encode_key engine buf
-                end
-              done);
-          for id = 0 to n - 1 do
-            if Bytes.unsafe_get classes id = '\001' then
-              visit s (if packed then packed_key.(id) else id)
-          done));
+  Engine.with_workers s.engine (fun pool ->
+      Engine.seed_roots ~pool s.engine ~from ~mem:(Flatset.mem s.index)
+        (fun key _ -> visit s key));
   s.roots <- Vec.len s.keys;
   s.seen <- s.roots
 

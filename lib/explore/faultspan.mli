@@ -11,8 +11,8 @@
     [compute ~budget:k] follows program steps {e between} the perturbations.
 
     The search is a layered frontier BFS keyed by {!Engine.encode_key}
-    (the dense mixed-radix code, or the bit-packed code under an engine's
-    [packed_keys]), with discovery indices held in the engine's flat
+    (the dense mixed-radix code), seeded by {!Engine.seed_roots}, with
+    discovery indices held in the engine's flat
     visited-table representation ({!Engine.make_visited}) and every
     frontier a run of the discovered-key vector — the same machinery
     for every engine backend; eager

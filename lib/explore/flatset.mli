@@ -13,7 +13,7 @@
       entries read as the caller's default.
 
     - {b Probed}: an open-addressing {!Par.Flattbl} keyed by any
-      non-negative code (dense or bit-packed) — ~16/load bytes per
+      non-negative code — ~16/load bytes per
       {e visited} state, growing by doubling. The choice for sparse
       exploration of huge spaces.
 

@@ -3,7 +3,7 @@ module State = Guarded.State
 
 (* A space is the dense layout of a codec plus the materialization cap:
    the mixed-radix arithmetic itself lives in Codec (one audited
-   implementation, shared with the packed and wide layouts). *)
+   implementation, whose place values the engines' steppers share). *)
 type t = { codec : Codec.t; size : int }
 
 exception Too_large of float

@@ -34,8 +34,8 @@ val size : t -> int
 
 val codec : t -> Codec.t
 (** The underlying codec; the space's own {!encode}/{!decode} are its
-    dense layout. Engines use this to derive packed keys for huge-space
-    exploration without re-deriving the per-slot layout. *)
+    dense layout. Engines step keys with its place values
+    ({!Codec.places}) without re-deriving the per-slot layout. *)
 
 val encode : t -> Guarded.State.t -> int
 (** @raise Invalid_argument if some variable is outside its domain. *)

@@ -481,45 +481,19 @@ let o_adversary_sound ctx =
 
 (* Fuzz models are small, so the engines above resolve their visited-set
    storage to direct-mapped arrays. This oracle re-runs the region query
-   on engines with {e forced} open-addressing storage and with bit-packed
-   state keys, so the probed tables and the packed codec face the same
-   random models as everything else. Packed engines key nodes by packed
-   codes, so their signatures are normalized back to dense ids before
-   comparison. *)
+   on engines with {e forced} open-addressing storage, so the probed
+   tables face the same random models as everything else. *)
 let o_storage_agree ctx =
-  let module Space = Explore.Space in
-  let mk ?packed_keys backend =
+  let mk backend =
     Engine.create ~backend ~max_states:engine_budget ~jobs:1
-      ~storage:Engine.Probed ?packed_keys ~guard:ctx.guard ctx.m.Spec.env
+      ~storage:Engine.Probed ~guard:ctx.guard ctx.m.Spec.env
   in
   let legs =
-    [
-      ("lazy/probed", mk Engine.Lazy);
-      ("parallel/probed", mk Engine.Parallel);
-      ("lazy/packed", mk ~packed_keys:true Engine.Lazy);
-      ("parallel/packed", mk ~packed_keys:true Engine.Parallel);
-    ]
+    [ ("lazy/probed", mk Engine.Lazy); ("parallel/probed", mk Engine.Parallel) ]
   in
   let sig_of e from =
-    let r = Engine.region e ctx.cp ~from ~target:ctx.m.Spec.invariant in
-    let norm key = Space.encode (Engine.space e) (Engine.decode_key e key) in
-    let key v = norm r.Engine.node_key.(v) in
-    let edges =
-      Dgraph.Digraph.fold_edges
-        (fun acc e -> (key e.Dgraph.Digraph.src, key e.dst, e.label) :: acc)
-        [] r.Engine.graph
-    in
-    let terminals = ref [] in
-    Array.iteri
-      (fun v t -> if t then terminals := key v :: !terminals)
-      r.Engine.terminal;
-    {
-      r_keys =
-        List.sort compare (Array.to_list (Array.map norm r.Engine.node_key));
-      r_edges = List.sort compare edges;
-      r_terminals = List.sort compare !terminals;
-      r_explored = r.Engine.explored;
-    }
+    region_sig ~bump:0
+      (Engine.region e ctx.cp ~from ~target:ctx.m.Spec.invariant)
   in
   List.fold_left
     (fun acc (rname, from) ->

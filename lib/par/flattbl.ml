@@ -13,7 +13,7 @@ type t = {
   mutable used : int;  (* live + tombstones: what load is measured on *)
 }
 
-(* splitmix64 finalizer — state codes are dense or bit-packed, so
+(* splitmix64 finalizer — state codes are dense mixed-radix ids, so
    consecutive keys must land in unrelated slots. Same mix as
    Shardmap's shard selector, for the same reason. *)
 let mix key =

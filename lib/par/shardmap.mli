@@ -7,8 +7,7 @@
     The module is kept because the benchmark replays its insert and
     lookup costs; it goes when the benchmark stops measuring it.
 
-    Keys are state codes ({!Explore.Space.encode} dense ids, or
-    bit-packed codes). A [Shardmap.t] spreads those keys over a power-of-two number of
+    Keys are state codes ({!Explore.Space.encode} dense ids). A [Shardmap.t] spreads those keys over a power-of-two number of
     shards — each a flat open-addressing {!Flattbl} behind its own
     mutex — so probes from many domains contend on different locks
     with high probability, and each entry costs two unboxed words

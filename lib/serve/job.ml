@@ -93,10 +93,10 @@ let in_range name check v =
 let check_positive n = if n > 0 then Ok n else Error "must be positive"
 let positive name n = in_range name check_positive n
 let check_max_states = check_positive
-
-let non_negative name n =
-  if n >= 0 then Ok n
-  else Error (Printf.sprintf "option %s: must be non-negative" name)
+let check_non_negative n = if n >= 0 then Ok n else Error "must be non-negative"
+let check_budget_max = check_non_negative
+let check_count = check_non_negative
+let check_max_vars n = if n >= 2 then Ok n else Error "must be at least 2"
 
 let parse_params v =
   match v with
@@ -153,7 +153,7 @@ let options_of_json fields =
           Ok { o with fault_budget = Some n }
       | "budget_max" ->
           let* n = as_int name value in
-          let* n = non_negative name n in
+          let* n = in_range name check_budget_max n in
           Ok { o with budget_max = n }
       | "adversary" -> (
           match value with
@@ -161,12 +161,12 @@ let options_of_json fields =
           | _ -> Error "option adversary: expected a boolean")
       | "count" ->
           let* n = as_int name value in
-          let* n = non_negative name n in
+          let* n = in_range name check_count n in
           Ok { o with count = n }
       | "max_vars" ->
           let* n = as_int name value in
-          if n < 2 then Error "option max_vars: must be at least 2"
-          else Ok { o with max_vars = n }
+          let* n = in_range name check_max_vars n in
+          Ok { o with max_vars = n }
       | "params" ->
           let* ps = parse_params value in
           Ok { o with params = ps }

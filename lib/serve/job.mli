@@ -44,10 +44,21 @@ val backends : (string * Explore.Engine.backend) list
 
 val backend_name : Explore.Engine.backend -> string
 
+(** Range rules shared by both front ends. [Error] carries the reason,
+    for each front end to prefix with its spelling of the option. *)
+
 val check_max_states : int -> (int, string) result
-(** The range rule of [max_states] (the CLI's [--max-states]): positive.
-    [Error] carries the reason, for each front end to prefix with its
-    spelling of the option. *)
+(** [max_states] (the CLI's [--max-states]): positive. *)
+
+val check_budget_max : int -> (int, string) result
+(** [budget_max] (the CLI's [--budget-max], and each [--budgets]
+    entry): non-negative. *)
+
+val check_count : int -> (int, string) result
+(** [count] (fuzz's [--count]): non-negative. *)
+
+val check_max_vars : int -> (int, string) result
+(** [max_vars] (fuzz's [--max-vars]): at least [2]. *)
 
 (** A model as the runners see it: the CLI builds one from a built-in
     instance or a .nm model, serve from the request's model. *)

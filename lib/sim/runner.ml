@@ -17,6 +17,28 @@ let pp_reason ppf = function
   | Terminal -> Format.pp_print_string ppf "terminal state"
   | Budget_exhausted -> Format.pp_print_string ppf "budget exhausted"
 
+(* Simultaneous execution: evaluate all chosen actions against the same
+   pre-state. The daemon guarantees non-interference, so the writes
+   commute. *)
+let step_chosen (cp : Compile.program) chosen ~state ~scratch =
+  match chosen with
+  | [ a ] ->
+      cp.actions.(a).apply_into state scratch;
+      State.blit ~src:scratch ~dst:state
+  | _ ->
+      State.blit ~src:state ~dst:scratch;
+      List.iter
+        (fun a ->
+          let post = cp.actions.(a).apply state in
+          (* copy only the variables this action writes *)
+          Guarded.Var.Set.iter
+            (fun v ->
+              State.set_index scratch (Guarded.Var.index v)
+                (State.get_index post (Guarded.Var.index v)))
+            (Guarded.Action.writes cp.actions.(a).source))
+        chosen;
+      State.blit ~src:scratch ~dst:state
+
 let run ?(record_trace = false) ?(max_steps = 100_000) ~daemon ~init ~stop
     (cp : Compile.program) =
   let state = State.copy init in
@@ -34,26 +56,7 @@ let run ?(record_trace = false) ?(max_steps = 100_000) ~daemon ~init ~stop
             { Daemon.program = cp; step = steps; state; enabled }
           in
           let chosen = daemon.Daemon.choose ctx in
-          (* Simultaneous execution: evaluate all chosen actions against the
-             same pre-state. The daemon guarantees non-interference, so the
-             writes commute. *)
-          (match chosen with
-          | [ a ] ->
-              cp.actions.(a).apply_into state scratch;
-              State.blit ~src:scratch ~dst:state
-          | _ ->
-              State.blit ~src:state ~dst:scratch;
-              List.iter
-                (fun a ->
-                  let post = cp.actions.(a).apply state in
-                  (* copy only the variables this action writes *)
-                  Guarded.Var.Set.iter
-                    (fun v ->
-                      State.set_index scratch (Guarded.Var.index v)
-                        (State.get_index post (Guarded.Var.index v)))
-                    (Guarded.Action.writes cp.actions.(a).source))
-                chosen;
-              State.blit ~src:scratch ~dst:state);
+          step_chosen cp chosen ~state ~scratch;
           (match trace with
           | Some t ->
               let names =

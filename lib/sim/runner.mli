@@ -29,6 +29,18 @@ val run :
     checked before every step, so an [init] that satisfies it yields 0
     steps. *)
 
+val step_chosen :
+  Guarded.Compile.program ->
+  int list ->
+  state:Guarded.State.t ->
+  scratch:Guarded.State.t ->
+  unit
+(** [step_chosen cp chosen ~state ~scratch] executes the daemon-chosen
+    actions (indices into [cp]) simultaneously: each is evaluated on the
+    same pre-state [state], which then receives the variables each one
+    writes. [scratch] is a buffer over the same environment, clobbered.
+    {!run} and {!Storm} step through here. *)
+
 val converged : outcome -> bool
 (** [reason = Target_reached]. *)
 

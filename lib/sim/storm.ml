@@ -14,8 +14,8 @@ type result = {
 exception Trial_timeout
 
 (* One storm: per iteration, a coin decides between injecting the fault and
-   executing one daemon-chosen program step (mirroring Runner's simultaneous
-   multi-action execution for distributed daemons). Returns
+   executing one daemon-chosen program step ({!Runner.step_chosen}, the
+   simultaneous multi-action execution of distributed daemons). Returns
    [(converged, iterations, faults_injected)]. [deadline] is an absolute
    wall-clock watchdog, polled every 256 iterations; expiry raises
    {!Trial_timeout}. *)
@@ -47,22 +47,8 @@ let run_storm ~max_steps ~fault_budget ~deadline ~rng ~daemon ~init ~stop
             else (false, steps, faults)
         | enabled ->
             let ctx = { Daemon.program = cp; step = steps; state; enabled } in
-            (match (daemon : Daemon.t).choose ctx with
-            | [ a ] ->
-                cp.actions.(a).apply_into state scratch;
-                State.blit ~src:scratch ~dst:state
-            | chosen ->
-                State.blit ~src:state ~dst:scratch;
-                List.iter
-                  (fun a ->
-                    let post = cp.actions.(a).apply state in
-                    Guarded.Var.Set.iter
-                      (fun v ->
-                        State.set_index scratch (Guarded.Var.index v)
-                          (State.get_index post (Guarded.Var.index v)))
-                      (Guarded.Action.writes cp.actions.(a).source))
-                  chosen;
-                State.blit ~src:scratch ~dst:state);
+            Runner.step_chosen cp ((daemon : Daemon.t).choose ctx) ~state
+              ~scratch;
             loop (steps + 1) faults
     end
   in

@@ -149,9 +149,17 @@ fi
 # 3: eager refuses an oversized space
 expect 3 check dijkstra --nodes 12 -k 13 --engine eager
 # 3: even the lazy engine refuses a space the 60-bit state encoding cannot
-# address (13^56 ≈ 2^207) — a typed encoding overflow, not a crash
-expect 3 check dijkstra --nodes 56 -k 13 --engine lazy
-expect 3 check dijkstra --nodes 56 -k 13 --engine parallel --jobs 2
+# address (13^56 ≈ 2^207) — a typed encoding overflow that names the dense
+# encoding, not a crash, and not advice to retry with the lazy engine
+for engine in "lazy" "parallel --jobs 2"; do
+  expect 3 check dijkstra --nodes 56 -k 13 --engine $engine
+  if grep -q dense "$stderr_file" && ! grep -q -- '--engine lazy' "$stderr_file"; then
+    echo "ok:   --engine $engine over 2^60 states names the dense encoding"
+  else
+    echo "FAIL: --engine $engine over 2^60 states: stderr does not name the dense encoding, or advises --engine lazy"
+    failed=1
+  fi
+done
 # 4: lazy runs out of budget (full sweep and ball-seeded)
 expect 4 check dijkstra --nodes 12 -k 13 --engine lazy --max-states 1000
 expect 4 check dijkstra --nodes 12 -k 13 --engine lazy --max-states 1000 --ball 2
@@ -167,6 +175,17 @@ expect 5 check dijkstra --nodes 12 -k 13 --engine lazy --ball 2 --deadline 0
 # 5: storm and fuzz report a partial sample instead of pretending coverage
 expect 5 storm token-ring --nodes 3 -k 4 --rate 0.1 --trials 20 --deadline 0
 expect 5 fuzz --seed 42 --count 5 --deadline 0
+# 1: the theorem certificate (no fault class) has no fault span, so the
+# span flags are usage errors naming the flag
+for flag in --ball --fault-budget; do
+  expect 1 certify token-ring --nodes 4 -k 5 $flag 1
+  if grep -q -- "$flag" "$stderr_file"; then
+    echo "ok:   certify $flag without --faults stderr names the flag"
+  else
+    echo "FAIL: certify $flag without --faults stderr does not name the flag"
+    failed=1
+  fi
+done
 # 1: --max-states must be positive (serve's max_states rule), on the
 # eager and the lazy engine alike, and the error names the flag
 for cmd in "check examples/models/token_ring.nm" \
@@ -265,6 +284,16 @@ else
   echo "ok:   negative --budget-max stderr names the flag"
 fi
 expect 1 tolerance examples/models/token_ring.nm --budgets 0,oops
+# 1: a negative --budgets entry breaks the rule --budget-max and serve's
+# budget_max share
+expect 1 tolerance examples/models/token_ring.nm --budgets 0,-1
+grep -q -- '--budgets entry must be non-negative' "$stderr_file"
+if [ $? -ne 0 ]; then
+  echo "FAIL: negative --budgets entry stderr does not name the rule"
+  failed=1
+else
+  echo "ok:   negative --budgets entry stderr names the rule"
+fi
 # 5: a sweep interrupted mid-exploration exits 5 — and the points that
 # completed before the trip survive in the --report file (flushed per
 # point, not at the end)

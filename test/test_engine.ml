@@ -335,8 +335,7 @@ let test_region_alloc_per_edge () =
 (* --- successor stepping: Engine.step against apply_into + encode_key ---
 
    Each case draws a generated model (program and fault actions) and
-   random in-domain states from one seed, then runs on a dense-keyed and
-   a packed-keyed engine, whose place values differ. *)
+   random in-domain states from one seed. *)
 
 let step_cases seed f =
   let rng = Prng.create seed in
@@ -348,20 +347,15 @@ let step_cases seed f =
          (Array.to_list (Guarded.Program.actions m.Gen.Spec.program)
          @ m.Gen.Spec.fault_actions))
   in
+  let e = Engine.create ~backend:Engine.Lazy m.Gen.Spec.env in
+  let space = Engine.space e in
   List.for_all
-    (fun packed_keys ->
-      let e =
-        Engine.create ~backend:Engine.Lazy ~packed_keys m.Gen.Spec.env
-      in
-      let space = Engine.space e in
-      List.for_all
-        (fun _ ->
-          let s = Space.decode space (Prng.int rng (Space.size space)) in
-          let st = Engine.stepper e in
-          Engine.load st (Engine.encode_key e s);
-          f e actions st s)
-        (List.init 16 Fun.id))
-    [ false; true ]
+    (fun _ ->
+      let s = Space.decode space (Prng.int rng (Space.size space)) in
+      let st = Engine.stepper e in
+      Engine.load st (Engine.encode_key e s);
+      f e actions st s)
+    (List.init 16 Fun.id)
 
 let seed_arb = QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000)
 

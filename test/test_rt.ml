@@ -820,6 +820,47 @@ let test_resume_rejects_unordered_edges () =
       | exception Rt.Snapshot.Corrupt _ -> ())
     resumers
 
+(* Config hashes decide whether a checkpoint resumes, so a change to the
+   codec or the engine's key representation that moves them strands
+   every checkpoint written before it. The values are those of
+   token_ring.nm (N=4 K=5) region and span snapshots on a lazy engine;
+   storage is not part of the hash. *)
+let test_config_hash_pinned () =
+  let em =
+    Lang.Driver.compile_file
+      ~params:[ ("N", 4); ("K", 5) ]
+      (Test_lang.model_path "token_ring.nm")
+  in
+  let env = em.Lang.Elab.env in
+  let invariant = em.Lang.Elab.invariant in
+  let cp = Compile.program em.Lang.Elab.program in
+  let fp =
+    Compile.program
+      (Guarded.Program.make ~name:"faults" env
+         (Fault.actions (Fault.corrupt env ~k:1)))
+  in
+  let cut storage f =
+    let guard = Rt.Guard.create ~budget:(Rt.Budget.make ~max_states:50 ()) () in
+    let engine =
+      Engine.create ~backend:Engine.Lazy ~storage ~guard ~snapshots:true env
+    in
+    match f engine with
+    | _ -> Alcotest.fail "a 50-state budget must cut the search"
+    | exception Engine.Interrupted { snapshot = Some snap; _ } ->
+        snap.Rt.Snapshot.config_hash
+    | exception Engine.Interrupted _ -> Alcotest.fail "no snapshot"
+  in
+  List.iter
+    (fun (name, storage) ->
+      Alcotest.(check string) (name ^ ": region") "1e87319c591b455ba7c6d8184b43e6bf"
+        (cut storage (fun e ->
+             Engine.region e cp ~from:Engine.All ~target:invariant));
+      Alcotest.(check string) (name ^ ": span") "518d5d6be37bbb7108f7d4ad805658a7"
+        (cut storage (fun e ->
+             Faultspan.compute e ~program:cp ~budget:1 ~faults:fp
+               ~from:(Engine.Pred invariant) ())))
+    [ ("direct", Engine.Direct); ("probed", Engine.Probed) ]
+
 let suite =
   [
     Alcotest.test_case "budget validation" `Quick test_budget_validation;
@@ -866,4 +907,6 @@ let suite =
       test_region_mid_wave_cut;
     Alcotest.test_case "resume rejects out-of-order edges" `Quick
       test_resume_rejects_unordered_edges;
+    Alcotest.test_case "snapshot config hashes pinned" `Quick
+      test_config_hash_pinned;
   ]

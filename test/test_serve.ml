@@ -769,6 +769,11 @@ let cli_serve_rows =
       [ small; ("engine", Json.Str "eager"); ("max_states", Json.Int 10) ]
       (small_flags @ [ "--engine"; "eager"; "--max-states"; "10" ])
       "too-large" 3 (fun _ -> "");
+    (* 1000^300 states: over the dense code, and past the float range *)
+    row "dense overflow" "check"
+      [ ("params", Json.Obj [ ("N", Json.Int 300); ("K", Json.Int 1000) ]) ]
+      ([ "--param"; "N=300"; "--param"; "K=1000" ] @ lazy_)
+      "too-large" 3 (fun _ -> "");
     row "region overflow" "check"
       [ small; ("max_states", Json.Int 10) ]
       (small_flags @ lazy_ @ [ "--max-states"; "10" ])

@@ -1,12 +1,12 @@
-(* Tests for the flat state-storage layer: the bit-layout codec
-   (dense / packed / wide encodings with typed overflow), the
+(* Tests for the flat state-storage layer: the dense codec and its
+   typed overflow, the
    open-addressing tables (Flattbl / Flatset) against a boxed Hashtbl
    reference, the chunked frontier queue, Shardmap growth under
    multi-domain contention, concurrent reads of both Flatset
    representations, the region edge buffer across its block
-   boundaries, and the engine-level guarantees — probed, direct,
-   and packed-keyed searches all produce the same regions, at the same
-   overflow points, reporting the same visited-table bytes. *)
+   boundaries, and the engine-level guarantees — probed and direct
+   searches produce the same regions, at the same overflow points,
+   reporting the same visited-table bytes. *)
 
 module State = Guarded.State
 module Compile = Guarded.Compile
@@ -30,25 +30,11 @@ let env_of_sizes sizes =
     sizes;
   env
 
-let random_state rng env =
-  let s = State.make env in
-  Array.iter
-    (fun v ->
-      let d = Guarded.Var.domain v in
-      let lo =
-        match d with
-        | Guarded.Domain.Range { lo; _ } -> lo
-        | Guarded.Domain.Bool | Guarded.Domain.Enum _ -> 0
-      in
-      State.set s v (lo + Prng.int rng (Guarded.Domain.size d)))
-    (Guarded.Env.vars env);
-  s
-
 (* --- Codec --- *)
 
 let test_codec_roundtrip_fuzz () =
-  (* every state of 200 generated models roundtrips through all three
-     layouts, and the packed/wide decodes agree with the dense one *)
+  (* every state of 200 generated models roundtrips through the dense
+     layout *)
   for seed = 1 to 200 do
     let m = Gen.Generate.model (Prng.create seed) in
     let env = m.Gen.Spec.env in
@@ -61,71 +47,46 @@ let test_codec_roundtrip_fuzz () =
     Space.iter space (fun id s ->
         if Codec.encode_dense c s <> id then
           Alcotest.failf "seed %d: dense encode mismatch at id %d" seed id;
-        let p = Codec.encode_packed c s in
-        Codec.decode_packed_into c p buf;
-        if not (State.equal s buf) then
-          Alcotest.failf "seed %d: packed roundtrip failed at id %d" seed id;
-        let w = Codec.encode_wide c s in
-        Codec.decode_wide_into c w buf;
-        if not (State.equal s buf) then
-          Alcotest.failf "seed %d: wide roundtrip failed at id %d" seed id;
         Codec.decode_dense_into c id buf;
         if not (State.equal s buf) then
           Alcotest.failf "seed %d: dense decode mismatch at id %d" seed id)
   done
 
-let test_codec_packed_beyond_dense () =
-  (* 61 booleans: 2^61 states — over the 2^60 dense cap, but the packed
-     layout still fits one word and roundtrips *)
+let overflow_of f =
+  match f () with
+  | exception Codec.Overflow { layout; bits; states } -> Some (layout, bits, states)
+  | _ -> None
+
+let test_codec_dense_overflow () =
+  (* 61 booleans: 2^61 states — over the 2^60 dense cap *)
   let env = env_of_sizes (List.init 61 (fun _ -> 2)) in
   let c = Codec.of_env env in
   Alcotest.(check bool) "dense overflows" false (Codec.dense_ok c);
-  Alcotest.(check bool) "packed fits" true (Codec.packed_ok c);
-  Alcotest.(check int) "packed bits" 61 (Codec.packed_bits c);
+  Alcotest.(check int) "dense bits" 61 (Codec.dense_bits c);
   (match Codec.require_dense c with
   | exception Codec.Overflow { layout; _ } ->
       Alcotest.(check string) "typed overflow names the layout" "dense" layout
   | () -> Alcotest.fail "require_dense must raise on 2^61 states");
-  let rng = Prng.create 11 in
-  let buf = State.make env in
-  for _ = 1 to 100 do
-    let s = random_state rng env in
-    Codec.decode_packed_into c (Codec.encode_packed c s) buf;
-    Alcotest.(check bool) "packed roundtrip" true (State.equal s buf)
-  done
-
-let test_codec_wide_beyond_packed () =
-  (* ten base-100 variables: 70 packed bits — over one word, but the
-     two-word layout fits and roundtrips *)
-  let env = env_of_sizes (List.init 10 (fun _ -> 100)) in
-  let c = Codec.of_env env in
-  Alcotest.(check bool) "packed overflows" false (Codec.packed_ok c);
-  Alcotest.(check bool) "wide fits" true (Codec.wide_ok c);
-  (match Codec.require_packed c with
-  | exception Codec.Overflow { layout; bits; _ } ->
-      Alcotest.(check string) "layout" "packed" layout;
-      Alcotest.(check int) "bits carried" 70 bits
-  | () -> Alcotest.fail "require_packed must raise at 70 bits");
-  let rng = Prng.create 12 in
-  let buf = State.make env in
-  for _ = 1 to 100 do
-    let s = random_state rng env in
-    Codec.decode_wide_into c (Codec.encode_wide c s) buf;
-    Alcotest.(check bool) "wide roundtrip" true (State.equal s buf)
-  done
-
-let test_codec_wide_overflow () =
-  (* 21 base-64 variables: 126 packed bits — not even two words hold it *)
-  let env = env_of_sizes (List.init 21 (fun _ -> 64)) in
-  let c = Codec.of_env env in
-  Alcotest.(check bool) "wide overflows" false (Codec.wide_ok c);
-  (match Codec.encode_wide c (State.make env) with
-  | exception Codec.Overflow { layout; _ } ->
-      Alcotest.(check string) "layout" "wide" layout
-  | _ -> Alcotest.fail "encode_wide must raise past 124 bits")
+  (* lazy and parallel engines refuse it in the codec's terms; 13^56
+     needs ceil(56 log2 13) = 208 bits *)
+  List.iter
+    (fun backend ->
+      Alcotest.(check bool) "engine overflow is the codec's" true
+        (overflow_of (fun () -> Engine.create ~backend env)
+        = Some ("dense", 61, 2. ** 61.));
+      match overflow_of (fun () ->
+                Engine.create ~backend (env_of_sizes (List.init 56 (fun _ -> 13))))
+      with
+      | Some ("dense", 208, _) -> ()
+      | _ -> Alcotest.fail "13^56 states: dense overflow at 208 bits")
+    [ Engine.Lazy; Engine.Parallel ];
+  (* 300 base-1000 slots: the float count is infinite, the width is not *)
+  let huge = Codec.of_env (env_of_sizes (List.init 300 (fun _ -> 1000))) in
+  Alcotest.(check bool) "infinite count" true (Codec.states huge = infinity);
+  Alcotest.(check int) "finite width" 2990 (Codec.dense_bits huge)
 
 let test_codec_single_value_domains () =
-  (* zero-bit fields (single-value domains) must not break any layout *)
+  (* zero-bit fields (single-value domains) must not break the layout *)
   let env = Guarded.Env.create () in
   ignore (Guarded.Env.fresh env "a" (Guarded.Domain.range 0 2));
   ignore (Guarded.Env.fresh env "pinned" (Guarded.Domain.range 5 5));
@@ -136,8 +97,8 @@ let test_codec_single_value_domains () =
   let buf = State.make env in
   Space.iter space (fun id s ->
       Alcotest.(check int) "dense" id (Codec.encode_dense c s);
-      Codec.decode_packed_into c (Codec.encode_packed c s) buf;
-      Alcotest.(check bool) "packed" true (State.equal s buf))
+      Codec.decode_dense_into c id buf;
+      Alcotest.(check bool) "decode" true (State.equal s buf))
 
 let test_codec_out_of_domain () =
   let env = env_of_sizes [ 3; 4 ] in
@@ -145,7 +106,7 @@ let test_codec_out_of_domain () =
   let s = State.make env in
   State.set_index s 0 7;
   Alcotest.(check bool) "encode rejects out-of-domain" true
-    (match Codec.encode_packed c s with
+    (match Codec.encode_dense c s with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
@@ -467,8 +428,8 @@ let token_ring_pieces () =
 let test_engine_storage_invariant () =
   let env, program, inv = token_ring_pieces () in
   let cp = Compile.program program in
-  let region ?packed_keys backend storage jobs =
-    let e = Engine.create ~backend ~storage ?packed_keys ~jobs env in
+  let region backend storage jobs =
+    let e = Engine.create ~backend ~storage ~jobs env in
     (e, Engine.region e cp ~from:Engine.All ~target:inv)
   in
   let _, reference = region Engine.Lazy Engine.Auto 1 in
@@ -487,45 +448,6 @@ let test_engine_storage_invariant () =
       let _, r = region Engine.Parallel Engine.Probed jobs in
       check_identical (Printf.sprintf "par probed jobs=%d" jobs) reference r)
     [ 1; 4 ]
-
-let test_engine_packed_keys () =
-  let env, program, inv = token_ring_pieces () in
-  let cp = Compile.program program in
-  let dense_e = Engine.create ~backend:Engine.Lazy env in
-  let dense = Engine.region dense_e cp ~from:Engine.All ~target:inv in
-  let space = Engine.space dense_e in
-  List.iter
-    (fun backend ->
-      let e = Engine.create ~backend ~packed_keys:true ~jobs:2 env in
-      Alcotest.(check bool) "packed flag" true (Engine.packed_keys e);
-      Alcotest.(check string) "packed forces probed" "probed"
-        (Engine.storage_name e);
-      let r = Engine.region e cp ~from:Engine.All ~target:inv in
-      (* same discovery order state-for-state: decoding node i's packed
-         key gives node i's dense key in the reference run *)
-      let decoded =
-        Array.map
-          (fun key -> Space.encode space (Engine.decode_key e key))
-          r.Engine.node_key
-      in
-      Alcotest.(check (array int)) "node order matches dense run"
-        dense.Engine.node_key decoded;
-      Alcotest.(check int) "explored" dense.Engine.explored r.Engine.explored;
-      Alcotest.(check (array bool)) "terminals" dense.Engine.terminal
-        r.Engine.terminal)
-    [ Engine.Lazy; Engine.Parallel ];
-  (* packed keys refuse layouts over one word and eager engines; base 33
-     wastes ~0.96 bits per slot, so 11 slots are dense-encodable (5e16
-     states) yet need 66 packed bits *)
-  let wide_env = env_of_sizes (List.init 11 (fun _ -> 33)) in
-  Alcotest.(check bool) "packed overflow is typed" true
-    (match Engine.create ~backend:Engine.Lazy ~packed_keys:true wide_env with
-    | exception Codec.Overflow { layout; _ } -> layout = "packed"
-    | _ -> false);
-  Alcotest.(check bool) "eager + packed rejected" true
-    (match Engine.create ~backend:Engine.Eager ~packed_keys:true env with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
 
 let test_engine_storage_overflow_point () =
   (* the budget trips after the same number of visits whatever the
@@ -727,12 +649,8 @@ let suite =
   [
     Alcotest.test_case "codec: fuzz roundtrips (200 seeds)" `Quick
       test_codec_roundtrip_fuzz;
-    Alcotest.test_case "codec: packed beyond dense cap" `Quick
-      test_codec_packed_beyond_dense;
-    Alcotest.test_case "codec: wide beyond packed" `Quick
-      test_codec_wide_beyond_packed;
-    Alcotest.test_case "codec: wide overflow is typed" `Quick
-      test_codec_wide_overflow;
+    Alcotest.test_case "codec: dense overflow is typed" `Quick
+      test_codec_dense_overflow;
     Alcotest.test_case "codec: single-value domains" `Quick
       test_codec_single_value_domains;
     Alcotest.test_case "codec: out-of-domain rejected" `Quick
@@ -757,8 +675,6 @@ let suite =
       test_flatset_concurrent_reads;
     Alcotest.test_case "engine: storage-invariant regions" `Quick
       test_engine_storage_invariant;
-    Alcotest.test_case "engine: packed keys agree with dense" `Quick
-      test_engine_packed_keys;
     Alcotest.test_case "engine: overflow point storage-invariant" `Quick
       test_engine_storage_overflow_point;
     Alcotest.test_case "engine: lazy and parallel visited bytes agree" `Quick
