@@ -691,8 +691,10 @@ let conclude ~name ~obs ?checkpoint_out ?(failed = fun _ -> "") print answer
       stop
         (Printf.sprintf
            "%s has ~%.3g states, more than the %s state encoding can \
-            address (%d bits needed); shrink the instance"
-           name states layout bits)
+            address (%d bits needed); %s"
+           name states layout bits
+           (if layout = "dense" then "shrink the instance"
+            else "retry with --engine lazy (and --ball R for huge spaces)"))
   | Region_overflow n ->
       stop
         (Printf.sprintf

@@ -92,6 +92,20 @@ let decode_dense_into t code s =
     rem := !rem / t.bases.(i)
   done
 
+(* the odometer: bump the lowest-weight slot, carrying past each base *)
+let next_into t s =
+  let rec carry i =
+    if i < Array.length t.bases then begin
+      let v = State.get_index s i + 1 in
+      if v - t.lows.(i) < t.bases.(i) then State.set_index s i v
+      else begin
+        State.set_index s i t.lows.(i);
+        carry (i + 1)
+      end
+    end
+  in
+  carry 0
+
 let places t = Array.copy t.weights
 
 (* The table prints, per slot, the width and offset a bit-field layout

@@ -52,6 +52,12 @@ val encode_dense : t -> Guarded.State.t -> int
 
 val decode_dense_into : t -> int -> Guarded.State.t -> unit
 
+val next_into : t -> Guarded.State.t -> unit
+(** Step a state in place to the one whose dense code is one more (the
+    last state wraps to code [0]), with no division: sweeping
+    [0 .. n - 1] by {!decode_dense_into} of [0] and then [next_into]
+    visits the states {!decode_dense_into} gives, in the same order. *)
+
 val places : t -> int array
 (** Per-slot place value of a code, the dense [weight_i]. The layout is
     positional, so a state whose slot [i] changes from [old] to [v]

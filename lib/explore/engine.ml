@@ -22,10 +22,9 @@ type t = {
   guard : Rt.Guard.t;  (* cooperative budget/cancellation polling point *)
   snapshots : bool;  (* build a resumable snapshot when interrupted *)
   salt : string;  (* caller context folded into config hashes *)
-  mutable csr : (Compile.program * Tsys.t) option;
-      (* Cache of the eager CSR build, keyed by physical equality of the
-         compiled program: repeated queries against the same program (the
-         common case: check_unfair then check_fair) build it once. *)
+  mutable csr : Tsys.t list;
+      (* The eager relations kept for reuse, most recently used first, at
+         most [csr_keep]; see [tsys]. *)
   mutable last_visited_bytes : int;
   mutable last_frontier_bytes : int;
 }
@@ -70,18 +69,20 @@ let create ?(backend = Eager) ?(max_states = 2_000_000) ?jobs ?pool
     | None, Some p -> Par.Pool.jobs p
     | None, None -> Par.Pool.default_jobs ()
   in
+  (* past 2^60 states no key exists: refuse in the codec's terms, not as
+     a budget that a larger --max-states could lift *)
+  let codec = Codec.of_env env in
+  Codec.require_dense codec;
   match backend with
   | Eager ->
-      let space = Space.create ~max_states env in
-      { backend; space; codec = Space.codec space; budget = Space.size space;
-        jobs; pool; direct = false; obs; guard; snapshots; salt; csr = None;
+      (* nor past 2^31 - 1, where no int32 CSR destination exists *)
+      Tsys.require_fits codec;
+      let space = Space.of_codec ~max_states codec in
+      { backend; space; codec; budget = Space.size space;
+        jobs; pool; direct = false; obs; guard; snapshots; salt; csr = [];
         last_visited_bytes = 0; last_frontier_bytes = 0 }
   | Lazy | Parallel ->
-      (* past 2^60 states no key exists: refuse in the codec's terms,
-         not as a budget that a larger --max-states could lift *)
-      Codec.require_dense (Codec.of_env env);
-      let space = Space.create_unbounded env in
-      let codec = Space.codec space in
+      let space = Space.of_codec ~max_states:Space.encodable_max codec in
       let direct =
         match storage with
         | Probed -> false
@@ -98,13 +99,13 @@ let create ?(backend = Eager) ?(max_states = 2_000_000) ?jobs ?pool
             && Space.size space / 8 <= max_states
       in
       { backend; space; codec; budget = max_states; jobs; pool; direct; obs;
-        guard; snapshots; salt; csr = None; last_visited_bytes = 0;
+        guard; snapshots; salt; csr = []; last_visited_bytes = 0;
         last_frontier_bytes = 0 }
 
 let of_space ?(obs = Obs.Ctx.disabled) space =
   { backend = Eager; space; codec = Space.codec space;
     budget = Space.size space; jobs = 1; pool = None; direct = false; obs;
-    guard = Rt.Guard.inert; snapshots = false; salt = ""; csr = None;
+    guard = Rt.Guard.inert; snapshots = false; salt = ""; csr = [];
     last_visited_bytes = 0; last_frontier_bytes = 0 }
 
 let backend t = t.backend
@@ -222,16 +223,38 @@ let make_visited t =
   if direct then Flatset.direct ~size:(Space.size t.space)
   else Flatset.probed ()
 
+(* The eager relation of [cp], built at most once per program while it
+   stays among the [csr_keep] most recently used. A relation serves every
+   compiled program with the same action sources, physically equal and in
+   the same order: a tolerance sweep recompiles the program and program ∪
+   faults at each budget, and builds each once. The least recently used
+   relation is dropped before a build, whose guard counts the one kept. *)
+let csr_keep = 2
+
+let same_sources (a : Compile.program) (b : Compile.program) =
+  Array.length a.actions = Array.length b.actions
+  && Array.for_all2
+       (fun (x : Compile.action) (y : Compile.action) -> x.source == y.source)
+       a.actions b.actions
+
 let tsys t cp =
-  match t.csr with
-  | Some (cp', tsys) when cp' == cp -> tsys
-  | _ ->
-      (* drop the old relation first, so a sweep alternating two programs
-         never holds both *)
-      t.csr <- None;
-      let tsys = Tsys.build ~guard:t.guard cp t.space in
-      t.csr <- Some (cp, tsys);
-      tsys
+  match List.partition (fun ts -> same_sources (Tsys.program ts) cp) t.csr with
+  | ts :: _, rest ->
+      t.csr <- ts :: rest;
+      ts
+  | [], older ->
+      let kept = List.filteri (fun i _ -> i < csr_keep - 1) older in
+      t.csr <- kept;
+      let resident = List.fold_left (fun b ts -> b + Tsys.bytes ts) 0 kept in
+      let ts = Tsys.build ~guard:t.guard ~resident cp t.space in
+      t.csr <- ts :: kept;
+      if Obs.Ctx.enabled t.obs then begin
+        Obs.Metrics.incr (Obs.Ctx.counter t.obs "engine.csr_builds");
+        Obs.Metrics.set_max
+          (Obs.Ctx.gauge t.obs "engine.csr_bytes")
+          (resident + Tsys.bytes ts)
+      end;
+      ts
 
 (* Growable int array for node keys discovered in order. *)
 module Vec = Par.Ivec

@@ -7,9 +7,17 @@
     - {b Eager} (the classical backend): enumerate the whole mixed-radix
       state space once, build the complete transition relation in CSR form
       ({!Tsys}), and answer every query by array indexing. Fast per query,
-      but memory and build time are O(states × actions) regardless of how
-      small the interesting region is, and the space must fit under the
-      [max_states] cap (2M by default).
+      but build time is O(states × actions) regardless of how small the
+      interesting region is, and a relation costs 8 bytes per state plus
+      5 per transition (12 past 256 actions). The space must fit under
+      the [max_states] cap (2M by default) and under {!Tsys.max_states}
+      ([2^31 - 1], the int32 destination ids), which no budget lifts.
+      The engine keeps the two most recently used relations: a compiled
+      program whose action sources are physically those of a kept
+      relation, in the same order, reuses it, so a tolerance sweep that
+      recompiles the program and program ∪ faults at every budget builds
+      each once. The [engine.csr_builds] counter and [engine.csr_bytes]
+      gauge (the relations held, at most two) report them.
 
     - {b Lazy} (on-the-fly frontier search): generate successors on demand
       by stepping the compiled actions in place on a reusable state buffer
@@ -97,8 +105,10 @@ val create :
     instance/flag spelling — folded into snapshot config hashes so a
     checkpoint cannot silently resume against a different model.
     @raise Space.Too_large for an eager engine over a bigger space.
-    @raise Codec.Overflow (layout ["dense"]) for a lazy or parallel
-    engine whose space has more than {!Space.encodable_max} states.
+    @raise Codec.Overflow (layout ["dense"]) for an engine whose space
+    has more than {!Space.encodable_max} states, and (layout
+    ["eager int32"]) for an eager engine over {!Tsys.max_states}: both
+    are checked before [max_states], since no budget lifts them.
     @raise Invalid_argument when [jobs <= 0], or when [Direct] is forced
     over a dense range above [2^30]. *)
 
@@ -166,9 +176,10 @@ val storage_bytes : t -> int
 (** Flat-storage footprint of the most recent lazy/parallel search:
     visited-table bytes plus the frontier's high-water bytes (the queue
     at one worker; the wave vectors and phase-A buffers at more).
-    [0] before any search and for the eager backend (whose CSR cost is
-    reported by {!Tsys}). Divide by [region.explored] for the
-    bytes-per-state figure the E19 experiment reports. *)
+    [0] before any search and for the eager backend (whose relations
+    report {!Tsys.bytes}, summed in the [engine.csr_bytes] gauge).
+    Divide by [region.explored] for the bytes-per-state figure the E19
+    experiment reports. *)
 
 val encode_key : t -> Guarded.State.t -> int
 (** The key this engine files a state under: its dense id,

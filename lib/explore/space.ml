@@ -10,12 +10,13 @@ exception Too_large of float
 
 let encodable_max = 1 lsl 60
 
-let create ?(max_states = 2_000_000) env =
-  let codec = Codec.of_env env in
+let of_codec ?(max_states = 2_000_000) codec =
   let total = Codec.states codec in
   if total > float_of_int (min max_states encodable_max) then
     raise (Too_large total);
   { codec; size = int_of_float total }
+
+let create ?max_states env = of_codec ?max_states (Codec.of_env env)
 
 let create_unbounded env = create ~max_states:encodable_max env
 let env t = Codec.env t.codec

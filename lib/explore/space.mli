@@ -19,6 +19,9 @@ val create : ?max_states:int -> Guarded.Env.t -> t
     [2_000_000]. @raise Too_large when the product of domain sizes exceeds
     the cap (or {!encodable_max}, whichever is smaller). *)
 
+val of_codec : ?max_states:int -> Codec.t -> t
+(** {!create} over an already-sized codec. *)
+
 val create_unbounded : Guarded.Env.t -> t
 (** Build the mixed-radix encoding without the [max_states] cap. The
     resulting space supports {!encode}/{!decode} but is generally too big

@@ -1,70 +1,106 @@
 module State = Guarded.State
 module Compile = Guarded.Compile
 
+type dsts = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
 type t = {
   space : Space.t;
   program : Compile.program;
-  offsets : int array; (* length n+1 *)
-  dsts : int array;
-  acts : int array;
+  offsets : int array;
+      (* n + 1 of them: row [id] is [offsets.(id) ..< offsets.(id + 1)] *)
+  dsts : dsts; (* destination ids, four bytes each *)
+  narrow : bool; (* at most 256 actions: labels are the bytes of [acts8] *)
+  acts8 : Bytes.t;
+  acts : int array; (* labels as words, beyond 256 actions *)
 }
 
-let build ?(guard = Rt.Guard.inert) (cp : Compile.program) space =
+let max_states = 0x7fff_ffff
+
+let require_fits codec =
+  let states = Codec.states codec in
+  if states > float_of_int max_states then
+    raise
+      (Codec.Overflow
+         { layout = "eager int32"; bits = Codec.dense_bits codec; states })
+
+let bytes_for ~states ~transitions ~narrow =
+  (8 * (states + 1)) + (transitions * if narrow then 5 else 12)
+
+let build ?(guard = Rt.Guard.inert) ?(resident = 0) (cp : Compile.program)
+    space =
+  let codec = Space.codec space in
+  require_fits codec;
   let n = Space.size space in
-  let n_actions = Array.length cp.actions in
-  let counts = Array.make (n + 1) 0 in
+  let actions = cp.Compile.actions in
+  let n_actions = Array.length actions in
+  let offsets = Array.make (n + 1) 0 in
   let buf = State.make (Space.env space) in
   let guard_on = Rt.Guard.active guard in
-  (* Pass 1: count transitions per state. *)
+  (* Both passes sweep the states in id order on one buffer, stepped by
+     the codec's odometer instead of decoded per id. Pass 1: count each
+     state's enabled actions, summing into the row ends as it goes. *)
+  Space.decode_into space 0 buf;
   for id = 0 to n - 1 do
     if guard_on && id land 8191 = 0 then
-      Rt.Guard.check guard ~states:id ~bytes:(8 * (n + 1));
-    Space.decode_into space id buf;
+      Rt.Guard.check guard ~states:id ~bytes:(resident + (8 * (n + 1)));
+    let c = ref 0 in
     for a = 0 to n_actions - 1 do
-      if cp.actions.(a).enabled buf then counts.(id) <- counts.(id) + 1
-    done
-  done;
-  let offsets = Array.make (n + 1) 0 in
-  for id = 0 to n - 1 do
-    offsets.(id + 1) <- offsets.(id) + counts.(id)
+      if actions.(a).enabled buf then incr c
+    done;
+    offsets.(id + 1) <- offsets.(id) + !c;
+    Codec.next_into codec buf
   done;
   let m = offsets.(n) in
-  let dsts = Array.make m 0 and acts = Array.make m 0 in
+  let narrow = n_actions <= 256 in
+  let dsts = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout m in
+  let acts8 = Bytes.create (if narrow then m else 0) in
+  let acts = Array.make (if narrow then 0 else m) 0 in
+  let bytes = resident + bytes_for ~states:n ~transitions:m ~narrow in
   let post = State.make (Space.env space) in
-  (* Pass 2: fill. *)
-  let cursor = Array.copy offsets in
+  (* Pass 2: fill the rows in state order, so one cursor serves them all. *)
+  let k = ref 0 in
+  Space.decode_into space 0 buf;
   for id = 0 to n - 1 do
     if guard_on && id land 8191 = 0 then
-      Rt.Guard.check guard ~states:id ~bytes:(8 * ((2 * m) + (2 * (n + 1))));
-    Space.decode_into space id buf;
+      Rt.Guard.check guard ~states:id ~bytes;
     for a = 0 to n_actions - 1 do
-      let ca = cp.actions.(a) in
+      let ca = actions.(a) in
       if ca.enabled buf then begin
         ca.apply_into buf post;
-        let dst = Space.encode space post in
-        let k = cursor.(id) in
-        dsts.(k) <- dst;
-        acts.(k) <- a;
-        cursor.(id) <- k + 1
+        Bigarray.Array1.unsafe_set dsts !k
+          (Int32.of_int (Space.encode space post));
+        if narrow then Bytes.unsafe_set acts8 !k (Char.unsafe_chr a)
+        else acts.(!k) <- a;
+        incr k
       end
-    done
+    done;
+    Codec.next_into codec buf
   done;
-  { space; program = cp; offsets; dsts; acts }
+  { space; program = cp; offsets; dsts; narrow; acts8; acts }
 
 let space t = t.space
 let program t = t.program
 let state_count t = Array.length t.offsets - 1
-let transition_count t = Array.length t.dsts
+let transition_count t = Bigarray.Array1.dim t.dsts
+
+let bytes t =
+  bytes_for ~states:(state_count t) ~transitions:(transition_count t)
+    ~narrow:t.narrow
+
+(* [k] is always inside [offsets.(0) ..< offsets.(n)], the arrays' range *)
+let dst t k = Int32.to_int (Bigarray.Array1.unsafe_get t.dsts k)
+let act t k =
+  if t.narrow then Char.code (Bytes.unsafe_get t.acts8 k) else t.acts.(k)
 
 let iter_succ t id f =
   for k = t.offsets.(id) to t.offsets.(id + 1) - 1 do
-    f ~action:t.acts.(k) ~dst:t.dsts.(k)
+    f ~action:(act t k) ~dst:(dst t k)
   done
 
 let succ t id =
   let acc = ref [] in
   for k = t.offsets.(id + 1) - 1 downto t.offsets.(id) do
-    acc := (t.acts.(k), t.dsts.(k)) :: !acc
+    acc := (act t k, dst t k) :: !acc
   done;
   !acc
 
@@ -73,21 +109,19 @@ let is_terminal t id = out_degree t id = 0
 
 let reachable t roots =
   let seen = Bitset.create (state_count t) in
-  let queue = Queue.create () in
-  List.iter
-    (fun id ->
-      if not (Bitset.mem seen id) then begin
-        Bitset.add seen id;
-        Queue.add id queue
-      end)
-    roots;
-  while not (Queue.is_empty queue) do
-    let id = Queue.pop queue in
-    iter_succ t id (fun ~action:_ ~dst ->
-        if not (Bitset.mem seen dst) then begin
-          Bitset.add seen dst;
-          Queue.add dst queue
-        end)
+  let queue = Flatqueue.create () in
+  let visit id =
+    if not (Bitset.mem seen id) then begin
+      Bitset.add seen id;
+      Flatqueue.push queue id
+    end
+  in
+  List.iter visit roots;
+  while not (Flatqueue.is_empty queue) do
+    let id = Flatqueue.pop queue in
+    for k = t.offsets.(id) to t.offsets.(id + 1) - 1 do
+      visit (dst t k)
+    done
   done;
   seen
 
@@ -113,15 +147,15 @@ let region_graph_full t ~member =
       if node >= 0 then begin
         let c = ref 0 in
         for k = t.offsets.(id) to t.offsets.(id + 1) - 1 do
-          if state_to_node.(t.dsts.(k)) >= 0 then incr c
+          if state_to_node.(dst t k) >= 0 then incr c
         done;
         off.(node + 1) <- off.(node) + !c
       end)
     state_to_node;
   let m = off.(!node_count) in
-  (* action indices take one byte each when there are at most 256 *)
-  let narrow = Array.length t.program.Compile.actions <= 256 in
-  let dst = Array.make m 0 in
+  (* the graph's labels are bytes exactly when the relation's are *)
+  let narrow = t.narrow in
+  let dst_arr = Array.make m 0 in
   let label8 = Bytes.create (if narrow then m else 0) in
   let label = Array.make (if narrow then 0 else m) 0 in
   let e = ref 0 in
@@ -129,18 +163,20 @@ let region_graph_full t ~member =
     (fun id node ->
       if node >= 0 then
         for k = t.offsets.(id) to t.offsets.(id + 1) - 1 do
-          let d = state_to_node.(t.dsts.(k)) in
+          let d = state_to_node.(dst t k) in
           if d >= 0 then begin
-            dst.(!e) <- d;
-            if narrow then Bytes.set label8 !e (Char.chr t.acts.(k))
+            dst_arr.(!e) <- d;
+            if narrow then
+              Bytes.unsafe_set label8 !e (Bytes.unsafe_get t.acts8 k)
             else label.(!e) <- t.acts.(k);
             incr e
           end
         done)
     state_to_node;
   let g =
-    if narrow then Dgraph.Digraph.of_csr_bytes !node_count ~off ~dst ~label:label8
-    else Dgraph.Digraph.of_csr !node_count ~off ~dst ~label
+    if narrow then
+      Dgraph.Digraph.of_csr_bytes !node_count ~off ~dst:dst_arr ~label:label8
+    else Dgraph.Digraph.of_csr !node_count ~off ~dst:dst_arr ~label
   in
   (g, node_to_state, fun id -> state_to_node.(id))
 

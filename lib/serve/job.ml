@@ -568,8 +568,9 @@ let reply ?(holds = "done") ?(fails = "failed") ?(complete = fun _ -> true)
       stopped ~cacheable:true "too-large"
         (Printf.sprintf
            "~%.3g states, more than the %s encoding can address (%d bits \
-            needed)"
-           states layout bits)
+            needed)%s"
+           states layout bits
+           (if layout = "dense" then "" else "; use engine=lazy"))
   | Region_overflow n ->
       stopped ~cacheable:true ~states:n "region-overflow"
         (Printf.sprintf "lazy exploration exceeded the budget after %d states"

@@ -4,7 +4,9 @@
 #   1  usage or instance-construction error; also a corrupt, truncated, or
 #      mismatched --resume snapshot
 #   2  failed certificate or convergence verdict
-#   3  state space over the eager engine's budget (Space.Too_large);
+#   3  state space over the eager engine's budget (Space.Too_large) or
+#      over what a state encoding can address (Codec.Overflow: eager past
+#      2^31 - 1 states, any engine past 2^60);
 #      for fuzz: a surviving minimized counterexample
 #   4  lazy exploration over budget (Engine.Region_overflow)
 #   5  incomplete: a resource budget (--deadline/--budget-states/
@@ -146,17 +148,37 @@ if [ $? -ne 0 ]; then
 else
   echo "ok:   certify under a hostile environment reports the environment-closure failure"
 fi
-# 3: eager refuses an oversized space
-expect 3 check dijkstra --nodes 12 -k 13 --engine eager
-# 3: even the lazy engine refuses a space the 60-bit state encoding cannot
-# address (13^56 ≈ 2^207) — a typed encoding overflow that names the dense
-# encoding, not a crash, and not advice to retry with the lazy engine
-for engine in "lazy" "parallel --jobs 2"; do
+# 3: eager refuses a space over its --max-states budget (13^7 ≈ 6.3e7)
+# and says the budget can be raised
+expect 3 check dijkstra --nodes 7 -k 13 --engine eager
+if grep -q -- '--max-states' "$stderr_file"; then
+  echo "ok:   --engine eager over --max-states advises raising it"
+else
+  echo "FAIL: --engine eager over --max-states does not name the flag"
+  failed=1
+fi
+# 3: eager refuses a space over 2^31 - 1 states (13^12 ≈ 2^45), whose ids
+# its int32 CSR destinations cannot hold, whatever --max-states says —
+# so it advises the lazy engine and not a larger budget
+for budget in "" "--max-states 100000000000000"; do
+  expect 3 check dijkstra --nodes 12 -k 13 --engine eager $budget
+  if grep -q int32 "$stderr_file" && ! grep -q -- '--max-states' "$stderr_file"; then
+    echo "ok:   --engine eager over 2^31 states ${budget:+($budget) }names the int32 limit"
+  else
+    echo "FAIL: --engine eager over 2^31 states ${budget:+($budget) }: stderr does not name the int32 limit, or advises --max-states"
+    failed=1
+  fi
+done
+# 3: no engine takes a space the 60-bit state encoding cannot address
+# (13^56 ≈ 2^207) — a typed encoding overflow that names the dense
+# encoding, not a crash, and not advice to retry with the lazy engine or
+# a larger budget
+for engine in "eager" "lazy" "parallel --jobs 2"; do
   expect 3 check dijkstra --nodes 56 -k 13 --engine $engine
-  if grep -q dense "$stderr_file" && ! grep -q -- '--engine lazy' "$stderr_file"; then
+  if grep -q dense "$stderr_file" && ! grep -q -e '--engine lazy' -e '--max-states' "$stderr_file"; then
     echo "ok:   --engine $engine over 2^60 states names the dense encoding"
   else
-    echo "FAIL: --engine $engine over 2^60 states: stderr does not name the dense encoding, or advises --engine lazy"
+    echo "FAIL: --engine $engine over 2^60 states: stderr does not name the dense encoding, or advises --engine lazy or --max-states"
     failed=1
   fi
 done

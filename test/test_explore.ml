@@ -136,6 +136,130 @@ let test_tsys_reachable () =
   let reach = Tsys.reachable tsys [ 2 ] in
   Alcotest.(check int) "all reachable from 2" 4 (Bitset.cardinal reach)
 
+(* --- the lean relation: int32 destinations, byte or word labels --- *)
+
+(* token_ring.nm with the given parameters, and its program ∪ corrupt:k=1 *)
+let ring_with_faults ~n ~k =
+  let em = Test_lang.compile ~params:[ ("N", n); ("K", k) ] "token_ring.nm" in
+  let env = em.Lang.Elab.env in
+  let faults = Sim.Fault.actions (Sim.Fault.corrupt env ~k:1) in
+  (env, Compile.program (Program.add_actions em.Lang.Elab.program faults))
+
+(* 2 ring actions and 260 corruptions: labels no longer fit a byte *)
+let test_tsys_wide_labels () =
+  let env, cp = ring_with_faults ~n:2 ~k:130 in
+  Alcotest.(check int) "actions" 262 (Array.length cp.Compile.actions);
+  let space = Space.create env in
+  let ts = Tsys.build cp space in
+  let pre = State.make env and post = State.make env in
+  let edges = ref 0 in
+  for id = 0 to Space.size space - 1 do
+    Space.decode_into space id pre;
+    let reference =
+      List.filter_map
+        (fun (ca : Compile.action) ->
+          if ca.enabled pre then begin
+            ca.apply_into pre post;
+            Some (ca.index, Space.encode space post)
+          end
+          else None)
+        (Array.to_list cp.Compile.actions)
+    in
+    edges := !edges + List.length reference;
+    if Tsys.succ ts id <> reference then
+      Alcotest.failf "state %d: successors differ from apply_into" id
+  done;
+  Alcotest.(check int) "transitions" !edges (Tsys.transition_count ts);
+  Alcotest.(check int) "12 B per transition when wide"
+    ((8 * (Space.size space + 1)) + (12 * !edges))
+    (Tsys.bytes ts)
+
+let test_tsys_transition_count () =
+  let env, cp = ring_with_faults ~n:5 ~k:5 in
+  let ts = Tsys.build cp (Space.create env) in
+  Alcotest.(check int) "transitions" 73_000 (Tsys.transition_count ts);
+  Alcotest.(check int) "5 B per transition"
+    ((8 * (3125 + 1)) + (5 * 73_000))
+    (Tsys.bytes ts)
+
+(* One variable over [states] values. *)
+let space_of states =
+  let env = Env.create () in
+  ignore (Env.fresh env "x" (Domain.range 0 (states - 1)));
+  env
+
+(* Past 2^31 - 1 states the eager backend refuses on the count alone,
+   whatever the budget, before a byte of the relation is allocated; at
+   the limit it is only the budget that decides. *)
+let test_tsys_int32_limit () =
+  let small f =
+    let before = Gc.allocated_bytes () in
+    let r = f () in
+    if Gc.allocated_bytes () -. before > 65536. then
+      Alcotest.fail "allocated the relation";
+    r
+  in
+  let refused f =
+    match small f with
+    | _ -> Alcotest.fail "2^31 states accepted"
+    | exception Explore.Codec.Overflow { layout; bits; _ } ->
+        Alcotest.(check string) "layout" "eager int32" layout;
+        Alcotest.(check int) "bits" 31 bits
+  in
+  let over = space_of (Tsys.max_states + 1) in
+  refused (fun () ->
+      Engine.create ~backend:Engine.Eager ~max_states:max_int over);
+  let none = Program.make ~name:"none" over [] in
+  refused (fun () ->
+      Tsys.build (Compile.program none) (Space.create_unbounded over));
+  let at = space_of Tsys.max_states in
+  let e =
+    small (fun () -> Engine.create ~backend:Engine.Eager ~max_states:max_int at)
+  in
+  Alcotest.(check int) "2^31 - 1 states accepted" Tsys.max_states
+    (Space.size (Engine.space e));
+  match small (fun () -> Engine.create ~backend:Engine.Eager at) with
+  | _ -> Alcotest.fail "over the default budget accepted"
+  | exception Space.Too_large _ -> ()
+
+(* The eager engine keeps the two most recently used relations, matched
+   by action sources: a recompiled program reuses its relation, another
+   program with as many actions does not, and a third program evicts the
+   least recently used. *)
+let test_eager_relation_cache () =
+  let env, x, counter = counter () in
+  let hold =
+    Expr.(Action.make ~name:"hold" ~guard:(var x = int 3) [ (x, int 3) ])
+  in
+  let up = Program.action_at counter 0 in
+  let holding = Program.make ~name:"holding" env [ up; hold ] in
+  let climbing = Program.make ~name:"climbing" env [ up ] in
+  let obs = Obs.Ctx.create () in
+  let engine = Engine.create ~obs env in
+  let builds () =
+    Obs.Metrics.value
+      (Obs.Metrics.counter (Obs.Ctx.metrics obs) "engine.csr_builds")
+  in
+  let edges p =
+    let r =
+      Engine.region engine (Compile.program p) ~from:Engine.All
+        ~target:(fun s -> State.get s x = 0)
+    in
+    Dgraph.Digraph.edge_count r.Engine.graph
+  in
+  List.iter
+    (fun (label, p, want_edges, want_builds) ->
+      Alcotest.(check int) (label ^ ": edges") want_edges (edges p);
+      Alcotest.(check int) (label ^ ": builds") want_builds (builds ()))
+    [
+      ("counter", counter, 2, 1);
+      ("holding (same length, other sources)", holding, 3, 2);
+      ("counter recompiled", counter, 2, 2);
+      ("climbing evicts holding", climbing, 2, 3);
+      ("counter still kept", counter, 2, 3);
+      ("holding rebuilt", holding, 3, 4);
+    ]
+
 let test_tsys_region_graph () =
   let env, _, p = counter () in
   let space = Space.create env in
@@ -337,6 +461,13 @@ let suite =
     Alcotest.test_case "tsys build" `Quick test_tsys_build;
     Alcotest.test_case "tsys reachable" `Quick test_tsys_reachable;
     Alcotest.test_case "tsys region graph" `Quick test_tsys_region_graph;
+    Alcotest.test_case "tsys wide labels match apply_into" `Quick
+      test_tsys_wide_labels;
+    Alcotest.test_case "tsys transition count" `Quick test_tsys_transition_count;
+    Alcotest.test_case "tsys int32 limit refused up front" `Quick
+      test_tsys_int32_limit;
+    Alcotest.test_case "eager relation cache matches action sources" `Quick
+      test_eager_relation_cache;
     Alcotest.test_case "closure check" `Quick test_closure_holds;
     Alcotest.test_case "closure with hypothesis" `Quick
       test_closure_given_hypothesis;

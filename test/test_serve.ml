@@ -774,6 +774,25 @@ let cli_serve_rows =
       [ ("params", Json.Obj [ ("N", Json.Int 300); ("K", Json.Int 1000) ]) ]
       ([ "--param"; "N=300"; "--param"; "K=1000" ] @ lazy_)
       "too-large" 3 (fun _ -> "");
+    row "dense overflow (eager)" "check"
+      [
+        ("params", Json.Obj [ ("N", Json.Int 300); ("K", Json.Int 1000) ]);
+        ("engine", Json.Str "eager");
+      ]
+      [ "--param"; "N=300"; "--param"; "K=1000"; "--engine"; "eager" ]
+      "too-large" 3 (fun _ -> "");
+    (* 10^10 states: within any budget given, past the eager int32 ids *)
+    row "eager int32 limit" "check"
+      [
+        ("params", Json.Obj [ ("N", Json.Int 10); ("K", Json.Int 10) ]);
+        ("engine", Json.Str "eager");
+        ("max_states", Json.Int 100_000_000_000);
+      ]
+      [
+        "--param"; "N=10"; "--param"; "K=10"; "--engine"; "eager";
+        "--max-states"; "100000000000";
+      ]
+      "too-large" 3 (fun _ -> "");
     row "region overflow" "check"
       [ small; ("max_states", Json.Int 10) ]
       (small_flags @ lazy_ @ [ "--max-states"; "10" ])

@@ -43,13 +43,21 @@ let test_codec_roundtrip_fuzz () =
       (Printf.sprintf "seed %d dense_ok" seed)
       true (Codec.dense_ok c);
     let space = Space.create_unbounded env in
-    let buf = State.make env in
+    let buf = State.make env and odometer = State.make env in
+    Codec.decode_dense_into c 0 odometer;
     Space.iter space (fun id s ->
         if Codec.encode_dense c s <> id then
           Alcotest.failf "seed %d: dense encode mismatch at id %d" seed id;
         Codec.decode_dense_into c id buf;
         if not (State.equal s buf) then
-          Alcotest.failf "seed %d: dense decode mismatch at id %d" seed id)
+          Alcotest.failf "seed %d: dense decode mismatch at id %d" seed id;
+        if not (State.equal s odometer) then
+          Alcotest.failf "seed %d: next_into mismatch at id %d" seed id;
+        Codec.next_into c odometer);
+    (* the last state steps back to code 0 *)
+    Codec.decode_dense_into c 0 buf;
+    if not (State.equal odometer buf) then
+      Alcotest.failf "seed %d: next_into does not wrap to code 0" seed
   done
 
 let overflow_of f =
@@ -67,8 +75,8 @@ let test_codec_dense_overflow () =
   | exception Codec.Overflow { layout; _ } ->
       Alcotest.(check string) "typed overflow names the layout" "dense" layout
   | () -> Alcotest.fail "require_dense must raise on 2^61 states");
-  (* lazy and parallel engines refuse it in the codec's terms; 13^56
-     needs ceil(56 log2 13) = 208 bits *)
+  (* every engine refuses it in the codec's terms, eager before its own
+     int32 limit; 13^56 needs ceil(56 log2 13) = 208 bits *)
   List.iter
     (fun backend ->
       Alcotest.(check bool) "engine overflow is the codec's" true
@@ -79,7 +87,7 @@ let test_codec_dense_overflow () =
       with
       | Some ("dense", 208, _) -> ()
       | _ -> Alcotest.fail "13^56 states: dense overflow at 208 bits")
-    [ Engine.Lazy; Engine.Parallel ];
+    [ Engine.Eager; Engine.Lazy; Engine.Parallel ];
   (* 300 base-1000 slots: the float count is infinite, the width is not *)
   let huge = Codec.of_env (env_of_sizes (List.init 300 (fun _ -> 1000))) in
   Alcotest.(check bool) "infinite count" true (Codec.states huge = infinity);
@@ -94,11 +102,14 @@ let test_codec_single_value_domains () =
   let c = Codec.of_env env in
   let space = Space.create_unbounded env in
   Alcotest.(check int) "size" 21 (Space.size space);
-  let buf = State.make env in
+  let buf = State.make env and odometer = State.make env in
+  Codec.decode_dense_into c 0 odometer;
   Space.iter space (fun id s ->
       Alcotest.(check int) "dense" id (Codec.encode_dense c s);
       Codec.decode_dense_into c id buf;
-      Alcotest.(check bool) "decode" true (State.equal s buf))
+      Alcotest.(check bool) "decode" true (State.equal s buf);
+      Alcotest.(check bool) "next_into" true (State.equal s odometer);
+      Codec.next_into c odometer)
 
 let test_codec_out_of_domain () =
   let env = env_of_sizes [ 3; 4 ] in

@@ -392,6 +392,48 @@ let test_cross_backend_identity () =
       (Engine.Parallel, 4, "parallel --jobs 4");
     ]
 
+(* --- one eager relation per program ---------------------------------- *)
+
+(* Every budget recompiles the program and program ∪ faults; the eager
+   engine builds each relation once (the cache matches action sources) and
+   reports both in its metrics, and the curve is the lazy one, byte for
+   byte. *)
+let test_eager_sweep_builds_each_relation_once () =
+  let em = Test_lang.compile ~params:[ ("N", 4); ("K", 5) ] "token_ring.nm" in
+  let env = em.Lang.Elab.env and program = em.Lang.Elab.program in
+  let faults = corrupt_actions env in
+  let frontier backend =
+    let obs = Obs.Ctx.create () in
+    let engine = Engine.create ~backend ~jobs:1 ~obs env in
+    let f =
+      Tol.Sweep.run ~engine ~program ~faults ~envs:em.Lang.Elab.env_actions
+        ~invariant:em.Lang.Elab.invariant ~budgets:(Tol.Sweep.range ~max:3)
+        ~adversary:true ~name:em.Lang.Elab.name ()
+    in
+    let json =
+      String.concat "\n"
+        (List.map
+           (fun p -> Obs.Json.to_string (Tol.Sweep.point_json p))
+           f.Tol.Sweep.points)
+    in
+    let metric kind name = kind (Obs.Ctx.metrics obs) name in
+    ( (json, f.Tol.Sweep.cliff),
+      Obs.Metrics.value (metric Obs.Metrics.counter "engine.csr_builds"),
+      Obs.Metrics.gauge_value (metric Obs.Metrics.gauge "engine.csr_bytes") )
+  in
+  let eager, builds, bytes = frontier Engine.Eager in
+  let lazy_, lazy_builds, _ = frontier Engine.Lazy in
+  Alcotest.(check int) "eager relations built" 2 builds;
+  Alcotest.(check int) "lazy relations built" 0 lazy_builds;
+  let relation p =
+    Explore.Tsys.bytes
+      (Explore.Tsys.build (Compile.program p) (Explore.Space.create env))
+  in
+  Alcotest.(check int) "csr bytes: both relations"
+    (relation program + relation (Guarded.Program.add_actions program faults))
+    bytes;
+  Alcotest.(check (pair string (option int))) "frontier JSON" lazy_ eager
+
 (* --- storm rendering: observations vs the sound bound ----------------- *)
 
 (* Golden rendering: quantiles carry the [observed] label, the sound
@@ -575,6 +617,8 @@ let suite =
       test_env_hostile_fails_certification;
     Alcotest.test_case "env: certify honours env actions like the sweep"
       `Quick test_env_certify_matches_sweep;
+    Alcotest.test_case "eager sweep builds each relation once" `Quick
+      test_eager_sweep_builds_each_relation_once;
     Alcotest.test_case "cross-backend bit-identity" `Quick
       test_cross_backend_identity;
     Alcotest.test_case "storm observed/bound labels" `Quick
