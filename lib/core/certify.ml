@@ -26,12 +26,6 @@ let check_pass label = { label; ok = true; detail = None }
 let check_fail label ~detail = { label; ok = false; detail = Some detail }
 let check_info label ~detail = { label; ok = true; detail = Some detail }
 
-let of_closure_result env label = function
-  | Ok () -> check_pass label
-  | Error v ->
-      check_fail label
-        ~detail:(Format.asprintf "%a" (Explore.Closure.pp_violation env) v)
-
 (* A cycle through a fault edge (label >= first_fault_index) in the combined
    ¬S region: pick a fault edge whose endpoints share an SCC, then close the
    loop with a BFS from its destination back to its source inside that

@@ -50,12 +50,6 @@ val check_info : string -> detail:string -> check
     recurring-fault livelock cycle of a {!tolerance} certificate, which
     does not invalidate nonmasking tolerance but must be shown. *)
 
-val of_closure_result :
-  Guarded.Env.t ->
-  string ->
-  (unit, Explore.Closure.violation) result ->
-  check
-
 val tolerance :
   engine:Explore.Engine.t ->
   program:Guarded.Program.t ->

@@ -1,3 +1,5 @@
+module Closure = Explore.Closure
+
 type step_result = {
   label : string;
   contained : bool;
@@ -18,35 +20,37 @@ let validate ~engine ~program ~name preds =
   if List.length preds < 2 then
     invalid_arg "Stair.validate: need at least R_0 and R_1";
   let cp = Guarded.Compile.program program in
-  let rec pairs = function
-    | (la, pa) :: ((lb, pb) :: _ as rest) ->
-        let contained =
-          (* R_{i+1} ⟹ R_i *)
-          let ok = ref true in
-          Explore.Engine.iter_states engine (fun s ->
-              if pb s && not (pa s) then ok := false);
-          !ok
-        in
-        (* The *source* predicate of the step must be closed; the last
-           predicate's closure is checked as the source of no step, so also
-           check the target here when it is the final one. *)
-        let closed = Explore.Closure.program_closed engine cp ~pred:pa in
-        let converges =
-          Explore.Convergence.check_unfair engine cp
-            ~from:(Explore.Engine.Pred pa) ~target:pb
-        in
-        { label = Printf.sprintf "%s -> %s" la lb; contained; closed; converges }
-        :: pairs rest
-    | _ -> []
+  let stairs = Array.of_list preds in
+  let k = Array.length stairs - 1 in
+  let n = Array.length cp.actions in
+  (* One scan: the containments R_{i+1} ⟹ R_i (i < k), then the closure
+     of every R_i (i <= k — the bottom one, S, is the source of no step)
+     as a block of one step per action. *)
+  let contained =
+    Array.init k (fun i ->
+        Closure.Implies { hyp = snd stairs.(i + 1); conc = snd stairs.(i) })
   in
-  let steps = pairs preds in
-  (* finally, the bottom predicate (S) must itself be closed *)
-  let bottom_label, bottom_pred = List.nth preds (List.length preds - 1) in
+  let closes (_, p) = Array.map (Closure.preserves ~pred:p) cp.actions in
+  let found =
+    Closure.scan engine (Array.concat (contained :: List.map closes preds))
+  in
+  let closed i = Closure.first_violation (Array.sub found (k + (i * n)) n) in
+  let step i =
+    let la, pa = stairs.(i) and lb, pb = stairs.(i + 1) in
+    {
+      label = Printf.sprintf "%s -> %s" la lb;
+      contained = Option.is_none found.(i);
+      closed = closed i;
+      converges =
+        Explore.Convergence.check_unfair engine cp
+          ~from:(Explore.Engine.Pred pa) ~target:pb;
+    }
+  in
   let bottom =
     {
-      label = Printf.sprintf "%s closed" bottom_label;
+      label = Printf.sprintf "%s closed" (fst stairs.(k));
       contained = true;
-      closed = Explore.Closure.program_closed engine cp ~pred:bottom_pred;
+      closed = closed k;
       converges =
         Ok
           {
@@ -56,7 +60,7 @@ let validate ~engine ~program ~name preds =
           };
     }
   in
-  { spec_name = name; steps = steps @ [ bottom ] }
+  { spec_name = name; steps = List.init k step @ [ bottom ] }
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>convergence stair for %s: %s@," t.spec_name

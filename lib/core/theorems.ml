@@ -2,7 +2,6 @@ module Expr = Guarded.Expr
 module State = Guarded.State
 module Action = Guarded.Action
 module Compile = Guarded.Compile
-module Engine = Explore.Engine
 module Closure = Explore.Closure
 
 let identical_actions a b =
@@ -12,47 +11,16 @@ let identical_actions a b =
        (fun (v1, e1) (v2, e2) -> Guarded.Var.equal v1 v2 && Expr.equal_num e1 e2)
        (Action.assigns a) (Action.assigns b)
 
-(* ∀ in-domain s: hyp s ⟹ conc s, with a counterexample on failure. *)
-let implication engine env ~label ~hyp ~conc =
-  let counterexample = ref None in
-  (try
-     Engine.iter_states engine (fun s ->
-         if hyp s && not (conc s) then begin
-           counterexample := Some (State.copy s);
-           raise Exit
-         end)
-   with Exit -> ());
-  match !counterexample with
-  | None -> Certify.check_pass label
-  | Some s ->
-      Certify.check_fail label
-        ~detail:(Format.asprintf "counterexample %a" (State.pp env) s)
-
-(* ∀ s: given s ∧ enabled s ⟹ pred (post s). *)
-let establishes engine env ~label ~given (ca : Compile.action) ~pred =
-  let post = State.make (Engine.env engine) in
-  let counterexample = ref None in
-  (try
-     Engine.iter_states engine (fun s ->
-         if given s && ca.enabled s then begin
-           ca.apply_into s post;
-           if not (pred post) then begin
-             counterexample := Some (State.copy s, State.copy post);
-             raise Exit
-           end
-         end)
-   with Exit -> ());
-  match !counterexample with
-  | None -> Certify.check_pass label
-  | Some (pre, post) ->
-      Certify.check_fail label
-        ~detail:
-          (Format.asprintf "pre %a -> post %a" (State.pp env) pre
-             (State.pp env) post)
-
-let preserves engine env ~label ~given ca ~pred =
-  Certify.of_closure_result env label
-    (Closure.action_preserves ~given engine ca ~pred)
+(* How a failed obligation reads: the state, for an implication; for a
+   step, "pre … -> post …" ([terse], the establishes checks) or the
+   closure violation. *)
+let detail env ~terse = function
+  | Closure.Counterexample s ->
+      Format.asprintf "counterexample %a" (State.pp env) s
+  | Closure.Violation v when terse ->
+      Format.asprintf "pre %a -> post %a" (State.pp env) v.pre (State.pp env)
+        v.post
+  | Closure.Violation v -> Format.asprintf "%a" (Closure.pp_violation env) v
 
 let validate ~theorem ~shape_ok ~shape_want ~modulo_invariant ~check_ordering
     ~engine ~spec layers =
@@ -90,29 +58,51 @@ let validate ~theorem ~shape_ok ~shape_want ~modulo_invariant ~check_ordering
       && List.for_all (fun c -> c s) lower
       && ((not modulo_invariant) || not (s_pred s))
   in
-  let checks = ref [] in
-  let add c = checks := c :: !checks in
+  (* Every check is a function of the one scan's witnesses: a shape is
+     finished already, an obligation reads its own entry. *)
+  let checks = ref [] and obligations = ref [] and next = ref 0 in
+  let add c = checks := (fun _ -> c) :: !checks in
+  let oblige ?(terse = false) label ob =
+    let i = !next in
+    incr next;
+    obligations := ob :: !obligations;
+    checks :=
+      (fun found ->
+        match found.(i) with
+        | None -> Certify.check_pass label
+        | Some w -> Certify.check_fail label ~detail:(detail env ~terse w))
+      :: !checks
+  in
+  (* ∀s: hyp s ⟹ conc s *)
+  let implication label ~hyp ~conc =
+    oblige label (Closure.Implies { hyp; conc })
+  in
+  (* ∀s: under s ∧ pred s ∧ enabled s ⟹ pred s' *)
+  let preserves ?(under = fun _ -> true) label ca ~pred =
+    oblige label
+      (Closure.Step
+         {
+           pre = (fun s -> under s && pred s);
+           action = ca;
+           post = (fun _ s' -> pred s');
+         })
+  in
+  (* ∀s: under s ∧ enabled s ⟹ pred s' *)
+  let establishes label ~under ca ~pred =
+    oblige ~terse:true label
+      (Closure.Step { pre = under; action = ca; post = (fun _ s' -> pred s') })
+  in
   (* Sanity. *)
-  add
-    (implication engine env ~label:"S implies T" ~hyp:s_pred ~conc:t_pred);
-  add
-    (implication engine env ~label:"T and all constraints imply S"
-       ~hyp:(fun s -> t_pred s && all_constraints_hold s)
-       ~conc:s_pred);
+  implication "S implies T" ~hyp:s_pred ~conc:t_pred;
+  implication "T and all constraints imply S"
+    ~hyp:(fun s -> t_pred s && all_constraints_hold s)
+    ~conc:s_pred;
   (* Candidate triple: closure actions preserve S and T. *)
   Array.iter
     (fun (ca : Compile.action) ->
       let n = Action.name ca.source in
-      add
-        (preserves engine env
-           ~label:(Printf.sprintf "closure %s preserves S" n)
-           ~given:(fun _ -> true)
-           ca ~pred:s_pred);
-      add
-        (preserves engine env
-           ~label:(Printf.sprintf "closure %s preserves T" n)
-           ~given:(fun _ -> true)
-           ca ~pred:t_pred))
+      preserves (Printf.sprintf "closure %s preserves S" n) ca ~pred:s_pred;
+      preserves (Printf.sprintf "closure %s preserves T" n) ca ~pred:t_pred)
     closure_actions.Compile.actions;
   (* Convergence-action form, per layer. *)
   Array.iteri
@@ -124,34 +114,23 @@ let validate ~theorem ~shape_ok ~shape_want ~modulo_invariant ~check_ordering
           let cname = Constr.name p.constr in
           let aname = Action.name p.action in
           let c = Constr.compile p.constr in
-          add
-            (preserves engine env
-               ~label:(Printf.sprintf "convergence %s preserves T" aname)
-               ~given:(fun _ -> true)
-               ca ~pred:t_pred);
-          add
-            (preserves engine env
-               ~label:(Printf.sprintf "convergence %s preserves S" aname)
-               ~given:(fun _ -> true)
-               ca ~pred:s_pred);
-          add
-            (implication engine env
-               ~label:
-                 (Printf.sprintf "%s enabled only when %s violated" aname
-                    cname)
-               ~hyp:(fun s -> h s && ca.enabled s)
-               ~conc:(fun s -> not (c s)));
-          add
-            (implication engine env
-               ~label:
-                 (Printf.sprintf "%s enabled whenever %s violated" aname
-                    cname)
-               ~hyp:(fun s -> h s && not (c s))
-               ~conc:ca.enabled);
-          add
-            (establishes engine env
-               ~label:(Printf.sprintf "%s establishes %s" aname cname)
-               ~given:h ca ~pred:c))
+          preserves
+            (Printf.sprintf "convergence %s preserves T" aname)
+            ca ~pred:t_pred;
+          preserves
+            (Printf.sprintf "convergence %s preserves S" aname)
+            ca ~pred:s_pred;
+          implication
+            (Printf.sprintf "%s enabled only when %s violated" aname cname)
+            ~hyp:(fun s -> h s && ca.enabled s)
+            ~conc:(fun s -> not (c s));
+          implication
+            (Printf.sprintf "%s enabled whenever %s violated" aname cname)
+            ~hyp:(fun s -> h s && not (c s))
+            ~conc:ca.enabled;
+          establishes
+            (Printf.sprintf "%s establishes %s" aname cname)
+            ~under:h ca ~pred:c)
         pairs)
     layer_pairs;
   (* Shapes. *)
@@ -202,25 +181,21 @@ let validate ~theorem ~shape_ok ~shape_want ~modulo_invariant ~check_ordering
                   (List.init (Array.length layer_arr) Fun.id)
               in
               if not exempt then
-                add
-                  (preserves engine env
-                     ~label:
-                       (Printf.sprintf "closure %s preserves %s under H_%d"
-                          (Action.name ca.source) cname l)
-                     ~given:h ca ~pred:c))
+                preserves
+                  (Printf.sprintf "closure %s preserves %s under H_%d"
+                     (Action.name ca.source) cname l)
+                  ~under:h ca ~pred:c)
             closure_actions.Compile.actions;
           for l' = l + 1 to Array.length layer_arr - 1 do
             Array.iteri
               (fun i' (q : Cgraph.pair) ->
-                add
-                  (preserves engine env
-                     ~label:
-                       (Printf.sprintf
-                          "convergence %s (layer %d) preserves %s (layer %d)"
-                          (Action.name q.action) l' cname l)
-                     ~given:h
-                     conv_compiled.(l').(i')
-                     ~pred:c))
+                preserves
+                  (Printf.sprintf
+                     "convergence %s (layer %d) preserves %s (layer %d)"
+                     (Action.name q.action) l' cname l)
+                  ~under:h
+                  conv_compiled.(l').(i')
+                  ~pred:c)
               layer_pairs.(l')
           done)
         pairs)
@@ -237,25 +212,23 @@ let validate ~theorem ~shape_ok ~shape_want ~modulo_invariant ~check_ordering
             let _, dst_i = Cgraph.edge_of_pair g i in
             let _, dst_k = Cgraph.edge_of_pair g k in
             if dst_i = dst_k then
-              add
-                (preserves engine env
-                   ~label:
-                     (Printf.sprintf
-                        "ordering: %s preserves %s (same target node)"
-                        (Action.name pairs.(k).action)
-                        (Constr.name pairs.(i).constr))
-                   ~given:h
-                   conv_compiled.(l).(k)
-                   ~pred:(Constr.compile pairs.(i).constr))
+              preserves
+                (Printf.sprintf "ordering: %s preserves %s (same target node)"
+                   (Action.name pairs.(k).action)
+                   (Constr.name pairs.(i).constr))
+                ~under:h
+                conv_compiled.(l).(k)
+                ~pred:(Constr.compile pairs.(i).constr)
           done
         done)
       layer_arr;
+  let found = Closure.scan engine (Array.of_list (List.rev !obligations)) in
   {
     Certify.theorem =
       (if modulo_invariant then theorem ^ " (modulo invariant)" else theorem);
     spec_name = Spec.name spec;
     shapes;
-    checks = List.rev !checks;
+    checks = List.rev_map (fun check -> check found) !checks;
     summary = None;
   }
 

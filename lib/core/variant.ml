@@ -1,6 +1,6 @@
 module State = Guarded.State
 module Compile = Guarded.Compile
-module Engine = Explore.Engine
+module Closure = Explore.Closure
 
 type t = {
   rank_count : int;
@@ -43,43 +43,45 @@ type failure = {
 
 let check ~engine ~spec ~cgraph t =
   let tpred = Spec.compile_fault_span spec in
-  let post = State.make (Engine.env engine) in
   let closure = Compile.program (Spec.program spec) in
   let conv =
     Array.map
       (fun (p : Cgraph.pair) -> Compile.action ~index:0 p.action)
       (Cgraph.pairs cgraph)
   in
-  let failure = ref None in
-  let scan kind actions strict =
-    Array.iter
-      (fun (ca : Compile.action) ->
-        if !failure = None then
-          try
-            Engine.iter_states engine (fun s ->
-                if tpred s && ca.enabled s then begin
-                  ca.apply_into s post;
-                  let vp = value t s and vq = value t post in
-                  let c = compare_values vq vp in
-                  if (strict && c >= 0) || ((not strict) && c > 0) then begin
-                    failure :=
-                      Some
-                        {
-                          action = Guarded.Action.name ca.source;
-                          pre = State.copy s;
-                          post = State.copy post;
-                          kind;
-                        };
-                    raise Exit
-                  end
-                end)
-          with Exit -> ())
-      actions
+  (* over T, a convergence action strictly decreases V and a closure
+     action does not increase it *)
+  let descends ~strict (ca : Compile.action) =
+    Closure.Step
+      {
+        pre = tpred;
+        action = ca;
+        post =
+          (fun s s' ->
+            let c = compare_values (value t s') (value t s) in
+            if strict then c < 0 else c <= 0);
+      }
   in
-  scan `Convergence_did_not_decrease conv true;
-  if !failure = None then
-    scan `Closure_increased closure.Compile.actions false;
-  match !failure with None -> Ok () | Some f -> Error f
+  let found =
+    Closure.scan engine
+      (Array.append
+         (Array.map (descends ~strict:true) conv)
+         (Array.map (descends ~strict:false) closure.Compile.actions))
+  in
+  (* the first failing convergence action, else the first closure one *)
+  match Closure.first_violation found with
+  | Ok () -> Ok ()
+  | Error v ->
+      let i = Option.get (Array.find_index Option.is_some found) in
+      Error
+        {
+          action = Guarded.Action.name v.Closure.action;
+          pre = v.pre;
+          post = v.post;
+          kind =
+            (if i < Array.length conv then `Convergence_did_not_decrease
+             else `Closure_increased);
+        }
 
 let pp_failure env ppf f =
   Format.fprintf ppf "@[<v>%s %s: pre %a -> post %a@]"

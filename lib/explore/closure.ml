@@ -7,43 +7,67 @@ type violation = {
   post : Guarded.State.t;
 }
 
-type scope =
-  | Whole_space
-  | Reachable of Guarded.Compile.program * Engine.roots
+type obligation =
+  | Implies of {
+      hyp : Guarded.State.t -> bool;
+      conc : Guarded.State.t -> bool;
+    }
+  | Step of {
+      pre : Guarded.State.t -> bool;
+      action : Guarded.Compile.action;
+      post : Guarded.State.t -> Guarded.State.t -> bool;
+    }
+
+type witness = Counterexample of Guarded.State.t | Violation of violation
 
 let pp_violation env ppf v =
   Format.fprintf ppf "@[<v>action %s violates the predicate:@,pre  = %a@,post = %a@]"
     (Guarded.Action.name v.action) (State.pp env) v.pre (State.pp env) v.post
 
-let iter_scope engine scope f =
-  match scope with
-  | Whole_space -> Engine.iter_states engine f
-  | Reachable (cp, from) -> Engine.iter_reachable engine cp ~from f
+(* [s] as a witness of [ob], if it is one; a step fires into [post]. *)
+let witness_at ob s post =
+  match ob with
+  | Implies { hyp; conc } ->
+      if hyp s && not (conc s) then Some (Counterexample (State.copy s))
+      else None
+  | Step { pre; action; post = ok } ->
+      if not (pre s && action.enabled s) then None
+      else begin
+        action.apply_into s post;
+        if ok s post then None
+        else
+          let post = State.copy post in
+          Some (Violation { pre = State.copy s; action = action.source; post })
+      end
 
-let action_preserves ?(given = fun _ -> true) ?(scope = Whole_space) engine
-    (ca : Compile.action) ~pred =
+let scan engine obligations =
+  let found = Array.map (fun _ -> None) obligations in
+  let remaining = ref (Array.length obligations) in
   let post = State.make (Engine.env engine) in
-  let result = ref (Ok ()) in
   (try
-     iter_scope engine scope (fun s ->
-         if given s && pred s && ca.enabled s then begin
-           ca.apply_into s post;
-           if not (pred post) then begin
-             result :=
-               Error
-                 { pre = State.copy s; action = ca.source; post = State.copy post };
-             raise Exit
-           end
-         end)
+     if !remaining > 0 then
+       Engine.iter_states engine (fun s ->
+           Array.iteri
+             (fun i ob ->
+               if Option.is_none found.(i) then
+                 match witness_at ob s post with
+                 | None -> ()
+                 | w ->
+                     found.(i) <- w;
+                     decr remaining)
+             obligations;
+           if !remaining = 0 then raise Exit)
    with Exit -> ());
-  !result
+  found
 
-let program_closed ?given ?scope engine (cp : Compile.program) ~pred =
-  let rec go i =
-    if i >= Array.length cp.actions then Ok ()
-    else
-      match action_preserves ?given ?scope engine cp.actions.(i) ~pred with
-      | Ok () -> go (i + 1)
-      | Error _ as e -> e
-  in
-  go 0
+let preserves ~pred (action : Compile.action) =
+  Step { pre = pred; action; post = (fun _ s' -> pred s') }
+
+let first_violation found =
+  match Array.find_map Fun.id found with
+  | Some (Violation v) -> Error v
+  | Some (Counterexample _) -> invalid_arg "Closure.first_violation"
+  | None -> Ok ()
+
+let program_closed engine (cp : Compile.program) ~pred =
+  first_violation (scan engine (Array.map (preserves ~pred) cp.actions))

@@ -1,20 +1,13 @@
-(** Closure checking (Section 3 of the paper).
+(** Closure checking (Section 3 of the paper), and the one sweep that
+    discharges every whole-space proof obligation.
 
     A state predicate [R] is closed in a program iff every action preserves
     [R]: from any state where the action is enabled and [R] holds,
-    execution yields a state where [R] holds. By default the check sweeps
-    every in-domain state, so a success is a proof for that instance and a
-    failure carries a concrete counterexample step.
-
-    On spaces too large to sweep, restrict the check to a {!scope}: the
-    states reachable from a root set under a program's actions. When the
-    roots include every state satisfying [given ∧ pred] this is equivalent
-    to the full sweep (a violation can only fire at such a state); when
-    they do not, the result is a proof for the explored region only.
-
-    The optional [given] hypothesis restricts the check to states satisfying
-    it — Theorem 3's obligations have the form "preserves [c] {e whenever
-    all constraints in lower layers hold}". *)
+    execution yields a state where [R] holds. The check sweeps every
+    in-domain state, so a success is a proof for that instance and a
+    failure carries a concrete counterexample step. Closure is one kind
+    of {!obligation}; the theorem certificates, stairs and variant
+    checks hand theirs to the same {!scan}. *)
 
 type violation = {
   pre : Guarded.State.t;
@@ -22,31 +15,44 @@ type violation = {
   post : Guarded.State.t;
 }
 
-(** What part of the state space the check covers. *)
-type scope =
-  | Whole_space  (** every in-domain state (the default) *)
-  | Reachable of Guarded.Compile.program * Engine.roots
-      (** only states reachable from the roots under the program *)
-
 val pp_violation : Guarded.Env.t -> Format.formatter -> violation -> unit
 
-val action_preserves :
-  ?given:(Guarded.State.t -> bool) ->
-  ?scope:scope ->
-  Engine.t ->
-  Guarded.Compile.action ->
-  pred:(Guarded.State.t -> bool) ->
-  (unit, violation) result
-(** Does this action preserve [pred] (under hypothesis [given])? Stops at
-    the first violation.
-    @raise Engine.Region_overflow when a lazy engine exceeds its budget. *)
+(** A claim over every in-domain state [s]. *)
+type obligation =
+  | Implies of {
+      hyp : Guarded.State.t -> bool;
+      conc : Guarded.State.t -> bool;
+    }  (** [hyp s ⟹ conc s] *)
+  | Step of {
+      pre : Guarded.State.t -> bool;
+      action : Guarded.Compile.action;
+      post : Guarded.State.t -> Guarded.State.t -> bool;
+    }  (** [pre s ∧ enabled s ⟹ post s s'], [s'] the action's result *)
+
+(** A failing state ({!Implies}) or step ({!Step}). *)
+type witness = Counterexample of Guarded.State.t | Violation of violation
+
+val scan : Engine.t -> obligation array -> witness option array
+(** One ascending sweep ({!Engine.iter_states}) that decodes each state
+    once and tests the obligations still open, in index order. Entry [i]
+    is [None] when obligation [i] holds, else its {e first} witness in id
+    order — the one a sweep of that obligation alone finds. The sweep
+    stops once every obligation has one; an empty array sweeps nothing.
+    @raise Engine.Region_overflow when the space exceeds a lazy engine's
+    budget. @raise Engine.Interrupted when the engine's guard trips. *)
+
+val preserves :
+  pred:(Guarded.State.t -> bool) -> Guarded.Compile.action -> obligation
+(** The step "the action preserves [pred]": [pre = post = pred]. *)
+
+val first_violation : witness option array -> (unit, violation) result
+(** The lowest-indexed witness among {!Step} results, if any.
+    @raise Invalid_argument on an {!Implies} witness. *)
 
 val program_closed :
-  ?given:(Guarded.State.t -> bool) ->
-  ?scope:scope ->
   Engine.t ->
   Guarded.Compile.program ->
   pred:(Guarded.State.t -> bool) ->
   (unit, violation) result
-(** Is [pred] closed under every action of the program? Returns the first
-    violating step otherwise. *)
+(** Is [pred] closed under every action? One {!scan} of {!preserves} per
+    action, read by {!first_violation}. *)

@@ -92,19 +92,21 @@ let decode_dense_into t code s =
     rem := !rem / t.bases.(i)
   done
 
-(* the odometer: bump the lowest-weight slot, carrying past each base *)
+(* the odometer: bump the lowest-weight slot, carrying past each base
+   (a loop: a local recursive closure would allocate at every step) *)
 let next_into t s =
-  let rec carry i =
-    if i < Array.length t.bases then begin
-      let v = State.get_index s i + 1 in
-      if v - t.lows.(i) < t.bases.(i) then State.set_index s i v
-      else begin
-        State.set_index s i t.lows.(i);
-        carry (i + 1)
-      end
+  let i = ref 0 and n = Array.length t.bases in
+  while !i < n do
+    let v = State.get_index s !i + 1 in
+    if v - t.lows.(!i) < t.bases.(!i) then begin
+      State.set_index s !i v;
+      i := n
     end
-  in
-  carry 0
+    else begin
+      State.set_index s !i t.lows.(!i);
+      incr i
+    end
+  done
 
 let places t = Array.copy t.weights
 

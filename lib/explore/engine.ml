@@ -444,14 +444,14 @@ let eager_region t cp ~from ~target =
     | Seeds l -> Some (Tsys.reachable ts (List.map (Space.encode space) l))
   in
   let member = Bitset.create n in
-  let buf = State.make (Space.env space) in
-  let consider id =
-    Space.decode_into space id buf;
-    if not (target buf) then Bitset.add member id
-  in
   (match reach with
-  | None -> for id = 0 to n - 1 do consider id done
-  | Some r -> Bitset.iter r consider);
+  | None ->
+      Space.iter space (fun id s -> if not (target s) then Bitset.add member id)
+  | Some r ->
+      let buf = State.make (Space.env space) in
+      Bitset.iter r (fun id ->
+          Space.decode_into space id buf;
+          if not (target buf) then Bitset.add member id));
   let graph, node_to_state, state_to_node =
     Tsys.region_graph_full ts ~member:(Bitset.mem member)
   in
@@ -883,11 +883,26 @@ let region ?resume t cp ~from ~target =
 
 let state_of_node t region v = decode_key t region.node_key.(v)
 
+(* The guard point of a stream with no resumable wavefront (the
+   whole-space sweep, [iter_reachable]): a trip stops it unsnapshotted. *)
+let poll_stream t ~states ~bytes ~frontier =
+  match Rt.Guard.poll t.guard ~states ~bytes with
+  | None -> ()
+  | Some reason ->
+      let snapshot = None in
+      raise
+        (Interrupted
+           { reason; states_seen = states; frontier_size = frontier; snapshot })
+
 let iter_states t f =
   (match t.backend with
   | Eager -> ()
   | Lazy | Parallel -> check_budget t (Space.size t.space));
-  Space.iter t.space (fun _ s -> f s)
+  let guard_on = Rt.Guard.active t.guard in
+  Space.iter t.space (fun id s ->
+      if guard_on && id land 1023 = 0 then
+        poll_stream t ~states:id ~bytes:0 ~frontier:0;
+      f s)
 
 let iter_reachable t cp ~from f =
   match from with
@@ -911,21 +926,10 @@ let iter_reachable t cp ~from f =
       let guard_on = Rt.Guard.active t.guard in
       let pops = ref 0 in
       while not (Flatqueue.is_empty queue) do
-        (if guard_on && !pops land 1023 = 0 then
-           match
-             Rt.Guard.poll t.guard ~states:!explored
-               ~bytes:(Flatset.bytes visited + Flatqueue.bytes queue)
-           with
-           | None -> ()
-           | Some reason ->
-               raise
-                 (Interrupted
-                    {
-                      reason;
-                      states_seen = !explored;
-                      frontier_size = Flatqueue.length queue;
-                      snapshot = None;
-                    }));
+        if guard_on && !pops land 1023 = 0 then
+          poll_stream t ~states:!explored
+            ~bytes:(Flatset.bytes visited + Flatqueue.bytes queue)
+            ~frontier:(Flatqueue.length queue);
         let key = Flatqueue.pop queue in
         incr pops;
         load st key;

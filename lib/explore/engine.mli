@@ -165,6 +165,13 @@ val config_hash : t -> parts:string list -> string
     caller-supplied [parts] such as action names. Backend and job count
     are excluded: checkpoints resume across both. *)
 
+val action_names : Guarded.Compile.program -> string list
+(** Action names in index order, as snapshot config hashes fold them in. *)
+
+val check_snapshot_kind : kind:string -> hash:string -> Rt.Snapshot.t -> unit
+(** Every resume's header check. @raise Rt.Snapshot.Corrupt when the
+    snapshot's kind or config hash is not the expected one. *)
+
 val codec : t -> Codec.t
 (** The codec sized from the engine's environment. *)
 
@@ -316,9 +323,12 @@ val state_of_node : t -> region -> int -> Guarded.State.t
 (** Decode a region node's state (fresh copy). *)
 
 val iter_states : t -> (Guarded.State.t -> unit) -> unit
-(** Visit every in-domain state (full sweep). The state is a shared
-    buffer; copy it to retain it. @raise Region_overflow when the space
-    exceeds a lazy engine's budget — use a reachability query instead. *)
+(** Visit every in-domain state in id order ({!Space.iter}: a shared
+    buffer — copy it to retain it, never write it), polling the guard
+    every 1024 states. @raise Region_overflow when the space exceeds a
+    lazy engine's budget — use a reachability query instead.
+    @raise Interrupted on a trip, with no snapshot and [states_seen] the
+    ids swept. *)
 
 val iter_reachable :
   t ->

@@ -199,23 +199,17 @@ let seed s from =
 
 let kind_span = "span"
 
-let action_names (cp : Compile.program) =
-  Array.to_list
-    (Array.map
-       (fun (ca : Compile.action) -> Guarded.Action.name ca.Compile.source)
-       cp.Compile.actions)
-
 let span_hash s budget =
   let parts =
     kind_span
     :: (match budget with
        | None -> "budget=none"
        | Some b -> Printf.sprintf "budget=%d" b)
-    :: ((match s.program with None -> [] | Some cp -> action_names cp)
+    :: ((match s.program with None -> [] | Some cp -> Engine.action_names cp)
        @ (match s.envs with
          | None -> []
-         | Some cp -> "/envs" :: action_names cp)
-       @ ("/faults" :: action_names s.faults))
+         | Some cp -> "/envs" :: Engine.action_names cp)
+       @ ("/faults" :: Engine.action_names s.faults))
   in
   Engine.config_hash s.engine ~parts
 
@@ -268,18 +262,7 @@ let corrupt msg = raise (Rt.Snapshot.Corrupt msg)
 (* Rebuild a search from a snapshot, checking that every section is the
    run of [keys] the writer's cursors make it. *)
 let restore s ~budget snap =
-  (match (snap : Rt.Snapshot.t).Rt.Snapshot.kind with
-  | k when k = kind_span -> ()
-  | k ->
-      corrupt
-        (Printf.sprintf
-           "snapshot kind %S where %S was expected (written by a different \
-            subcommand?)"
-           k kind_span));
-  if snap.Rt.Snapshot.config_hash <> span_hash s budget then
-    corrupt
-      "config-hash mismatch: this checkpoint was written under a different \
-       model or engine configuration";
+  Engine.check_snapshot_kind ~kind:kind_span ~hash:(span_hash s budget) snap;
   let ks = Rt.Snapshot.section snap "keys" in
   let ds = Rt.Snapshot.section snap "depths" in
   let n = Array.length ks in

@@ -30,11 +30,14 @@ let decode t id =
   decode_into t id s;
   s
 
+(* the odometer: one increment per id instead of a decode (past the
+   last id it wraps to id 0, which nothing reads) *)
 let iter t f =
   let buf = State.make (env t) in
+  decode_into t 0 buf;
   for id = 0 to t.size - 1 do
-    decode_into t id buf;
-    f id buf
+    f id buf;
+    Codec.next_into t.codec buf
   done
 
 let satisfying t p =

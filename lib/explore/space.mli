@@ -48,8 +48,10 @@ val decode_into : t -> int -> Guarded.State.t -> unit
 (** Fill an existing state buffer; avoids allocation in the checker loop. *)
 
 val iter : t -> (int -> Guarded.State.t -> unit) -> unit
-(** Visit every state in id order. The state value is a shared buffer —
-    callers must copy it if they retain it. *)
+(** Visit every state in id order. The state value is one shared buffer
+    that steps from id to id+1 by {!Codec.next_into} (the odometer: no
+    division per state), so callbacks must not write it — the next id
+    is derived from what it holds — and must copy it to retain it. *)
 
 val satisfying : t -> (Guarded.State.t -> bool) -> int list
 (** Ids of all states satisfying the predicate. *)

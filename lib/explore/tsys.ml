@@ -28,28 +28,23 @@ let bytes_for ~states ~transitions ~narrow =
 
 let build ?(guard = Rt.Guard.inert) ?(resident = 0) (cp : Compile.program)
     space =
-  let codec = Space.codec space in
-  require_fits codec;
+  require_fits (Space.codec space);
   let n = Space.size space in
   let actions = cp.Compile.actions in
   let n_actions = Array.length actions in
   let offsets = Array.make (n + 1) 0 in
-  let buf = State.make (Space.env space) in
   let guard_on = Rt.Guard.active guard in
-  (* Both passes sweep the states in id order on one buffer, stepped by
-     the codec's odometer instead of decoded per id. Pass 1: count each
-     state's enabled actions, summing into the row ends as it goes. *)
-  Space.decode_into space 0 buf;
-  for id = 0 to n - 1 do
-    if guard_on && id land 8191 = 0 then
-      Rt.Guard.check guard ~states:id ~bytes:(resident + (8 * (n + 1)));
-    let c = ref 0 in
-    for a = 0 to n_actions - 1 do
-      if actions.(a).enabled buf then incr c
-    done;
-    offsets.(id + 1) <- offsets.(id) + !c;
-    Codec.next_into codec buf
-  done;
+  (* Both passes sweep the states in id order ({!Space.iter}, on the
+     odometer). Pass 1: count each state's enabled actions, summing into
+     the row ends as it goes. *)
+  Space.iter space (fun id buf ->
+      if guard_on && id land 8191 = 0 then
+        Rt.Guard.check guard ~states:id ~bytes:(resident + (8 * (n + 1)));
+      let c = ref 0 in
+      for a = 0 to n_actions - 1 do
+        if actions.(a).enabled buf then incr c
+      done;
+      offsets.(id + 1) <- offsets.(id) + !c);
   let m = offsets.(n) in
   let narrow = n_actions <= 256 in
   let dsts = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout m in
@@ -59,23 +54,20 @@ let build ?(guard = Rt.Guard.inert) ?(resident = 0) (cp : Compile.program)
   let post = State.make (Space.env space) in
   (* Pass 2: fill the rows in state order, so one cursor serves them all. *)
   let k = ref 0 in
-  Space.decode_into space 0 buf;
-  for id = 0 to n - 1 do
-    if guard_on && id land 8191 = 0 then
-      Rt.Guard.check guard ~states:id ~bytes;
-    for a = 0 to n_actions - 1 do
-      let ca = actions.(a) in
-      if ca.enabled buf then begin
-        ca.apply_into buf post;
-        Bigarray.Array1.unsafe_set dsts !k
-          (Int32.of_int (Space.encode space post));
-        if narrow then Bytes.unsafe_set acts8 !k (Char.unsafe_chr a)
-        else acts.(!k) <- a;
-        incr k
-      end
-    done;
-    Codec.next_into codec buf
-  done;
+  Space.iter space (fun id buf ->
+      if guard_on && id land 8191 = 0 then
+        Rt.Guard.check guard ~states:id ~bytes;
+      for a = 0 to n_actions - 1 do
+        let ca = actions.(a) in
+        if ca.enabled buf then begin
+          ca.apply_into buf post;
+          Bigarray.Array1.unsafe_set dsts !k
+            (Int32.of_int (Space.encode space post));
+          if narrow then Bytes.unsafe_set acts8 !k (Char.unsafe_chr a)
+          else acts.(!k) <- a;
+          incr k
+        end
+      done);
   { space; program = cp; offsets; dsts; narrow; acts8; acts }
 
 let space t = t.space

@@ -197,6 +197,17 @@ expect 5 check dijkstra --nodes 12 -k 13 --engine lazy --ball 2 --deadline 0
 # 5: storm and fuzz report a partial sample instead of pretending coverage
 expect 5 storm token-ring --nodes 3 -k 4 --rate 0.1 --trials 20 --deadline 0
 expect 5 fuzz --seed 42 --count 5 --deadline 0
+# 5: the theorem certificate's obligation sweep polls the same budgets
+# (uninterrupted, this run takes about a second)
+for budget in "--deadline 0.2" "--budget-states 1000"; do
+  expect 5 certify token-ring --nodes 6 -k 7 $budget
+  if head -n 1 "$stderr_file" | grep -q '^error: incomplete:'; then
+    echo "ok:   certify $budget stderr reports incomplete"
+  else
+    echo "FAIL: certify $budget stderr does not start with error: incomplete:"
+    failed=1
+  fi
+done
 # 1: the theorem certificate (no fault class) has no fault span, so the
 # span flags are usage errors naming the flag
 for flag in --ball --fault-budget; do

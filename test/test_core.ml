@@ -401,6 +401,67 @@ let test_augmented_program_dedup () =
   Alcotest.(check bool) "convergence added" true
     (Program.find_action p "sync" <> None)
 
+(* One failure of each obligation form, rendered in full: an implication
+   (the guard misses a violation: "counterexample …"), an establishes
+   step ("pre … -> post …") and a preserves step (the closure
+   violation). The witness is the first failing state in id order. *)
+let test_theorem_failure_details () =
+  let env = Env.create () in
+  let x = Env.fresh env "x" (Domain.range 0 2) in
+  let y = Env.fresh env "y" (Domain.range 0 2) in
+  let open Expr in
+  let bad =
+    Action.make ~name:"bad" ~guard:(var x < int 2) [ (x, var x + int 1) ]
+  in
+  let p = Program.make ~name:"bad" env [ bad ] in
+  let c = Constr.make ~name:"agree" (var x = var y) in
+  let spec =
+    Spec.make ~name:"details" ~program:p ~invariant:(Constr.pred c) ()
+  in
+  let pair =
+    {
+      Cgraph.constr = c;
+      action =
+        Action.make ~name:"bump"
+          ~guard:(var x <> var y && var x < int 2)
+          [ (y, (var y + int 1) mod int 3) ];
+    }
+  in
+  let g =
+    Cgraph.build_exn
+      ~nodes:[ ("x", vset [ x ]); ("y", vset [ y ]) ]
+      ~pairs:[ pair ]
+  in
+  let engine = Explore.Engine.create env in
+  let cert = Theorems.validate_theorem1 ~engine ~spec ~cgraph:g in
+  Alcotest.(check string) "full certificate"
+    (String.concat "\n"
+       [
+         "Theorem 1 certificate for details: INVALID";
+         "  graph q: out-tree";
+         "  [ok] S implies T";
+         "  [ok] T and all constraints imply S";
+         "  [FAIL] closure bad preserves S";
+         "    action bad violates the predicate:";
+         "pre  = {x=0, y=0}";
+         "post = {x=1, y=0}";
+         "  [ok] closure bad preserves T";
+         "  [ok] convergence bump preserves T";
+         "  [ok] convergence bump preserves S";
+         "  [ok] bump enabled only when agree violated";
+         "  [FAIL] bump enabled whenever agree violated";
+         "    counterexample {x=2, y=0}";
+         "  [FAIL] bump establishes agree";
+         "    pre {x=0, y=1} -> post {x=0, y=2}";
+         "  [ok] constraint graph of q is out-tree";
+         "  [FAIL] closure bad preserves agree under H_0";
+         "    action bad violates the predicate:";
+         "pre  = {x=0, y=0}";
+         "post = {x=1, y=0}";
+         "";
+       ])
+    (Format.asprintf "%a" Certify.pp_full cert)
+
 (* --- Variant --- *)
 
 let test_variant_mini () =
@@ -555,4 +616,6 @@ let suite =
     Alcotest.test_case "design combine" `Quick test_design_same_statement_and_combine;
     Alcotest.test_case "design simplify" `Quick test_design_simplify_action;
     Alcotest.test_case "certify rendering" `Quick test_certify_rendering;
+    Alcotest.test_case "theorem failure details" `Quick
+      test_theorem_failure_details;
   ]

@@ -295,15 +295,126 @@ let test_closure_given_hypothesis () =
   let env, x, p = counter () in
   let engine = Engine.create env in
   let cp = Compile.program p in
-  (* under hypothesis x <> 2, the predicate x <= 2 is preserved *)
-  match
-    Closure.program_closed
-      ~given:(fun s -> State.get s x <> 2)
-      engine cp
-      ~pred:(fun s -> State.get s x <= 2)
-  with
+  (* under hypothesis x <> 2, the predicate x <= 2 is preserved: the
+     hypothesis narrows each step's [pre] *)
+  let pred s = State.get s x <= 2 in
+  let under s = State.get s x <> 2 && pred s in
+  let steps =
+    Array.map
+      (fun (ca : Compile.action) ->
+        Closure.Step { pre = under; action = ca; post = (fun _ s' -> pred s') })
+      cp.Compile.actions
+  in
+  match Closure.first_violation (Closure.scan engine steps) with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "hypothesis should exclude the violation"
+
+(* --- The obligation scan against one sweep per obligation ---
+
+   Each case draws a generated model and k random obligations over it:
+   implications between random predicates, and steps of the program's
+   actions from a random [pre] to a random one- or two-state [post]. One
+   [Closure.scan] must return, for every obligation, the witness a plain
+   id-order loop over that obligation alone finds first. *)
+
+let reference_scan space ob =
+  let post = State.make (Space.env space) in
+  let rec go id =
+    if id = Space.size space then None
+    else
+      let s = Space.decode space id in
+      match ob with
+      | Closure.Implies { hyp; conc } ->
+          if hyp s && not (conc s) then Some (Closure.Counterexample s)
+          else go (id + 1)
+      | Closure.Step { pre; action; post = ok } ->
+          if pre s && action.enabled s then begin
+            action.apply_into s post;
+            if ok s post then go (id + 1)
+            else
+              Some
+                (Closure.Violation
+                   { pre = s; action = action.source; post = State.copy post })
+          end
+          else go (id + 1)
+  in
+  go 0
+
+let same_witness a b =
+  match (a, b) with
+  | None, None -> true
+  | Some (Closure.Counterexample s), Some (Closure.Counterexample t) ->
+      State.equal s t
+  | Some (Closure.Violation v), Some (Closure.Violation w) ->
+      State.equal v.pre w.pre
+      && State.equal v.post w.post
+      && Action.name v.action = Action.name w.action
+  | _ -> false
+
+(* With [fail_fast], every conclusion is false: each obligation closes
+   at the first state its hypothesis admits, so the scan usually ends
+   with every obligation closed, long before the last id. *)
+let random_obligations rng (m : Gen.Spec.model) ~fail_fast k =
+  let reads = Env.vars m.Gen.Spec.env in
+  let pred () = Compile.pred (Gen.Generate.boolean rng ~depth:2 ~reads) in
+  let actions = (Compile.program m.Gen.Spec.program).Compile.actions in
+  Array.init k (fun _ ->
+      if Array.length actions = 0 || Prng.bool rng then
+        let conc = if fail_fast then fun _ -> false else pred () in
+        Closure.Implies { hyp = pred (); conc }
+      else
+        let action = actions.(Prng.int rng (Array.length actions)) in
+        let q = pred () in
+        let post =
+          if fail_fast then fun _ _ -> false
+          else if Prng.bool rng then fun _ s' -> q s'
+          else fun s s' -> q s = q s'
+        in
+        Closure.Step { pre = pred (); action; post })
+
+let prop_scan_matches_reference =
+  QCheck.Test.make ~name:"scan = one reference sweep per obligation"
+    ~count:200
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = Prng.create seed in
+      let m = Gen.Generate.model rng in
+      let engine = Engine.create m.Gen.Spec.env in
+      let space = Engine.space engine in
+      let fail_fast = Prng.int rng 4 = 0 in
+      let obs = random_obligations rng m ~fail_fast (1 + Prng.int rng 8) in
+      let found = Closure.scan engine obs in
+      Array.for_all2
+        (fun ob w -> same_witness w (reference_scan space ob))
+        obs found)
+
+(* Every obligation fails at state 0, so the scan must stop there:
+   each hypothesis is evaluated once, and the witnesses are state 0. *)
+let test_scan_all_close_early () =
+  let env, _, _ = counter () in
+  let engine = Engine.create env in
+  let calls = ref 0 in
+  let obs =
+    Array.init 5 (fun _ ->
+        Closure.Implies
+          {
+            hyp =
+              (fun _ ->
+                incr calls;
+                true);
+            conc = (fun _ -> false);
+          })
+  in
+  let found = Closure.scan engine obs in
+  Alcotest.(check int) "one evaluation each" 5 !calls;
+  let zero = Space.decode (Engine.space engine) 0 in
+  Array.iteri
+    (fun i w ->
+      Alcotest.(check bool)
+        (Printf.sprintf "witness %d is state 0" i)
+        true
+        (same_witness w (Some (Closure.Counterexample zero))))
+    found
 
 (* --- Convergence --- *)
 
@@ -471,6 +582,9 @@ let suite =
     Alcotest.test_case "closure check" `Quick test_closure_holds;
     Alcotest.test_case "closure with hypothesis" `Quick
       test_closure_given_hypothesis;
+    Alcotest.test_case "scan stops when every obligation closed" `Quick
+      test_scan_all_close_early;
+    QCheck_alcotest.to_alcotest prop_scan_matches_reference;
     Alcotest.test_case "convergence success" `Quick test_convergence_converges;
     Alcotest.test_case "convergence deadlock" `Quick test_convergence_deadlock;
     Alcotest.test_case "convergence livelock" `Quick test_convergence_livelock;

@@ -396,6 +396,57 @@ let test_resume_rejects_mismatches () =
            (Engine.create ~backend:Engine.Eager ~salt:"salted" env)
            cp ~from:(Engine.Seeds []) ~target))
 
+(* The two header refusals a span resume shares with region resumes,
+   pinned word for word: a region checkpoint handed to a span resume,
+   and a span checkpoint resumed under another fault budget. *)
+let test_span_resume_header_messages () =
+  let message f =
+    match f () with
+    | _ -> Alcotest.fail "resume must be refused"
+    | exception Rt.Snapshot.Corrupt msg -> msg
+  in
+  let tr = Token_ring.make ~nodes:4 ~k:12 in
+  let env = Token_ring.env tr in
+  let cp = Compile.program (Token_ring.combined tr) in
+  let fp =
+    Compile.program
+      (Guarded.Program.make ~name:"faults" env
+         (Fault.actions (Fault.corrupt env ~k:1)))
+  in
+  let from = Engine.Seeds [ Token_ring.all_zero tr ] in
+  let span ?resume engine budget =
+    Faultspan.compute engine ~program:cp ~budget ?resume ~faults:fp ~from ()
+  in
+  let cut f =
+    let guard =
+      Rt.Guard.create ~budget:(Rt.Budget.make ~max_states:1_500 ()) ()
+    in
+    match f (Engine.create ~backend:Engine.Lazy ~guard ~snapshots:true env) with
+    | _ -> Alcotest.fail "budget must interrupt"
+    | exception Engine.Interrupted { snapshot = Some snap; _ } -> snap
+    | exception Engine.Interrupted _ -> Alcotest.fail "no snapshot"
+  in
+  let region_snap =
+    let env, cp = counter_model 5_000 in
+    match
+      interrupt_region ~backend:Engine.Lazy ~jobs:1 ~budget_states:2_000 env
+        cp ~from:(Engine.Seeds [ State.make env ]) ~target:(fun _ -> false) ()
+    with
+    | `Snapshot (snap, _) -> snap
+    | `Completed _ -> Alcotest.fail "budget must interrupt"
+  in
+  Alcotest.(check string) "region snapshot to a span resume"
+    "snapshot kind \"region\" where \"span\" was expected (written by a \
+     different subcommand?)"
+    (message (fun () ->
+         span ~resume:region_snap (Engine.create ~backend:Engine.Lazy env) 3));
+  let span_snap = cut (fun e -> span e 3) in
+  Alcotest.(check string) "span snapshot under another budget"
+    "config-hash mismatch: this checkpoint was written under a different \
+     model or engine configuration"
+    (message (fun () ->
+         span ~resume:span_snap (Engine.create ~backend:Engine.Lazy env) 2))
+
 let test_interrupt_metadata () =
   let n = 5_000 in
   let env, cp = counter_model n in
@@ -885,6 +936,8 @@ let suite =
       test_region_resume_chained;
     Alcotest.test_case "resume rejects mismatches" `Quick
       test_resume_rejects_mismatches;
+    Alcotest.test_case "span resume header messages pinned" `Quick
+      test_span_resume_header_messages;
     Alcotest.test_case "interrupt metadata and first-poll resume" `Quick
       test_interrupt_metadata;
     Alcotest.test_case "eager interrupt carries no snapshot" `Quick

@@ -1,9 +1,11 @@
 (* Witness goldens: CLI outputs whose text depends on the order in which
    the region graph hands out its edges — a livelock witness (DFS order),
    a weak-fairness SCC sample (Tarjan member order), fault-sustained
-   cycles (SCC + BFS order) and a tolerance frontier report. Each run's
-   stdout (and report file) must match the committed golden byte for
-   byte, on every backend that shares the golden. *)
+   cycles (SCC + BFS order), a tolerance frontier report — and one on
+   the order of a whole-space sweep (a theorem certificate's first
+   counterexample). Each run's stdout (and report file) must match the
+   committed golden byte for byte, on every backend that shares the
+   golden. *)
 
 (* `dune runtest` runs with cwd _build/default/test; `dune exec
    test/test_main.exe` from the project root. Probe both. *)
@@ -88,6 +90,15 @@ let test_certify_naive_ring () =
         (args @ engine))
     engines
 
+(* The theorem certificate's failed ordering obligation: the witness is
+   the first violating state in id order, on every backend. *)
+let test_certify_theorem_xyz_bad () =
+  List.iter
+    (fun engine ->
+      check_run ~exit_code:2 ~golden_name:"witness_certify_theorem_xyz_bad.out"
+        ([ "certify"; "xyz-bad" ] @ engine))
+    ([ "--engine"; "eager" ] :: engines)
+
 let test_tolerance_report () =
   List.iter
     (fun engine ->
@@ -118,6 +129,8 @@ let suite =
       `Quick test_certify_chase;
     Alcotest.test_case "golden: certify naive ring fault cycle" `Quick
       test_certify_naive_ring;
+    Alcotest.test_case "golden: certify xyz-bad theorem witness" `Quick
+      test_certify_theorem_xyz_bad;
     Alcotest.test_case "golden: tolerance adversary report" `Quick
       test_tolerance_report;
   ]
