@@ -43,7 +43,7 @@ let peak_rss_mb () =
   | Some kb -> float_of_int kb /. 1024.
   | None -> nan
 
-let summary_cells (r : Sim.Experiment.result) =
+let summary_cells (r : Sim.Storm.result) =
   match r.summary with
   | None -> [ "-"; "-"; "-"; Table.i r.failures ]
   | Some s ->
@@ -56,13 +56,15 @@ let summary_cells (r : Sim.Experiment.result) =
 
 let scramble_trials ?(trials = 200) ~env ~program ~invariant ~legit () =
   let fault = Sim.Fault.scramble env in
-  Sim.Experiment.convergence_trials ~rng:(Prng.create seed) ~trials
+  (* one fault burst per trial, then fault-free recovery: a storm at
+     rate 0 *)
+  Sim.Storm.trials ~rng:(Prng.create seed) ~trials
     ~daemon:(fun r -> Sim.Daemon.random r)
     ~prepare:(fun r ->
       let s = legit () in
       fault.Sim.Fault.inject r s;
       s)
-    ~stop:invariant program
+    ~stop:invariant ~fault ~rate:0. program
 
 (* E1 — convergence of the diffusing computation across tree shapes and
    sizes (Theorem 1 / Section 5.1). *)
@@ -141,15 +143,16 @@ let e3 () =
     List.map
       (fun k ->
         let r =
-          Sim.Experiment.convergence_trials ~rng:(Prng.create (seed + k))
-            ~trials:200
+          (* the corruption is the prepared state; at rate 0 the
+             storm's fault never fires *)
+          Sim.Storm.trials ~rng:(Prng.create (seed + k)) ~trials:200
             ~daemon:(fun rr -> Sim.Daemon.random rr)
             ~prepare:(fun rr ->
               let s = Diffusing.all_green d in
               corrupt_nodes rr k s;
               s)
             ~stop:(fun s -> Diffusing.invariant d s)
-            cp
+            ~fault:(Sim.Fault.scramble (Diffusing.env d)) ~rate:0. cp
         in
         let violated_sample =
           let rr = Prng.create (seed + k) in
@@ -183,13 +186,12 @@ let e4 () =
     List.map
       (fun (dname, daemon) ->
         let r =
-          Sim.Experiment.convergence_trials ~rng:(Prng.create seed)
-            ~trials:200 ~daemon
+          Sim.Storm.trials ~rng:(Prng.create seed) ~trials:200 ~daemon
             ~prepare:(fun rr ->
               let s = legit () in
               fault.Sim.Fault.inject rr s;
               s)
-            ~stop:invariant program
+            ~stop:invariant ~fault ~rate:0. program
         in
         name :: dname :: summary_cells r)
       (daemons violated)
@@ -1007,11 +1009,11 @@ let micro () =
   let scc_graph =
     let rng = Prng.create 1 in
     let n = 10_000 in
-    let g = Dgraph.Digraph.create n in
-    for _ = 1 to 30_000 do
-      Dgraph.Digraph.add_edge g ~src:(Prng.int rng n) ~dst:(Prng.int rng n) ()
-    done;
-    g
+    Dgraph.Digraph.of_edges n
+      (List.init 30_000 (fun _ ->
+           (* the destination is drawn first *)
+           let dst = Prng.int rng n in
+           (Prng.int rng n, dst, ())))
   in
   let rng = Prng.create seed in
   let fault = Sim.Fault.scramble (Dijkstra_ring.env dr) in

@@ -1066,17 +1066,25 @@ let simulate_cmd =
       if faults = 0 then Sim.Fault.scramble m.env
       else Sim.Fault.corrupt m.env ~k:faults
     in
-    let result =
-      Sim.Experiment.convergence_trials ~rng:(Prng.create seed) ~trials
+    (* one fault burst per trial, then fault-free recovery: a storm at
+       rate 0 *)
+    let r =
+      Sim.Storm.trials ~rng:(Prng.create seed) ~trials
         ~daemon:(fun r -> Sim.Daemon.random r)
         ~prepare:(fun r ->
           let s = m.init () in
           fault.Sim.Fault.inject r s;
           s)
-        ~stop:m.invariant cp
+        ~stop:m.invariant ~fault ~rate:0. cp
     in
-    Format.printf "%s under %s, %d trials: %a@." m.name
-      fault.Sim.Fault.name trials Sim.Experiment.pp_result result
+    let failures = r.Sim.Storm.failures in
+    Format.printf "%s under %s, %d trials: " m.name fault.Sim.Fault.name trials;
+    match r.Sim.Storm.summary with
+    | None -> Format.printf "no trial converged (%d failures)@." failures
+    | Some s ->
+        Format.printf "%a%s@." Sim.Stats.pp_summary s
+          (if failures > 0 then Printf.sprintf " (%d failures)" failures
+           else "")
   in
   let wrapped proto shape size nodes k seed params trials faults =
     with_instance (fun i seed -> run i seed trials faults) proto shape size

@@ -83,13 +83,13 @@ let () =
 
   (* Batch statistics across many scrambles. *)
   let result =
-    Sim.Experiment.convergence_trials ~rng:(Prng.create 99) ~trials:500
+    Sim.Storm.trials ~rng:(Prng.create 99) ~trials:500
       ~daemon:(fun r -> Sim.Daemon.random r)
       ~prepare:(fun r ->
         let s = Diffusing.all_green d in
         fault.Sim.Fault.inject r s;
         s)
       ~stop:(fun s -> Diffusing.invariant d s)
-      cp
+      ~fault ~rate:0. cp
   in
-  Format.printf "@.500 scrambled trials: %a@." Sim.Experiment.pp_result result
+  Format.printf "@.500 scrambled trials: %a@." Sim.Storm.pp_result result

@@ -61,16 +61,16 @@ let () =
       let cp = Guarded.Compile.program (St.program st) in
       let fault = Sim.Fault.scramble (St.env st) in
       let result =
-        Sim.Experiment.convergence_trials ~rng:(Prng.create 99) ~trials:300
+        Sim.Storm.trials ~rng:(Prng.create 99) ~trials:300
           ~daemon:(fun r -> Sim.Daemon.random r)
           ~prepare:(fun r ->
             let s = St.bfs_state st in
             fault.Sim.Fault.inject r s;
             s)
           ~stop:(fun s -> St.invariant st s)
-          cp
+          ~fault ~rate:0. cp
       in
-      Format.printf "  %-12s %a@." name Sim.Experiment.pp_result result)
+      Format.printf "  %-12s %a@." name Sim.Storm.pp_result result)
     [
       ("path-16", Ugraph.path 16);
       ("cycle-16", Ugraph.cycle 16);

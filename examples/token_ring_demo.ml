@@ -78,16 +78,15 @@ let () =
   List.iter
     (fun (name, daemon) ->
       let result =
-        Sim.Experiment.convergence_trials ~rng:(Prng.create 7) ~trials:500
-          ~daemon
+        Sim.Storm.trials ~rng:(Prng.create 7) ~trials:500 ~daemon
           ~prepare:(fun r ->
             let s = Dijkstra_ring.all_zero dr in
             fault.Sim.Fault.inject r s;
             s)
           ~stop:(fun s -> Dijkstra_ring.invariant dr s)
-          cp
+          ~fault ~rate:0. cp
       in
-      Format.printf "  %-14s %a@." name Sim.Experiment.pp_result result)
+      Format.printf "  %-14s %a@." name Sim.Storm.pp_result result)
     [
       ("random", fun r -> Sim.Daemon.random r);
       ("round-robin", fun _ -> Sim.Daemon.round_robin ());

@@ -68,7 +68,7 @@ let build ~nodes ~pairs =
       | None -> None
     in
     let pair_arr = Array.of_list pairs in
-    let g = Dgraph.Digraph.create (Array.length node_arr) in
+    let edges = ref [] in
     Array.iteri
       (fun idx { constr; action } ->
         let aname = Action.name action in
@@ -117,9 +117,12 @@ let build ~nodes ~pairs =
             outside None
         in
         let src = match src with Some n -> n | None -> dst in
-        Dgraph.Digraph.add_edge g ~src:src.id ~dst:dst.id idx)
+        edges := (src.id, dst.id, idx) :: !edges)
       pair_arr;
-    Ok { nodes = node_arr; pairs = pair_arr; graph = g }
+    let graph =
+      Dgraph.Digraph.of_edges (Array.length node_arr) (List.rev !edges)
+    in
+    Ok { nodes = node_arr; pairs = pair_arr; graph }
   with Err e -> Error e
 
 let build_exn ~nodes ~pairs =

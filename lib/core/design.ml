@@ -4,9 +4,6 @@ module Action = Guarded.Action
 let convergence_action ~name c stmt =
   Action.make ~name ~guard:(Expr.not_ (Constr.pred c)) stmt
 
-let convergence_action_guarded ~name ~guard stmt =
-  Action.make ~name ~guard stmt
-
 let same_statement a b =
   let norm act =
     Action.assigns act

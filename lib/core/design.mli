@@ -11,15 +11,6 @@ val convergence_action :
   Guarded.Action.t
 (** [convergence_action ~name c stmt] is the action [¬c → stmt]. *)
 
-val convergence_action_guarded :
-  name:string ->
-  guard:Guarded.Expr.boolean ->
-  (Guarded.Var.t * Guarded.Expr.num) list ->
-  Guarded.Action.t
-(** A convergence action with an explicit guard (which must still imply
-    [¬c] under the design's hypotheses — the theorem validators check
-    that). *)
-
 val same_statement : Guarded.Action.t -> Guarded.Action.t -> bool
 (** Do two actions perform the same simultaneous assignment? *)
 

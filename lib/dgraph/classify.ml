@@ -52,4 +52,3 @@ let shape_to_string = function
   | Self_looping -> "self-looping"
   | Cyclic -> "cyclic"
 
-let pp_shape ppf s = Format.pp_print_string ppf (shape_to_string s)

@@ -26,5 +26,4 @@ val is_self_looping : 'a Digraph.t -> bool
 val is_weakly_connected : 'a Digraph.t -> bool
 (** Vacuously true for the empty graph. *)
 
-val pp_shape : Format.formatter -> shape -> unit
 val shape_to_string : shape -> string

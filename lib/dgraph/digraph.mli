@@ -5,63 +5,36 @@
     has one edge per convergence action, and self-loops are semantically
     significant (Section 6).
 
-    {b Storage.} Edges live in flat arrays indexed by edge id (the
-    [e]-th inserted edge has id [e]): destination and label, one word
-    each, plus either a source array or — for graphs built by {!of_csr}
-    or {!of_csr_bytes}, whose edges come grouped by source — nothing at
-    all, the sources being read off the per-node offsets of the
-    out-index. An int-labelled graph from {!of_arrays} costs 24 bytes
-    per edge; one from {!of_csr} costs 16 bytes per edge plus 8 per node
-    (the label array holds pointers for boxed labels); one from
-    {!of_csr_bytes}, whose int labels take one byte each, 9 bytes per
-    edge plus 8 per node. Graphs built by any of them hold exactly
-    [edge_count] slots; {!add_edge} grows the arrays by doubling, first
-    writing out the sources of a source-free graph and widening byte
-    labels to words.
+    {b Storage.} One immutable CSR form: per-node offsets and, per
+    edge, its destination and label, in CSR order — grouped by source
+    node in increasing order, insertion order within a source. An edge's
+    id is its position in that order, and its source is read off the
+    offsets. Labels take a word each, or one byte each for graphs built
+    by {!of_csr_bytes}: an int-labelled graph costs 16 bytes per edge
+    plus 8 per node, 9 per edge with byte labels. {!of_csr} and
+    {!of_csr_bytes} take their arrays over as they are; {!of_edges}
+    sorts a list into them (a stable counting sort by source). The
+    out-index is the storage itself; the in-index ({!pred},
+    {!in_edges}, {!in_degree}) is built on the first of those queries:
+    offsets plus two words per edge.
 
-    {b Index.} Adjacency queries go through a CSR index: per-node offsets
-    plus the edge ids in source order, from a stable counting sort. The
-    out-index is built on the first query that needs it ({!succ},
-    {!out_edges}, {!edges}, {!iter_succ}, {!out_degree}, {!has_self_loop},
-    {!fold_edges}, {!out_csr}, …); when edges were inserted grouped by
-    source (source ids non-decreasing — how every exploration backend
-    inserts them) it is just the [node_count + 1] offsets and shares the
-    destination array, and a source-free graph holds it from the start.
-    The in-index ({!pred}, {!in_edges}, {!in_degree}) is built
-    separately, only when one of those is called: offsets plus two words
-    per edge. {!add_edge} drops both indexes; the next query rebuilds
-    them.
-
-    {b Order.} "Insertion order" below is edge-id order. *)
+    {b Order.} "Insertion order" below is the order of the edges of one
+    source as given to the constructor; edge ids run in CSR order. *)
 
 type 'a t
 
 type 'a edge = { src : int; dst : int; label : 'a }
 
-val create : int -> 'a t
-(** [create n] is the edgeless graph on [n] nodes.
-    @raise Invalid_argument if [n < 0]. *)
-
 val of_edges : int -> (int * int * 'a) list -> 'a t
 (** [of_edges n edges] builds a graph on [n] nodes from [(src, dst, label)]
-    triples, inserted in list order. *)
-
-val of_arrays : int -> src:int array -> dst:int array -> label:'a array -> 'a t
-(** [of_arrays n ~src ~dst ~label] is the graph on [n] nodes whose edge
-    [e] is [src.(e) -> dst.(e)] labelled [label.(e)] — [of_edges] without
-    a list, for edge sets built in flat buffers. The graph takes the
-    three arrays over without copying them: the caller must not mutate
-    them afterwards.
-    @raise Invalid_argument if the lengths differ or an endpoint is out of
-    range. *)
+    triples; the triples of one source keep their list order.
+    @raise Invalid_argument if [n < 0] or an endpoint is out of range. *)
 
 val of_csr : int -> off:int array -> dst:int array -> label:'a array -> 'a t
 (** [of_csr n ~off ~dst ~label] is the graph on [n] nodes whose edge [e]
     leaves the node [v] with [off.(v) <= e < off.(v + 1)] for
-    [dst.(e)], labelled [label.(e)]: the grouped edge set of
-    {!of_arrays} without its source array, which {!edge} and the
-    in-index derive from [off] when asked. Takes the arrays over
-    without copying; [off] becomes the out-index.
+    [dst.(e)], labelled [label.(e)]. Takes the arrays over without
+    copying: the caller must not mutate them afterwards.
     @raise Invalid_argument unless [off] has [n + 1] non-decreasing
     entries from [0] to [Array.length dst], the lengths of [dst] and
     [label] agree, and every destination is in range. *)
@@ -74,36 +47,32 @@ val of_csr_bytes :
     [label] over without copying.
     @raise Invalid_argument like {!of_csr}. *)
 
-val add_edge : 'a t -> src:int -> dst:int -> 'a -> unit
-(** Appends an edge (the next id) and drops the indexes.
-    @raise Invalid_argument if an endpoint is out of range. *)
-
 val node_count : 'a t -> int
 val edge_count : 'a t -> int
 
 val bytes : 'a t -> int
-(** Bytes held by the edge arrays (capacity, not just [edge_count]) plus
-    whichever indexes are built; boxed labels' own blocks are not
-    counted. A graph fresh from {!of_arrays} with [int] labels costs
-    exactly [24 * edge_count]; one from {!of_csr}, whose out-index is
-    built in, [16 * edge_count + 8 * (node_count + 1)]; one from
-    {!of_csr_bytes}, [9 * edge_count + 8 * (node_count + 1)]. *)
+(** Bytes held by the offsets, edge arrays and, once built, the
+    in-index; boxed labels' own blocks are not counted. An [int]-labelled
+    graph from {!of_edges} or {!of_csr} costs exactly
+    [16 * edge_count + 8 * (node_count + 1)] before its in-index is
+    built; one from {!of_csr_bytes},
+    [9 * edge_count + 8 * (node_count + 1)]. *)
 
 (** {2 Adjacency}
 
-    Every accessor below builds the index it needs on first use. *)
+    The in-edge accessors build the in-index on first use. *)
 
 val succ : 'a t -> int -> int list
 (** Successor nodes, with multiplicity, in insertion order. *)
 
 val pred : 'a t -> int -> int list
-(** Predecessor nodes, with multiplicity, in insertion order. *)
+(** Predecessor nodes, with multiplicity, in edge-id order. *)
 
 val out_edges : 'a t -> int -> 'a edge list
 (** In insertion order. *)
 
 val in_edges : 'a t -> int -> 'a edge list
-(** In insertion order. *)
+(** In edge-id order. *)
 
 val edges : 'a t -> 'a edge list
 (** All edges grouped by source node in increasing order, insertion order
@@ -125,29 +94,28 @@ val fold_edges : ('acc -> 'a edge -> 'acc) -> 'acc -> 'a t -> 'acc
 (** {2 Raw CSR access}
 
     For graph algorithms that walk the index with array stacks instead
-    of lists. The arrays are the graph's own: do not mutate them, and do
-    not keep them across {!add_edge}. *)
+    of lists. The arrays are the graph's own: do not mutate them. *)
 
 type csr = private {
   off : int array;
       (** [node_count + 1] offsets: node [v]'s edges are at positions
           [off.(v) .. off.(v + 1) - 1], in insertion order. *)
   ends : int array;
-      (** [ends.(k)] is the destination of the edge at position [k]. May
-          be longer than [edge_count]. *)
+      (** [ends.(k)] is the destination of the edge at position [k]. *)
   ids : int array;  (** See {!csr_edge}. *)
 }
 
 val out_csr : 'a t -> csr
-(** The out-index. Positions [0 .. edge_count - 1] run in CSR order
-    (the order of {!edges}). *)
+(** The out-index: the graph's own storage. Positions
+    [0 .. edge_count - 1] run in CSR order (the order of {!edges}), and
+    a position is its edge's id. *)
 
 val csr_edge : csr -> int -> int
 (** The edge id at a position. *)
 
 val edge : 'a t -> int -> 'a edge
 (** The edge with the given id (a binary search over the offsets finds
-    the source of a source-free graph's edge).
+    its source).
     @raise Invalid_argument if the id is out of range. *)
 
 val edge_label : 'a t -> int -> 'a

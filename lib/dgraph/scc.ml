@@ -89,7 +89,7 @@ let is_trivial t g node =
 
 let condensation g t =
   let seen = Hashtbl.create 64 in
-  let dag = Digraph.create t.count in
+  let edges = ref [] in
   let { Digraph.off; ends; _ } = Digraph.out_csr g in
   for v = 0 to Digraph.node_count g - 1 do
     let cs = t.component.(v) in
@@ -97,8 +97,8 @@ let condensation g t =
       let cd = t.component.(ends.(k)) in
       if cs <> cd && not (Hashtbl.mem seen ((cs * t.count) + cd)) then begin
         Hashtbl.add seen ((cs * t.count) + cd) ();
-        Digraph.add_edge dag ~src:cs ~dst:cd ()
+        edges := (cs, cd, ()) :: !edges
       end
     done
   done;
-  dag
+  Digraph.of_edges t.count (List.rev !edges)

@@ -13,9 +13,8 @@
     start small (tiny regions stay cheap) and double up to a cap (large
     regions pay one block header per {!max_block} edges). {!to_graph}
     allocates the graph's exact-length arrays once and blits each block
-    in, giving a source-free graph ({!Dgraph.Digraph.of_csr_bytes} or
-    {!Dgraph.Digraph.of_csr}): 9 or 16 bytes per edge plus 8 per
-    node. *)
+    in ({!Dgraph.Digraph.of_csr_bytes} or {!Dgraph.Digraph.of_csr}): 9
+    or 16 bytes per edge plus 8 per node. *)
 
 type t
 
@@ -42,9 +41,9 @@ val iter : t -> (int -> int -> int -> unit) -> unit
 (** Visit the edges in push order as [f src dst label]. *)
 
 val to_graph : t -> int -> int Dgraph.Digraph.t
-(** [to_graph b n] is the source-free graph on nodes [0 .. n - 1]
-    holding the pushed edges, with edge ids in push order — the same
-    graph as {!Dgraph.Digraph.of_arrays} over plain arrays of them. Its
-    labels take one byte each when every label lies in [0 .. 255]. The
-    buffer is left as it was.
+(** [to_graph b n] is the graph on nodes [0 .. n - 1] holding the
+    pushed edges, with edge ids in push order — the same graph as
+    {!Dgraph.Digraph.of_edges} over the list of them. Its labels take
+    one byte each when every label lies in [0 .. 255]. The buffer is
+    left as it was.
     @raise Invalid_argument when an endpoint is outside [0 .. n - 1]. *)

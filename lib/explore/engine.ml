@@ -223,6 +223,18 @@ let make_visited t =
   if direct then Flatset.direct ~size:(Space.size t.space)
   else Flatset.probed ()
 
+(* The guard point of a stream with no resumable wavefront (the eager
+   relation's build, the whole-space sweep, [iter_reachable]): a trip
+   stops it unsnapshotted. *)
+let poll_stream t ~states ~bytes ~frontier =
+  match Rt.Guard.poll t.guard ~states ~bytes with
+  | None -> ()
+  | Some reason ->
+      let snapshot = None in
+      raise
+        (Interrupted
+           { reason; states_seen = states; frontier_size = frontier; snapshot })
+
 (* The eager relation of [cp], built at most once per program while it
    stays among the [csr_keep] most recently used. A relation serves every
    compiled program with the same action sources, physically equal and in
@@ -246,7 +258,11 @@ let tsys t cp =
       let kept = List.filteri (fun i _ -> i < csr_keep - 1) older in
       t.csr <- kept;
       let resident = List.fold_left (fun b ts -> b + Tsys.bytes ts) 0 kept in
-      let ts = Tsys.build ~guard:t.guard ~resident cp t.space in
+      let poll =
+        if not (Rt.Guard.active t.guard) then None
+        else Some (fun ~states ~bytes -> poll_stream t ~states ~bytes ~frontier:0)
+      in
+      let ts = Tsys.build ?poll ~resident cp t.space in
       t.csr <- ts :: kept;
       if Obs.Ctx.enabled t.obs then begin
         Obs.Metrics.incr (Obs.Ctx.counter t.obs "engine.csr_builds");
@@ -431,38 +447,6 @@ let restore_region t cp snap ~add ~node_keys ~nonmembers ~terminals ~edges =
     raise (Rt.Snapshot.Corrupt "inconsistent edge count");
   (explored, frontier)
 
-(* --- eager backend: answer from the materialized CSR relation --- *)
-
-let eager_region t cp ~from ~target =
-  let space = t.space in
-  let ts = tsys t cp in
-  let n = Space.size space in
-  let reach =
-    match from with
-    | All -> None (* every state is a root: reachability is the whole space *)
-    | Pred p -> Some (Tsys.reachable ts (Space.satisfying space p))
-    | Seeds l -> Some (Tsys.reachable ts (List.map (Space.encode space) l))
-  in
-  let member = Bitset.create n in
-  (match reach with
-  | None ->
-      Space.iter space (fun id s -> if not (target s) then Bitset.add member id)
-  | Some r ->
-      let buf = State.make (Space.env space) in
-      Bitset.iter r (fun id ->
-          Space.decode_into space id buf;
-          if not (target buf) then Bitset.add member id));
-  let graph, node_to_state, state_to_node =
-    Tsys.region_graph_full ts ~member:(Bitset.mem member)
-  in
-  {
-    graph;
-    node_key = node_to_state;
-    terminal = Array.map (Tsys.is_terminal ts) node_to_state;
-    explored = (match reach with None -> n | Some r -> Bitset.cardinal r);
-    node_of_key = state_to_node;
-  }
-
 (* --- shared by the frontier searches --- *)
 
 let check_budget t visited =
@@ -504,6 +488,21 @@ let seed_roots ?pool ?(target = fun _ -> false) t ~from ~mem add =
             | c -> add id (c = '\001')
           done
       | _ -> Space.iter space (fun id s -> if p s then add id (not (target s))))
+
+(* --- eager backend: the same walk over the materialized relation --- *)
+
+let eager_region t cp ~from ~target =
+  let ts = tsys t cp in
+  let buf = State.make (env t) in
+  let graph, node_key, explored, node_of_key =
+    Tsys.region ts
+      ~roots:(fun ~seen add -> seed_roots ~target t ~from ~mem:seen add)
+      ~member:(fun id ->
+        Space.decode_into t.space id buf;
+        not (target buf))
+  in
+  let terminal = Array.map (Tsys.is_terminal ts) node_key in
+  { graph; node_key; terminal; explored; node_of_key }
 
 let finish_region t ~visited_bytes ~frontier_bytes ~node_keys ~terminals
     ~edges ~explored ~node_of_key =
@@ -827,13 +826,7 @@ let dispatch_region t cp ~from ~target ~resume =
                "the eager backend cannot resume checkpoints (use the lazy \
                 or parallel backend)")
       | None -> ());
-      try eager_region t cp ~from ~target
-      with Rt.Cancel.Cancelled reason ->
-        (* the CSR build has no resumable wavefront; the partial relation
-           is discarded *)
-        raise
-          (Interrupted
-             { reason; states_seen = 0; frontier_size = 0; snapshot = None }))
+      eager_region t cp ~from ~target)
   | Lazy | Parallel -> frontier_region t cp ~from ~target ~resume
 
 (* Every backend funnels through here, so the reconciliation invariant
@@ -882,17 +875,6 @@ let region ?resume t cp ~from ~target =
   end
 
 let state_of_node t region v = decode_key t region.node_key.(v)
-
-(* The guard point of a stream with no resumable wavefront (the
-   whole-space sweep, [iter_reachable]): a trip stops it unsnapshotted. *)
-let poll_stream t ~states ~bytes ~frontier =
-  match Rt.Guard.poll t.guard ~states ~bytes with
-  | None -> ()
-  | Some reason ->
-      let snapshot = None in
-      raise
-        (Interrupted
-           { reason; states_seen = states; frontier_size = frontier; snapshot })
 
 let iter_states t f =
   (match t.backend with

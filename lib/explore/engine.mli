@@ -6,11 +6,13 @@
 
     - {b Eager} (the classical backend): enumerate the whole mixed-radix
       state space once, build the complete transition relation in CSR form
-      ({!Tsys}), and answer every query by array indexing. Fast per query,
-      but build time is O(states × actions) regardless of how small the
-      interesting region is, and a relation costs 8 bytes per state plus
-      5 per transition (12 past 256 actions). The space must fit under
-      the [max_states] cap (2M by default) and under {!Tsys.max_states}
+      ({!Tsys}), and answer every query by walking it ({!Tsys.region}):
+      the same FIFO walk as the frontier kernel, reading each state's
+      successors off its row instead of stepping the actions. Fast per
+      query, but build time is O(states × actions) regardless of how
+      small the interesting region is, and a relation costs 8 bytes per
+      state plus 5 per transition (12 past 256 actions). The space must
+      fit under the [max_states] cap (2M by default) and under {!Tsys.max_states}
       ([2^31 - 1], the int32 destination ids), which no budget lifts.
       The engine keeps the two most recently used relations: a compiled
       program whose action sources are physically those of a kept
@@ -40,9 +42,17 @@
       numbering, edge order, explored count, even the overflow point)
       and the visited-table bytes are the same at any job count.
 
-    All backends produce the same {!region} record, so every analysis
+    {b The region contract.} Every backend, eager included, returns the
+    same {!region} for the same query: the same [node_key] (members
+    numbered in FIFO discovery order — the roots in {!seed_roots} order,
+    then each popped state's successors in action order), the same
+    edges in the same CSR order, the same [terminal] and the same
+    [explored]. Eager differs only in its storage. So every analysis
     (deadlock, cycle, SCC escape, closure) is written once against this
-    interface. An equivalence test suite asserts identical verdicts. *)
+    interface and prints the same witnesses on every backend; the
+    kernel tests compare the regions field by field, and the fuzz
+    oracles compare them, their verdicts' witnesses and the
+    certificates' details exactly. *)
 
 type backend = Eager | Lazy | Parallel
 
@@ -248,7 +258,8 @@ exception Region_overflow of int
     engine was created with [~snapshots:true], [snapshot] holds a
     resumable checkpoint of the wavefront (lazy/parallel region and
     span searches only; the eager CSR build and streaming scans carry
-    [None]). *)
+    [None], and [states_seen] is then the ids or states they had polled
+    at). *)
 type interrupt = {
   reason : Rt.Cancel.reason;
   states_seen : int;
@@ -295,7 +306,8 @@ val region :
     bit-identical to the uninterrupted run — the root set is taken from
     the snapshot, so [from] is ignored.
     @raise Region_overflow when a lazy search exceeds the budget.
-    @raise Interrupted when the engine's guard trips.
+    @raise Interrupted when the engine's guard trips — on the eager
+    backend, while it builds the relation (polled every 8192 ids).
     @raise Rt.Snapshot.Corrupt when [resume] has the wrong kind or a
     mismatched config hash, or on the eager backend. *)
 
@@ -313,9 +325,9 @@ val seed_roots :
     [member] is [not (target s)] (default [target]: never), and [target]
     runs once per root added. A sweep on a [pool] of more than one
     worker classifies the ids there and then adds them in id order; its
-    ids are distinct, so it skips [mem]. Every frontier search seeds
-    through here: lazy and parallel {!region}s, {!Faultspan} and
-    {!iter_reachable}.
+    ids are distinct, so it skips [mem]. Every region search seeds
+    through here — lazy, parallel and eager {!region}s — and so do
+    {!Faultspan} and {!iter_reachable}.
     @raise Region_overflow when [from] is [All] or [Pred] and the space
     exceeds the budget. *)
 

@@ -5,31 +5,33 @@ type failure = Unreachable of Guarded.State.t | Not_converged of float
 let steps ?(epsilon = 1e-9) ?(max_iters = 1_000_000) tsys ~target =
   let space = Tsys.space tsys in
   let n = Tsys.state_count tsys in
-  let is_target = Bitset.create n in
-  Space.iter space (fun id s -> if target s then Bitset.add is_target id);
+  (* two flags per state, one byte each: [is_target], and [can_reach]
+     (the target is reachable) *)
+  let is_target = Bytes.make n '\000' in
+  Space.iter space (fun id s -> if target s then Bytes.set is_target id '\001');
   (* Backward reachability of the target via reverse edges. *)
   let preds = Array.make n [] in
   for id = 0 to n - 1 do
     Tsys.iter_succ tsys id (fun ~action:_ ~dst -> preds.(dst) <- id :: preds.(dst))
   done;
-  let can_reach = Bitset.create n in
+  let can_reach = Bytes.copy is_target in
   let queue = Queue.create () in
-  Bitset.iter is_target (fun id ->
-      Bitset.add can_reach id;
-      Queue.add id queue);
+  for id = 0 to n - 1 do
+    if Bytes.get is_target id = '\001' then Queue.add id queue
+  done;
   while not (Queue.is_empty queue) do
     let id = Queue.pop queue in
     List.iter
       (fun p ->
-        if not (Bitset.mem can_reach p) then begin
-          Bitset.add can_reach p;
+        if Bytes.get can_reach p = '\000' then begin
+          Bytes.set can_reach p '\001';
           Queue.add p queue
         end)
       preds.(id)
   done;
   let stuck = ref None in
   for id = 0 to n - 1 do
-    if !stuck = None && not (Bitset.mem can_reach id) then stuck := Some id
+    if !stuck = None && Bytes.get can_reach id = '\000' then stuck := Some id
   done;
   match !stuck with
   | Some id -> Error (Unreachable (Space.decode space id))
@@ -41,7 +43,7 @@ let steps ?(epsilon = 1e-9) ?(max_iters = 1_000_000) tsys ~target =
       while !delta > epsilon && !iters < max_iters do
         delta := 0.0;
         for id = 0 to n - 1 do
-          if not (Bitset.mem is_target id) then begin
+          if Bytes.get is_target id = '\000' then begin
             let sum = ref 0.0 and deg = ref 0 in
             Tsys.iter_succ tsys id (fun ~action:_ ~dst ->
                 sum := !sum +. value.(dst);

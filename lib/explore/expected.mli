@@ -9,7 +9,11 @@
 
     which value iteration solves to any accuracy. This gives an exact
     analytical counterpart to the simulation estimates — experiment E12
-    cross-validates the two. *)
+    cross-validates the two.
+
+    Over the relation's [n] states it keeps two one-byte flags per state
+    (target, and can reach the target), a predecessor list per state and
+    the value array. *)
 
 type failure =
   | Unreachable of Guarded.State.t

@@ -40,11 +40,6 @@ let iter t f =
     Codec.next_into t.codec buf
   done
 
-let satisfying t p =
-  let acc = ref [] in
-  iter t (fun id s -> if p s then acc := id :: !acc);
-  List.rev !acc
-
 let count_satisfying t p =
   let c = ref 0 in
   iter t (fun _ s -> if p s then incr c);

@@ -53,7 +53,5 @@ val iter : t -> (int -> Guarded.State.t -> unit) -> unit
     division per state), so callbacks must not write it — the next id
     is derived from what it holds — and must copy it to retain it. *)
 
-val satisfying : t -> (Guarded.State.t -> bool) -> int list
-(** Ids of all states satisfying the predicate. *)
-
 val count_satisfying : t -> (Guarded.State.t -> bool) -> int
+(** States satisfying the predicate, counted in one {!iter} sweep. *)

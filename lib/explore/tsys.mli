@@ -2,8 +2,8 @@
 
     The complete step relation of a program over an enumerated state space:
     for each state id and each enabled action, the id of the post-state.
-    Analyses that need graph algorithms materialize the (sub)graphs they
-    care about.
+    The eager backend answers region queries by walking it ({!region}),
+    in the frontier kernel's order.
 
     Storage is compressed-sparse-row: a word per state for the row
     offsets ([states + 1] of them), then per transition an int32
@@ -24,15 +24,19 @@ val require_fits : Codec.t -> unit
     allocated. *)
 
 val build :
-  ?guard:Rt.Guard.t -> ?resident:int -> Guarded.Compile.program -> Space.t -> t
+  ?poll:(states:int -> bytes:int -> unit) ->
+  ?resident:int ->
+  Guarded.Compile.program ->
+  Space.t ->
+  t
 (** Explore every state once; cost O(states × actions), with
     [apply_into] and {!Space.encode} (not the engines' delta stepper, so
-    the fuzz oracles compare two independent successor paths). [guard]
-    (default {!Rt.Guard.inert}) is polled during both CSR passes, with
-    the bytes this build holds plus [resident] (default [0]: the bytes
-    of relations the caller keeps alive beside it); a trip raises
-    {!Rt.Cancel.Cancelled} — the partial relation is not resumable, so
-    eager interruptions carry no snapshot.
+    the fuzz oracles compare two independent successor paths). [poll]
+    (default: none) is called every 8192 ids of both CSR passes with the
+    id reached and the bytes this build holds plus [resident] (default
+    [0]: the bytes of relations the caller keeps alive beside it); it
+    stops the build by raising — the partial relation is not resumable,
+    so eager interruptions carry no snapshot.
     @raise Codec.Overflow as {!require_fits}.
     @raise Guarded.State.Domain_violation if some action pushes an in-domain
     state out of its domains — a modeling error worth failing loudly on. *)
@@ -53,21 +57,22 @@ val succ : t -> int -> (int * int) list
 val out_degree : t -> int -> int
 val is_terminal : t -> int -> bool
 
-val reachable : t -> int list -> Bitset.t
-(** Forward closure of a set of state ids (a breadth-first search over a
-    {!Flatqueue}). *)
-
-val region_graph : t -> member:(int -> bool) -> int Dgraph.Digraph.t
-(** The subgraph induced on [{ id | member id }]: nodes are re-indexed
-    densely; use the returned mapping functions below. Edge labels are
-    action indices; the graph is source-free, its labels one byte each
-    when the program has at most 256 actions
-    ({!Dgraph.Digraph.of_csr_bytes}, else {!Dgraph.Digraph.of_csr}). *)
-
-val region_graph_full :
+val region :
   t ->
+  roots:(seen:(int -> bool) -> (int -> bool -> unit) -> unit) ->
   member:(int -> bool) ->
-  int Dgraph.Digraph.t * int array * (int -> int)
-(** [(graph, node_to_state, state_to_node)]: the induced subgraph together
-    with both direction mappings. [state_to_node] returns [-1] for
-    non-members. *)
+  int Dgraph.Digraph.t * int array * int * (int -> int)
+(** [region t ~roots ~member] is the frontier kernel's region over the
+    relation: [(graph, node_key, explored, node_of_key)] as in
+    {!Engine.region}. [roots ~seen add] adds each root once ([add id
+    is_member]; [seen id] tells whether [id] was added already). The
+    walk then pops the states FIFO in discovery order, expands each
+    row in action order, and calls [member] once on each state it
+    discovers. Members get node ids in discovery order, [node_key]
+    maps them back to state ids, and [node_of_key] returns [-1] off the
+    region. The graph is the CSR graph induced on the
+    members (rows in node order, each in action order; labels one byte
+    each when the program has at most 256 actions). [explored] counts
+    the states seen. The walk stops as soon as every state is seen, so
+    a sweep of all roots expands nothing. Memory: two int32 arrays over
+    the space (state → node and the queue) plus the graph. *)

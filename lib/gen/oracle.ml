@@ -19,20 +19,6 @@ type config = {
 let default =
   { cert_budget = 2; storm_trials = 20; storm_rate = 0.2; defect = None }
 
-let oracle_names =
-  [
-    "region-agree";
-    "verdict-agree";
-    "span-agree";
-    "span-monotone";
-    "cert-agree";
-    "reorder-stable";
-    "storm-consistent";
-    "adversary-sound";
-    "storage-agree";
-    "emit-roundtrip";
-  ]
-
 let backends = [ Engine.Eager; Engine.Lazy; Engine.Parallel ]
 
 let backend_name = function
@@ -46,12 +32,12 @@ let engine_budget = 1 lsl 21
 
 (* --- canonical signatures, comparable across backends --- *)
 
-(* A region, rewritten in terms of state keys so that it is independent of
-   the backend's node numbering. *)
+(* A region as every backend must return it: member keys in node order,
+   edges in CSR order, terminal members in node order. *)
 type region_sig = {
-  r_keys : int list;  (* sorted member keys *)
-  r_edges : (int * int * int) list;  (* sorted (src key, dst key, action) *)
-  r_terminals : int list;  (* sorted member keys with no enabled action *)
+  r_keys : int list;  (* member keys by node id *)
+  r_edges : (int * int * int) list;  (* (src key, dst key, action), CSR order *)
+  r_terminals : int list;  (* member keys with no enabled action *)
   r_explored : int;
 }
 
@@ -67,54 +53,42 @@ let region_sig ~bump (r : Engine.region) =
     (fun v t -> if t then terminals := key v :: !terminals)
     r.Engine.terminal;
   {
-    r_keys = List.sort compare (Array.to_list r.Engine.node_key);
-    r_edges = List.sort compare edges;
-    r_terminals = List.sort compare !terminals;
+    r_keys = Array.to_list r.Engine.node_key;
+    r_edges = List.rev edges;
+    r_terminals = List.rev !terminals;
     r_explored = r.Engine.explored + bump;
   }
 
 let diff_region a b =
-  if a.r_keys <> b.r_keys then Some "member state sets differ"
-  else if a.r_edges <> b.r_edges then Some "edge multisets differ"
-  else if a.r_terminals <> b.r_terminals then Some "terminal sets differ"
+  if a.r_keys <> b.r_keys then Some "member keys differ (in node order)"
+  else if a.r_edges <> b.r_edges then Some "edges differ (in CSR order)"
+  else if a.r_terminals <> b.r_terminals then Some "terminals differ"
   else if a.r_explored <> b.r_explored then
     Some
       (Printf.sprintf "explored counts differ (%d vs %d)" a.r_explored
          b.r_explored)
   else None
 
+(* Every backend returns the same region, so the witnesses too are the
+   same: the deadlock state, and the livelock cycle's states in order. *)
 type verdict_sig =
   | V_ok of int * int * int option
-  | V_deadlock of string  (* "" for a valid witness — see below *)
-  | V_livelock
+  | V_deadlock of string
+  | V_livelock of string list
 
-(* Deadlock and livelock witnesses depend on the backend's node numbering
-   (Convergence picks the first terminal node in node order), so backends
-   legitimately report different ones. region-agree already proves the
-   terminal sets coincide; here we only require each backend's witness to
-   be a genuine deadlock — terminal under the program and outside the
-   target — which makes valid witnesses compare equal. *)
-let verdict_sig env ~program ~target = function
+let verdict_sig env = function
   | Ok { Convergence.region_states; explored; worst_case_steps } ->
       V_ok (region_states, explored, worst_case_steps)
-  | Error (Convergence.Deadlock s) ->
-      let enabled =
-        Array.exists
-          (fun a -> Guarded.Action.enabled a s)
-          (Program.actions program)
-      in
-      if enabled || target s then
-        V_deadlock ("invalid witness " ^ State.to_string env s)
-      else V_deadlock ""
-  | Error (Convergence.Livelock _) -> V_livelock
+  | Error (Convergence.Deadlock s) -> V_deadlock (State.to_string env s)
+  | Error (Convergence.Livelock cycle) ->
+      V_livelock (List.map (State.to_string env) cycle)
 
 let verdict_str = function
   | V_ok (r, e, w) ->
       Printf.sprintf "converges (region=%d explored=%d worst=%s)" r e
         (match w with Some w -> string_of_int w | None -> "-")
-  | V_deadlock "" -> "deadlock (valid witness)"
   | V_deadlock s -> "deadlock: " ^ s
-  | V_livelock -> "livelock"
+  | V_livelock cycle -> "livelock: " ^ String.concat " -> " cycle
 
 type span_sig = {
   s_count : int;
@@ -138,7 +112,9 @@ let span_str s =
 
 let cert_sig cert =
   ( Certify.ok cert,
-    List.map (fun c -> (c.Certify.label, c.Certify.ok)) cert.Certify.checks )
+    List.map
+      (fun c -> (c.Certify.label, c.Certify.ok, c.Certify.detail))
+      cert.Certify.checks )
 
 (* --- the oracles --- *)
 
@@ -208,8 +184,7 @@ let o_verdict_agree ctx =
           against_eager ctx ~name:"verdict-agree"
             ~describe:(Printf.sprintf "roots=%s" rname) ~diff
             (fun e _b ->
-              verdict_sig ctx.m.Spec.env ~program:ctx.m.Spec.program
-                ~target:ctx.m.Spec.invariant
+              verdict_sig ctx.m.Spec.env
                 (Convergence.check_unfair e ctx.cp ~from
                    ~target:ctx.m.Spec.invariant)))
     None (root_sets ctx)
@@ -292,8 +267,14 @@ let o_cert_agree ctx =
   let diff (ok_a, checks_a) (ok_b, checks_b) =
     if ok_a <> ok_b then
       Some (Printf.sprintf "verdict %b vs %b" ok_b ok_a)
-    else if checks_a <> checks_b then Some "per-check outcomes differ"
-    else None
+    else if List.length checks_a <> List.length checks_b then
+      Some "check lists differ"
+    else
+      List.find_map
+        (fun (((label, _, _) as a), b) ->
+          if a = b then None
+          else Some (Printf.sprintf "check %S: outcome or detail differs" label))
+        (List.combine checks_a checks_b)
   in
   against_eager ctx ~name:"cert-agree" ~describe:"tolerance certificate" ~diff
     (fun e _b -> cert_sig (certificate ctx e ctx.m.Spec.program))
@@ -583,13 +564,12 @@ let o_emit_roundtrip ctx =
                 | Some why -> fail (where ("region: " ^ why))
                 | None -> (
                     let dv =
-                      verdict_sig ctx.m.Spec.env ~program:ctx.m.Spec.program
-                        ~target:ctx.m.Spec.invariant
+                      verdict_sig ctx.m.Spec.env
                         (Convergence.check_unfair e ctx.cp ~from
                            ~target:ctx.m.Spec.invariant)
                     in
                     let ev =
-                      verdict_sig em.env ~program:em.program ~target:einv
+                      verdict_sig em.env
                         (Convergence.check_unfair ee ecp ~from:efrom
                            ~target:einv)
                     in
@@ -658,10 +638,6 @@ let make_ctx cfg ~guard ~rng (m : Spec.model) =
     storm_seed;
     reorder_seed;
   }
-
-let run_all ?(config = default) ?(guard = Rt.Guard.inert) ~rng m =
-  let ctx = make_ctx config ~guard ~rng m in
-  List.filter_map (fun (_, o) -> o ctx) oracles
 
 let run ?(config = default) ?(guard = Rt.Guard.inert) ~rng m =
   let ctx = make_ctx config ~guard ~rng m in

@@ -5,22 +5,20 @@
     harness self-tests, the simulated {!config.defect}):
 
     - [region-agree]: all three {!Explore.Engine} backends produce the
-      same reachable region — state set, edge multiset (by state key and
-      action index), terminal set, and explored count — from both the
-      legitimate-seed and whole-space root sets;
+      same reachable region — member keys in node order, edges (by state
+      key and action index) in CSR order, terminals, and explored count
+      — from both the legitimate-seed and whole-space root sets;
     - [verdict-agree]: {!Explore.Convergence.check_unfair} returns the
-      same verdict on every backend — stats on success, failure kind on
-      failure. Witness states are exploration-order-dependent, so each
-      backend's deadlock witness is only required to be {e valid}
-      (terminal under the program and outside the target), not identical;
+      same verdict on every backend — stats on success, and on failure
+      the same deadlock state or the same livelock cycle;
     - [span-agree]: {!Explore.Faultspan} computes identical spans (count,
       roots, depth profile) on every backend, at budgets 0, the
       certification budget, and unbounded;
     - [span-monotone]: the span is monotone in the fault budget, and the
       budget-0 span equals the program-only closure of the roots;
     - [cert-agree]: {!Nonmask.Certify.tolerance} produces the same
-      certificate (overall verdict and per-check outcomes) on every
-      backend;
+      certificate (overall verdict, and each check's outcome and detail)
+      on every backend;
     - [reorder-stable]: the certificate verdict and the invariant's
       closure verdict are unchanged when the program's actions are
       re-ordered;
@@ -55,25 +53,21 @@ type config = {
 
 val default : config
 
-val oracle_names : string list
-(** The oracles in evaluation order. *)
-
-val run_all :
-  ?config:config -> ?guard:Rt.Guard.t -> rng:Prng.t -> Spec.model -> failure list
-(** Evaluate every oracle; collect each one's first violation. *)
-
 val run :
   ?config:config ->
   ?guard:Rt.Guard.t ->
   rng:Prng.t ->
   Spec.model ->
   failure option
-(** First violation in {!oracle_names} order, or [None]. This is the
+(** First violation, in the order of the list above followed by
+    [storage-agree] (the region query again on forced probed storage)
+    and [emit-roundtrip] (the model through the [.nm] surface form and
+    back), or [None]. This is the
     shrinker's predicate: it short-circuits, so minimization stays fast.
 
     [guard] (default {!Rt.Guard.inert}) is threaded into every engine
     the oracles build, so a watchdog deadline or cancellation request
     interrupts a pathological model's exploration mid-oracle —
-    {!Explore.Engine.Interrupted} (or [Rt.Cancel.Cancelled] from eager
-    builds) escapes to the caller; it is {e not} converted into an
-    oracle failure. *)
+    {!Explore.Engine.Interrupted} (or [Rt.Cancel.Cancelled] from the
+    other guarded loops) escapes to the caller; it is {e not} converted
+    into an oracle failure. *)

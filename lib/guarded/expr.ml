@@ -27,7 +27,6 @@ let int n = Const n
 let var v = Var v
 let tt = True
 let ff = False
-let bvar v = Cmp (Eq, Var v, Const 1)
 let ( + ) a b = Add (a, b)
 let ( - ) a b = Sub (a, b)
 let ( * ) a b = Mul (a, b)

@@ -46,8 +46,6 @@ val var : Var.t -> num
 
 val tt : boolean
 val ff : boolean
-val bvar : Var.t -> boolean
-(** A boolean variable as a predicate: [bvar v] holds when [v = 1]. *)
 
 val ( + ) : num -> num -> num
 val ( - ) : num -> num -> num

@@ -131,16 +131,6 @@ and iset buf = function
       nexp buf 0 e;
       Buffer.add_char buf ')'
 
-let print_nexp e =
-  let buf = Buffer.create 64 in
-  nexp buf 0 e;
-  Buffer.contents buf
-
-let print_bexp e =
-  let buf = Buffer.create 64 in
-  bexp buf 0 e;
-  Buffer.contents buf
-
 let domain buf = function
   | Dbool -> Buffer.add_string buf "bool"
   | Drange (lo, hi) ->

@@ -9,5 +9,3 @@
 val print : Ast.model -> string
 (** The whole model, canonically formatted, ending in a newline. *)
 
-val print_nexp : Ast.nexp -> string
-val print_bexp : Ast.bexp -> string

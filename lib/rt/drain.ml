@@ -3,8 +3,8 @@
    A drain is two latches. The soft latch ("stop taking new work,
    finish what you have") is what SIGTERM requests the first time; the
    hard latch ("also stop the work in flight, cooperatively") is the
-   escalation a second signal requests — it marks a caller-supplied
-   cancel token, so every job guard linked to that token trips at its
+   escalation a second signal requests — it is the drain's cancel
+   token, so every job guard linked to that token trips at its
    next polling point and the job degrades to the documented
    incomplete semantics instead of being killed mid-write.
 
@@ -15,22 +15,18 @@
 
 type t = {
   soft : bool Atomic.t;
-  hard : bool Atomic.t;
   cancel : Cancel.t;  (* marked on hard drain; link job guards to it *)
 }
 
-let create () =
-  { soft = Atomic.make false; hard = Atomic.make false; cancel = Cancel.create () }
+let create () = { soft = Atomic.make false; cancel = Cancel.create () }
 
 let request t = Atomic.set t.soft true
 let requested t = Atomic.get t.soft
 
 let request_hard t =
   Atomic.set t.soft true;
-  Atomic.set t.hard true;
   Cancel.request t.cancel (Cancel.Signal "drain")
 
-let hard_requested t = Atomic.get t.hard
 let cancel t = t.cancel
 
 let install_signals ?(signals = [ Sys.sigterm; Sys.sigint ]) t =

@@ -25,8 +25,6 @@ val request_hard : t -> unit
 (** Request a hard drain: implies soft, and marks {!cancel} with
     [Signal "drain"]. *)
 
-val hard_requested : t -> bool
-
 val cancel : t -> Cancel.t
 (** The token hard drain marks. Link per-job guards to it
     ([Rt.Guard.create ~link:(Drain.cancel d)]) so escalation reaches

@@ -1,10 +1,10 @@
 (** Fault-storm experiments: faults that keep occurring {e during} recovery.
 
-    {!Experiment.convergence_trials} injects one fault burst and measures the
-    fault-free recovery that follows — the nonmasking-tolerance regime where
-    faults occur finitely often. A storm instead flips a coin every step: with
-    probability [rate] the fault injects again, otherwise the daemon executes
-    a program step. This probes the recurring-fault regime that
+    A trial's [prepare] injects one fault burst; at [rate = 0.] the trial
+    measures the fault-free recovery that follows — the nonmasking-tolerance
+    regime where faults occur finitely often, and what [simulate] reports. A
+    storm at [rate > 0.] flips a coin every step: with probability [rate] the
+    fault injects again, otherwise the daemon executes a program step. This probes the recurring-fault regime that
     [Core.Certify.tolerance]'s recurrence check analyses exhaustively — a
     protocol whose combined program ∪ fault graph has a fault-sustained
     livelock shows up here as stabilization times that grow (and trials that
@@ -63,14 +63,14 @@ val trials :
   Guarded.Compile.program ->
   result
 (** Run [trials] independent storms (each trial gets its own [Prng.split] of
-    [rng], as in {!Experiment.convergence_trials}). A trial starts from
+    [rng], and builds its daemon from it after [prepare]). A trial starts from
     [prepare] and iterates until [stop] holds or [max_steps] (default
     [100_000]) iterations elapse. Each iteration is either a fault injection
     (probability [rate], while under [fault_budget] — default unlimited) or
     one daemon-chosen program step; every iteration counts toward the step
     budget, so a trial stuck in a program-terminal state waiting on the coin
     still terminates. [rate = 0.] degenerates to fault-free convergence
-    trials.
+    trials: no coin is drawn and [fault] never fires.
 
     [jobs] (default [1]) spreads the trials over that many worker domains;
     [pool] (default none) borrows a caller-owned shared {!Par.Pool} instead

@@ -11,6 +11,4 @@ let nodes t = List.init t.n (fun i -> i)
 let distance t a b = ((b - a) mod t.n + t.n) mod t.n
 
 let to_digraph t =
-  let g = Dgraph.Digraph.create t.n in
-  List.iter (fun j -> Dgraph.Digraph.add_edge g ~src:j ~dst:(succ t j) ()) (nodes t);
-  g
+  Dgraph.Digraph.of_edges t.n (List.map (fun j -> (j, succ t j, ())) (nodes t))

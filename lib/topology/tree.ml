@@ -71,11 +71,10 @@ let random rng n =
   of_parents (Array.init n (fun j -> if j = 0 then 0 else Prng.int rng j))
 
 let to_digraph t =
-  let g = Dgraph.Digraph.create (size t) in
-  Array.iteri
-    (fun j p -> if j <> t.root then Dgraph.Digraph.add_edge g ~src:p ~dst:j ())
-    t.parent;
-  g
+  Dgraph.Digraph.of_edges (size t)
+    (List.filter_map
+       (fun j -> if j <> t.root then Some (t.parent.(j), j, ()) else None)
+       (nodes t))
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>tree (%d nodes, root %d)@," (size t) t.root;

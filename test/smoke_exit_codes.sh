@@ -192,6 +192,15 @@ expect 4 check dijkstra --nodes 12 -k 13 --engine parallel --jobs 2 --max-states
 expect 5 check dijkstra --nodes 12 -k 13 --engine lazy --ball 2 --budget-states 1000
 expect 5 check dijkstra --nodes 12 -k 13 --engine parallel --jobs 2 --ball 2 --budget-states 1000
 expect 5 certify token-ring --nodes 4 -k 6 --faults corrupt:k=1 --budget-states 100
+# 5: the eager relation's build polls the same budget, and the stop
+# reports the ids it swept (polled every 8192: it trips at 8192)
+expect 5 check diffusing --size 9 --engine eager --budget-states 1000
+if grep -q '"states_seen":8192,' "$stderr_file"; then
+  echo "ok:   eager budget stop reports states_seen 8192"
+else
+  echo "FAIL: eager budget stop does not report states_seen 8192"
+  failed=1
+fi
 # 5: an already-expired deadline stops at the first polling point
 expect 5 check dijkstra --nodes 12 -k 13 --engine lazy --ball 2 --deadline 0
 # 5: storm and fuzz report a partial sample instead of pretending coverage

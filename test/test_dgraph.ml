@@ -28,10 +28,9 @@ let test_digraph_parallel_and_self () =
   Alcotest.(check int) "self loop dropped" 2 (Digraph.edge_count g')
 
 let test_digraph_out_of_range () =
-  let g = Digraph.create 2 in
-  Alcotest.(check bool) "add rejects" true
+  Alcotest.(check bool) "of_edges rejects" true
     (try
-       Digraph.add_edge g ~src:0 ~dst:5 ();
+       ignore (Digraph.of_edges 2 [ (0, 5, ()) ]);
        false
      with Invalid_argument _ -> true)
 
@@ -103,10 +102,7 @@ let test_scc_condensation () =
 
 let test_scc_big_path_no_stack_overflow () =
   let n = 100_000 in
-  let g = Digraph.create n in
-  for i = 0 to n - 2 do
-    Digraph.add_edge g ~src:i ~dst:(i + 1) ()
-  done;
+  let g = Digraph.of_edges n (List.init (n - 1) (fun i -> (i, i + 1, ()))) in
   let scc = Scc.compute g in
   Alcotest.(check int) "all singletons" n scc.Scc.count
 
@@ -208,7 +204,7 @@ let test_classify_cyclic () =
   Alcotest.(check bool) "shape" true (Classify.shape g = Classify.Cyclic)
 
 let test_classify_single_node () =
-  let g = Digraph.create 1 in
+  let g = Digraph.of_edges 1 [] in
   Alcotest.(check bool) "single node is out-tree" true (Classify.is_out_tree g)
 
 let test_classify_weak_connectivity () =

@@ -1,11 +1,10 @@
 (* Model-based properties of the flat CSR digraph: random multigraphs
    (self-loops and parallel edges included) are checked against a plain
    list of (src, dst, label) triples in insertion order — every accessor
-   and the order it returns, index rebuilds after add_edge, source-free
-   graphs built from offsets, Kahn's tie order, cycle search, longest
-   paths, ranks and SCCs. The model
-   functions below are the list-based definitions the graph must agree
-   with. *)
+   and the order it returns (edge ids are CSR positions), graphs built
+   from offsets, Kahn's tie order, cycle search, longest paths, ranks and
+   SCCs. The model functions below are the list-based definitions the
+   graph must agree with. *)
 
 module Digraph = Dgraph.Digraph
 module Scc = Dgraph.Scc
@@ -162,22 +161,15 @@ let arb_dag =
   in
   QCheck.make ~print:print_model gen
 
-(* The graph built three ways: by add_edge, by of_arrays, and (grouped
-   by source, the exploration backends' insertion pattern) sorted. *)
+(* The graph built two ways: from the list by of_edges, and from
+   per-node offsets by of_csr, the way the exploration backends hand
+   their regions over. *)
 let build m = Digraph.of_edges m.n m.es
 
-let build_arrays m =
-  let a = Array.of_list m.es in
-  Digraph.of_arrays m.n
-    ~src:(Array.map (fun (s, _, _) -> s) a)
-    ~dst:(Array.map (fun (_, d, _) -> d) a)
-    ~label:(Array.map (fun (_, _, l) -> l) a)
-
+(* The model in CSR order: edge ids are positions in it. *)
 let grouped m =
   { m with es = List.stable_sort (fun (a, _, _) (b, _, _) -> compare a b) m.es }
 
-(* A grouped model without its source array: per-node offsets, the way
-   the exploration backends hand their regions over. *)
 let csr_parts m =
   let a = Array.of_list (grouped m).es in
   let off = Array.make (m.n + 1) 0 in
@@ -209,6 +201,7 @@ let csr_edges g =
 (* Every accessor, in its documented order. [Failure] names the first
    disagreement. *)
 let agrees m g =
+  let m = grouped m in
   let fail what v = failwith (Printf.sprintf "%s disagrees at node %d" what v) in
   if Digraph.node_count g <> m.n then fail "node_count" 0;
   if Digraph.edge_count g <> List.length m.es then fail "edge_count" 0;
@@ -231,6 +224,8 @@ let agrees m g =
   let edges = List.map to_edge (m_edges m) in
   if Digraph.edges g <> edges then fail "edges" 0;
   if csr_edges g <> edges then fail "csr_edge" 0;
+  if List.init (Digraph.edge_count g) (Digraph.edge g) <> edges then
+    fail "edge by id" 0;
   if List.rev (Digraph.fold_edges (fun acc e -> e :: acc) [] g) <> edges then
     fail "fold_edges" 0;
   true
@@ -238,24 +233,7 @@ let agrees m g =
 let prop_accessors =
   QCheck.Test.make ~name:"digraph: every accessor agrees with the model"
     ~count:300 arb_model (fun m ->
-      agrees m (build m)
-      && agrees m (build_arrays m)
-      && agrees (grouped m) (build_arrays (grouped m)))
-
-(* Query between every insertion, so each add_edge lands on a built
-   index that it must invalidate. *)
-let prop_add_after_query =
-  QCheck.Test.make ~name:"digraph: add_edge after a query rebuilds the index"
-    ~count:200 arb_model (fun m ->
-      let g = Digraph.create m.n in
-      let rec go prefix = function
-        | [] -> true
-        | ((src, dst, l) as e) :: rest ->
-            ignore (agrees { m with es = List.rev prefix } g);
-            Digraph.add_edge g ~src ~dst l;
-            agrees { m with es = List.rev (e :: prefix) } g && go (e :: prefix) rest
-      in
-      go [] m.es)
+      agrees m (build m) && agrees m (build_csr m))
 
 let prop_derived =
   QCheck.Test.make ~name:"digraph: derived graphs insert in CSR order"
@@ -281,19 +259,18 @@ let prop_derived =
              csr)
 
 let prop_bytes =
-  QCheck.Test.make ~name:"digraph: of_arrays costs 24 B per int-labelled edge"
-    ~count:100 arb_model (fun m ->
-      Digraph.bytes (build_arrays m) = 24 * List.length m.es)
+  (* 16 bytes per int-labelled edge plus 8 per node *)
+  QCheck.Test.make ~name:"digraph: of_edges bytes are exact" ~count:100
+    arb_model (fun m ->
+      Digraph.bytes (build m) = (16 * List.length m.es) + (8 * (m.n + 1)))
 
-(* Source-free graphs against the of_arrays graph of the same grouped
-   edges: every edge by id (its source found in the offsets), every
-   accessor, the rendering, the exact footprint, and add_edge after
-   construction, which writes the sources out first. *)
+(* Graphs from offsets against the of_edges graph of the same edges:
+   every edge by id (its source found in the offsets), every accessor,
+   the rendering and the exact footprint. *)
 let prop_source_free =
-  QCheck.Test.make ~name:"digraph: source-free graphs agree with of_arrays"
+  QCheck.Test.make ~name:"digraph: of_csr agrees with of_edges"
     ~count:300 arb_model (fun m ->
-      let gm = grouped m in
-      let free = build_csr m and reference = build_arrays gm in
+      let free = build_csr m and reference = build m in
       let by_id g = List.init (Digraph.edge_count g) (Digraph.edge g) in
       let render g = Format.asprintf "%a" (Digraph.pp Format.pp_print_int) g in
       let rejects_bad_offsets () =
@@ -303,18 +280,12 @@ let prop_source_free =
         | _ -> false
         | exception Invalid_argument _ -> true
       in
-      let extra = List.map (fun (s, d, l) -> (d, s, l + 10)) gm.es in
       (* bytes first: the queries below build the in-index *)
       Digraph.bytes free = (16 * List.length m.es) + (8 * (m.n + 1))
       && by_id free = by_id reference
       && render free = render reference
-      && agrees gm free
-      && rejects_bad_offsets ()
-      && begin
-           List.iter (fun (src, dst, l) -> Digraph.add_edge free ~src ~dst l) extra;
-           by_id free = List.map to_edge (gm.es @ extra)
-           && agrees { gm with es = gm.es @ extra } free
-         end)
+      && agrees m free
+      && rejects_bad_offsets ())
 
 let prop_kahn_order =
   QCheck.Test.make ~name:"topo: Kahn tie order matches the model" ~count:300
@@ -322,8 +293,6 @@ let prop_kahn_order =
       let g = build m in
       Topo.topological_order g = m_topological_order m
       && Topo.is_acyclic g = (m_topological_order m <> None)
-      && Topo.topological_order (build_arrays (grouped m))
-         = m_topological_order (grouped m)
       && Topo.topological_order (build_csr m) = m_topological_order (grouped m))
 
 let valid_cycle m = function
@@ -378,11 +347,11 @@ let prop_scc_classes =
 
 (* --- one-byte labels ---------------------------------------------------
 
-   Models whose labels lie in 0 .. 255, or up to 1000. A source-free
-   graph stores them one byte each when they all fit (of_csr_bytes), as
-   the exploration backends do, and in words otherwise (of_csr); either
-   way every accessor returns the ints of the of_arrays graph over the
-   same grouped edges. add_edge widens byte labels to words first. *)
+   Models whose labels lie in 0 .. 255, or up to 1000. A graph from
+   offsets stores them one byte each when they all fit (of_csr_bytes),
+   as the exploration backends do, and in words otherwise (of_csr);
+   either way every accessor returns the ints of the of_edges graph over
+   the same edges. *)
 
 let arb_wide_labels =
   let gen =
@@ -395,7 +364,7 @@ let arb_wide_labels =
   QCheck.make ~print:print_model gen
 
 let prop_byte_labels =
-  QCheck.Test.make ~name:"digraph: one-byte labels agree with of_arrays"
+  QCheck.Test.make ~name:"digraph: byte labels match of_edges"
     ~count:300 arb_wide_labels (fun m ->
       let gm = grouped m in
       let off, dst, label = csr_parts m in
@@ -406,11 +375,10 @@ let prop_byte_labels =
             ~label:(Bytes.init (Array.length label) (fun e -> Char.chr label.(e)))
         else Digraph.of_csr m.n ~off ~dst ~label
       in
-      let g = build () and reference = build_arrays gm in
+      let g = build () and reference = Digraph.of_edges m.n m.es in
       let ids g = List.init (Digraph.edge_count g) Fun.id in
       let by_id g = List.map (Digraph.edge g) (ids g) in
       let render g = Format.asprintf "%a" (Digraph.pp Format.pp_print_int) g in
-      let extra = List.map (fun (s, d, l) -> (d, s, l + 200)) gm.es in
       let doubled = List.map (fun (s, d, l) -> (s, d, 2 * l)) (m_edges gm) in
       (* bytes first: the queries below build the in-index *)
       Digraph.bytes g
@@ -419,24 +387,16 @@ let prop_byte_labels =
          = List.map (Digraph.edge_label reference) (ids reference)
       && by_id g = by_id reference
       && render g = render reference
-      && agrees gm g
+      && agrees m g
       && List.init m.n (Digraph.in_edges g)
          = List.init m.n (Digraph.in_edges reference)
       && agrees { gm with es = doubled } (Digraph.map_labels (fun l -> 2 * l) g)
-      && Topo.longest_path_lengths g = Topo.longest_path_lengths reference
-      && begin
-           (* on a fresh copy, with labels past a byte after the first *)
-           let g = build () in
-           List.iter (fun (src, dst, l) -> Digraph.add_edge g ~src ~dst l) extra;
-           by_id g = List.map to_edge (gm.es @ extra)
-           && agrees { gm with es = gm.es @ extra } g
-         end)
+      && Topo.longest_path_lengths g = Topo.longest_path_lengths reference)
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_accessors;
-      prop_add_after_query;
       prop_derived;
       prop_bytes;
       prop_source_free;

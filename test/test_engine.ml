@@ -115,7 +115,8 @@ let test_ball_edge_cases () =
   Alcotest.(check int) "distinct states" (Space.size space) (List.length keys)
 
 let test_equiv_ball_rooted_region () =
-  (* the two backends must build the same ¬S region from a fault ball *)
+  (* the two backends must build the same ¬S region from a fault ball:
+     the same node numbering, terminals, edges in order and count *)
   let tr = Protocols.Token_ring.make ~nodes:4 ~k:4 in
   let env = Protocols.Token_ring.env tr in
   let seeds =
@@ -129,10 +130,12 @@ let test_equiv_ball_rooted_region () =
         ~from:(Engine.Seeds seeds)
         ~target:(fun s -> Protocols.Token_ring.invariant tr s)
     in
-    ( List.sort compare (Array.to_list region.Engine.node_key),
-      Array.fold_left (fun n t -> if t then n + 1 else n) 0
-        region.Engine.terminal,
-      Dgraph.Digraph.edge_count region.Engine.graph )
+    ( region.Engine.node_key,
+      region.Engine.terminal,
+      List.map
+        (fun (e : _ Dgraph.Digraph.edge) -> (e.src, e.dst, e.label))
+        (Dgraph.Digraph.edges region.Engine.graph),
+      region.Engine.explored )
   in
   Alcotest.(check bool) "identical ball-rooted regions" true
     (run Engine.Eager = run Engine.Lazy)
@@ -441,13 +444,15 @@ let prop_step_domain_violation =
 (* --- one frontier kernel: every backend and job count agree ---
 
    The lazy backend is the frontier kernel at one worker; the parallel
-   one runs it at any job count. Each case runs a region search on
-   every (backend, jobs, storage) combination and compares the result
-   field by field against lazy on probed storage. *)
+   one runs it at any job count, and the eager one walks its relation
+   the same way. Each case runs a region search on every (backend,
+   jobs, storage) combination and compares the result field by field
+   against lazy on probed storage (eager has no visited table, so it
+   runs once). *)
 
 let kernel_runs =
-  [ (Engine.Lazy, 1); (Engine.Parallel, 1); (Engine.Parallel, 2);
-    (Engine.Parallel, 3) ]
+  [ (Engine.Eager, 1); (Engine.Lazy, 1); (Engine.Parallel, 1);
+    (Engine.Parallel, 2); (Engine.Parallel, 3) ]
 
 let check_region_fields ~what (a : Engine.region) (b : Engine.region) =
   Alcotest.(check (array int)) (what ^ ": node_key") a.Engine.node_key
@@ -491,12 +496,14 @@ let check_kernel_agrees ~name env program ~target ~legit =
                 ~what:
                   (Printf.sprintf "%s/%s %s j%d %s" name root_name
                      (match backend with
+                     | Engine.Eager -> "eager"
                      | Engine.Lazy -> "lazy"
-                     | _ -> "parallel")
+                     | Engine.Parallel -> "parallel")
                      jobs sname)
                 base
                 (region backend jobs storage))
-            [ (Engine.Direct, "direct"); (Engine.Probed, "probed") ])
+            (if backend = Engine.Eager then [ (Engine.Auto, "csr") ]
+             else [ (Engine.Direct, "direct"); (Engine.Probed, "probed") ]))
         kernel_runs)
     roots
 
@@ -520,8 +527,9 @@ let test_kernel_agrees_generated () =
       ~target:m.Gen.Spec.invariant ~legit:m.Gen.Spec.legit
   done
 
-(* At one worker each successor is committed as it is stepped, so the
-   target predicate runs once per discovered state. *)
+(* At one worker each successor is committed as it is stepped, and the
+   eager walk tests each state as it discovers it, so the target
+   predicate runs once per discovered state. *)
 let test_kernel_target_once_per_state () =
   let em = Lang.Driver.compile_file (Test_lang.model_path "token_ring.nm") in
   let cp =
@@ -543,6 +551,8 @@ let test_kernel_target_once_per_state () =
       Alcotest.(check int) (what ^ ": target calls = explored")
         r.Engine.explored !calls)
     [
+      (Engine.Eager, Engine.Seeds [ em.Lang.Elab.init ], "eager init");
+      (Engine.Eager, Engine.All, "eager all");
       (Engine.Lazy, Engine.Seeds [ em.Lang.Elab.init ], "lazy init");
       (Engine.Parallel, Engine.Seeds [ em.Lang.Elab.init ], "parallel j1 init");
       ( Engine.Parallel,

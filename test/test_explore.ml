@@ -1,4 +1,4 @@
-(* Tests for the model checker: bitsets, state spaces, transition systems,
+(* Tests for the model checker: state spaces, transition systems,
    closure and convergence checking. *)
 
 module Domain = Guarded.Domain
@@ -8,47 +8,11 @@ module Expr = Guarded.Expr
 module Action = Guarded.Action
 module Program = Guarded.Program
 module Compile = Guarded.Compile
-module Bitset = Explore.Bitset
 module Space = Explore.Space
 module Tsys = Explore.Tsys
 module Engine = Explore.Engine
 module Closure = Explore.Closure
 module Convergence = Explore.Convergence
-
-(* --- Bitset --- *)
-
-let test_bitset_basics () =
-  let b = Bitset.create 100 in
-  Alcotest.(check int) "empty" 0 (Bitset.cardinal b);
-  Bitset.add b 0;
-  Bitset.add b 63;
-  Bitset.add b 99;
-  Bitset.add b 99;
-  Alcotest.(check int) "card" 3 (Bitset.cardinal b);
-  Alcotest.(check bool) "mem" true (Bitset.mem b 63);
-  Alcotest.(check bool) "not mem" false (Bitset.mem b 64);
-  Bitset.remove b 63;
-  Alcotest.(check bool) "removed" false (Bitset.mem b 63);
-  Alcotest.(check int) "card after remove" 2 (Bitset.cardinal b);
-  Alcotest.(check (list int)) "to_list ascending" [ 0; 99 ] (Bitset.to_list b)
-
-let test_bitset_bounds () =
-  let b = Bitset.create 8 in
-  Alcotest.(check bool) "oob" true
-    (try
-       ignore (Bitset.mem b 8);
-       false
-     with Invalid_argument _ -> true)
-
-let test_bitset_iteration () =
-  let b = Bitset.create 50 in
-  List.iter (Bitset.add b) [ 3; 17; 42 ];
-  let acc = ref [] in
-  Bitset.iter b (fun i -> acc := i :: !acc);
-  Alcotest.(check (list int)) "iter" [ 42; 17; 3 ] !acc;
-  Alcotest.(check bool) "for_all" true (Bitset.for_all_members b (fun i -> i >= 3));
-  Alcotest.(check bool) "for_all fails" false
-    (Bitset.for_all_members b (fun i -> i > 3))
 
 (* --- Space --- *)
 
@@ -101,8 +65,8 @@ let test_space_iter_and_count () =
   Alcotest.(check int) "visits all" 6 !n;
   let even = Space.count_satisfying space (fun s -> State.get s a = 2) in
   Alcotest.(check int) "a=2 count" 2 even;
-  let ids = Space.satisfying space (fun s -> State.get s b = 1) in
-  Alcotest.(check int) "b=1 count" 3 (List.length ids)
+  let ones = Space.count_satisfying space (fun s -> State.get s b = 1) in
+  Alcotest.(check int) "b=1 count" 3 ones
 
 (* --- A tiny up/down counter fixture ---
 
@@ -129,12 +93,24 @@ let test_tsys_build () =
     (Tsys.succ tsys 3);
   Alcotest.(check bool) "no terminal" false (Tsys.is_terminal tsys 2)
 
+(* The walk seeded at id 2 discovers 2, 3, 0, 1 in FIFO order. *)
 let test_tsys_reachable () =
   let env, _, p = counter () in
   let space = Space.create env in
   let tsys = Tsys.build (Compile.program p) space in
-  let reach = Tsys.reachable tsys [ 2 ] in
-  Alcotest.(check int) "all reachable from 2" 4 (Bitset.cardinal reach)
+  let members = ref [] in
+  let _, node_key, explored, _ =
+    Tsys.region tsys
+      ~roots:(fun ~seen:_ add -> add 2 true)
+      ~member:(fun id ->
+        members := id :: !members;
+        true)
+  in
+  Alcotest.(check int) "all reachable from 2" 4 explored;
+  Alcotest.(check (list int)) "member test once per discovered state"
+    [ 3; 0; 1 ] (List.rev !members);
+  Alcotest.(check (array int)) "nodes in discovery order" [| 2; 3; 0; 1 |]
+    node_key
 
 (* --- the lean relation: int32 destinations, byte or word labels --- *)
 
@@ -264,14 +240,23 @@ let test_tsys_region_graph () =
   let env, _, p = counter () in
   let space = Space.create env in
   let tsys = Tsys.build (Compile.program p) space in
-  (* region = states with x >= 2 -> nodes 2,3; edges 2->3 only (3->0 exits) *)
-  let g, node_to_state, state_to_node =
-    Tsys.region_graph_full tsys ~member:(fun id -> id >= 2)
+  (* region = states with x >= 2 -> nodes 2,3; edges 2->3 only (3->0 exits);
+     seeded at 3, so 3 is node 0 and 2 (reached via 0 and 1) node 1 *)
+  let g, node_to_state, explored, state_to_node =
+    Tsys.region tsys
+      ~roots:(fun ~seen:_ add -> add 3 true)
+      ~member:(fun id -> id >= 2)
   in
   Alcotest.(check int) "two nodes" 2 (Dgraph.Digraph.node_count g);
+  Alcotest.(check int) "every state seen" 4 explored;
   Alcotest.(check int) "one internal edge" 1 (Dgraph.Digraph.edge_count g);
-  Alcotest.(check int) "mapping" 2 node_to_state.(0);
-  Alcotest.(check int) "inverse" 0 (state_to_node 2);
+  Alcotest.(check (list (triple int int int))) "edge 2 -> 3 by up"
+    [ (1, 0, 0) ]
+    (List.map
+       (fun (e : _ Dgraph.Digraph.edge) -> (e.src, e.dst, e.label))
+       (Dgraph.Digraph.edges g));
+  Alcotest.(check int) "mapping" 3 node_to_state.(0);
+  Alcotest.(check int) "inverse" 1 (state_to_node 2);
   Alcotest.(check int) "nonmember" (-1) (state_to_node 0)
 
 (* --- Closure --- *)
@@ -560,9 +545,6 @@ let test_convergence_fair_deadlock_definitive () =
 
 let suite =
   [
-    Alcotest.test_case "bitset basics" `Quick test_bitset_basics;
-    Alcotest.test_case "bitset bounds" `Quick test_bitset_bounds;
-    Alcotest.test_case "bitset iteration" `Quick test_bitset_iteration;
     Alcotest.test_case "space size and roundtrip" `Quick
       test_space_size_and_roundtrip;
     Alcotest.test_case "space rejects corrupt" `Quick

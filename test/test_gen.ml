@@ -63,14 +63,14 @@ let test_oracles_hold () =
   Alcotest.(check int) "no counterexamples" 0
     (List.length report.Gen.Fuzz.counterexamples)
 
-(* Regression: backends pick exploration-order-dependent deadlock
-   witnesses (first terminal node in node order). Seed 20260729 generates
-   a model with two deadlock states where eager and lazy report different
-   witnesses — verdict-agree must accept both as valid rather than
-   compare them for identity. *)
+(* Regression: the witness is the first terminal node in node order.
+   Seed 20260729 generates a model with two deadlock states, where eager
+   once numbered its region by state id and reported a different witness
+   from lazy. Every backend now numbers a region the same way, and
+   verdict-agree compares the witnesses for identity. *)
 let test_deadlock_witness_regression () =
   let report = Gen.Fuzz.run ~seed:20260729 ~count:1 () in
-  Alcotest.(check int) "distinct valid witnesses are not a failure" 0
+  Alcotest.(check int) "every backend reports the same witness" 0
     (List.length report.Gen.Fuzz.counterexamples)
 
 (* The fuzz report is identical at any job count. *)
@@ -162,7 +162,7 @@ let suite =
     Alcotest.test_case "generation deterministic per seed" `Quick
       test_generator_deterministic;
     Alcotest.test_case "oracles hold on pinned seeds" `Slow test_oracles_hold;
-    Alcotest.test_case "deadlock witness may differ across backends" `Quick
+    Alcotest.test_case "deadlock witness agrees across backends" `Quick
       test_deadlock_witness_regression;
     Alcotest.test_case "report identical across job counts" `Quick
       test_jobs_deterministic;

@@ -514,6 +514,29 @@ let test_eager_interrupt_no_snapshot () =
       Alcotest.(check bool) "eager interrupts carry no snapshot" true
         (it.Engine.snapshot = None)
 
+(* The eager build polls every 8192 ids, so a 1000-state budget on a
+   10,000-state space trips at id 8192, and the interrupt reports it. *)
+let test_eager_budget_progress () =
+  let tr = Token_ring.make ~nodes:4 ~k:10 in
+  let env = Token_ring.env tr in
+  let engine =
+    Engine.create ~backend:Engine.Eager
+      ~guard:(Rt.Guard.create ~budget:(Rt.Budget.make ~max_states:1000 ()) ())
+      env
+  in
+  match
+    Engine.region engine
+      (Compile.program (Token_ring.combined tr))
+      ~from:Engine.All
+      ~target:(fun s -> Token_ring.invariant tr s)
+  with
+  | _ -> Alcotest.fail "a 1000-state budget must stop the eager build"
+  | exception Engine.Interrupted it ->
+      Alcotest.(check bool) "reason is the state budget" true
+        (it.Engine.reason = Rt.Cancel.Max_states);
+      Alcotest.(check int) "states seen: the id polled" 8192
+        it.Engine.states_seen
+
 (* --- span checkpoint/resume --- *)
 
 let span_fp span =
@@ -940,6 +963,8 @@ let suite =
       test_span_resume_header_messages;
     Alcotest.test_case "interrupt metadata and first-poll resume" `Quick
       test_interrupt_metadata;
+    Alcotest.test_case "eager budget stop reports the ids swept" `Quick
+      test_eager_budget_progress;
     Alcotest.test_case "eager interrupt carries no snapshot" `Quick
       test_eager_interrupt_no_snapshot;
     Alcotest.test_case "span resume bit-identical" `Slow

@@ -1,5 +1,5 @@
 (* Tests for the simulation engine: daemons, faults, traces, runner,
-   statistics, and the experiment harness. *)
+   statistics, and fault-free convergence trials (storms at rate 0). *)
 
 module Domain = Guarded.Domain
 module Env = Guarded.Env
@@ -13,7 +13,7 @@ module Fault = Sim.Fault
 module Runner = Sim.Runner
 module Trace = Sim.Trace
 module Stats = Sim.Stats
-module Experiment = Sim.Experiment
+module Storm = Sim.Storm
 
 (* countdown fixture: "down" decrements x to zero. *)
 let countdown () =
@@ -332,52 +332,65 @@ let test_percentile_vs_nearest_rank () =
       quantiles
   done
 
-(* --- Experiment --- *)
+(* --- convergence trials: one prepared fault, then a storm at rate 0 --- *)
+
+let convergence_trials ?max_steps env ~rng ~trials ~daemon ~prepare ~stop cp =
+  Storm.trials ?max_steps ~rng ~trials ~daemon ~prepare ~stop
+    ~fault:(Fault.scramble env) ~rate:0. cp
 
 let test_experiment_trials () =
   let env, x, cp = countdown () in
   let rng = Prng.create 21 in
   let result =
-    Experiment.convergence_trials ~rng ~trials:20
+    convergence_trials env ~rng ~trials:20
       ~daemon:(fun r -> Daemon.random r)
       ~prepare:(fun r ->
         State.of_list env [ (x, 1 + Prng.int r 9) ])
       ~stop:(fun s -> State.get s x = 0)
       cp
   in
-  Alcotest.(check int) "all converged" 0 result.Experiment.failures;
-  Alcotest.(check int) "20 samples" 20 (Array.length result.Experiment.steps);
-  match result.Experiment.summary with
+  Alcotest.(check int) "all converged" 0 result.Storm.failures;
+  Alcotest.(check int) "20 samples" 20 (Array.length result.Storm.steps);
+  Alcotest.(check int) "no fault fires at rate 0" 0
+    (Array.fold_left ( + ) 0 result.Storm.fault_counts);
+  match result.Storm.summary with
   | None -> Alcotest.fail "summary expected"
   | Some s ->
       Alcotest.(check bool) "mean within bounds" true
         (1.0 <= s.Stats.mean && s.Stats.mean <= 9.0)
 
+(* The steps and summary line are pinned: a storm at rate 0 makes the
+   same per-trial splits and draws as a loop of single recoveries. *)
 let test_experiment_reproducible () =
   let env, x, cp = countdown () in
   let run seed =
-    let result =
-      Experiment.convergence_trials ~rng:(Prng.create seed) ~trials:10
-        ~daemon:(fun r -> Daemon.random r)
-        ~prepare:(fun r -> State.of_list env [ (x, 1 + Prng.int r 9) ])
-        ~stop:(fun s -> State.get s x = 0)
-        cp
-    in
-    result.Experiment.steps
+    convergence_trials env ~rng:(Prng.create seed) ~trials:10
+      ~daemon:(fun r -> Daemon.random r)
+      ~prepare:(fun r -> State.of_list env [ (x, 1 + Prng.int r 9) ])
+      ~stop:(fun s -> State.get s x = 0)
+      cp
   in
-  Alcotest.(check (array int)) "same seed same steps" (run 4) (run 4)
+  Alcotest.(check (array int)) "same seed same steps" (run 4).Storm.steps
+    (run 4).Storm.steps;
+  Alcotest.(check (array int)) "pinned steps"
+    [| 3; 7; 8; 2; 1; 8; 4; 1; 2; 8 |]
+    (run 4).Storm.steps;
+  Alcotest.(check string) "pinned summary"
+    "n=10 mean=4.40 sd=3.03 min=1 med=3.5 p90=8.0 max=8"
+    (Format.asprintf "%a" Stats.pp_summary
+       (Option.get (run 4).Storm.summary))
 
 let test_experiment_failures_counted () =
   let env, x, cp = countdown () in
   let result =
-    Experiment.convergence_trials ~max_steps:2 ~rng:(Prng.create 5) ~trials:10
+    convergence_trials ~max_steps:2 env ~rng:(Prng.create 5) ~trials:10
       ~daemon:(fun _ -> Daemon.first_enabled)
       ~prepare:(fun _ -> State.of_list env [ (x, 10) ])
       ~stop:(fun s -> State.get s x = 0)
       cp
   in
-  Alcotest.(check int) "all failed" 10 result.Experiment.failures;
-  Alcotest.(check bool) "no summary" true (result.Experiment.summary = None)
+  Alcotest.(check int) "all failed" 10 result.Storm.failures;
+  Alcotest.(check bool) "no summary" true (result.Storm.summary = None)
 
 let suite =
   [

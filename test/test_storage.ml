@@ -633,12 +633,15 @@ let prop_edgebuf_boundaries =
             Edgebuf.push b src.(e) dst.(e) label.(e)
           done;
           let g = Edgebuf.to_graph b n in
-          let reference = Dgraph.Digraph.of_arrays n ~src ~dst ~label in
+          let reference =
+            Dgraph.Digraph.of_edges n
+              (List.init m (fun e -> (src.(e), dst.(e), label.(e))))
+          in
           let visited = ref [] in
           Edgebuf.iter b (fun s d l -> visited := (s, d, l) :: !visited);
-          (* bytes first: walking the graph below builds its indexes. The
-             graph is source-free: dst words plus n + 1 offsets, and one
-             byte per label while every label fits in one, else a word. *)
+          (* bytes first: walking the graph below builds its in-index:
+             dst words plus n + 1 offsets, and one byte per label while
+             every label fits in one, else a word. *)
           let bytes_per_label =
             if Array.for_all (fun l -> l >= 0 && l <= 255) label then 1 else 8
           in
