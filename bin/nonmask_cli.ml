@@ -358,10 +358,11 @@ let jobs_arg =
     & opt jobs_conv (Par.Pool.default_jobs ())
     & info [ "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains for the $(b,parallel) engine and for parallel \
-           storm trials (default: the machine's recommended domain count). \
-           Verdicts, spans, and statistics are bit-identical at any job \
-           count.")
+          "Worker domains for the $(b,parallel) engine (its searches and \
+           the theorem, stair, variant and refinement checks) and for \
+           parallel storm trials (default: the machine's recommended domain \
+           count). Verdicts, spans, and statistics are bit-identical at any \
+           job count.")
 
 (* --max-states takes serve's max_states range rule. *)
 let max_states_conv =

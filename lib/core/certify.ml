@@ -123,33 +123,26 @@ let unresumable_phase f =
   with Explore.Engine.Interrupted i ->
     raise (Explore.Engine.Interrupted { i with snapshot = None })
 
+let programs env ~program ~faults ~envs =
+  let part suffix actions =
+    Guarded.Compile.program
+      (Guarded.Program.make
+         ~name:(Guarded.Program.name program ^ suffix)
+         env actions)
+  in
+  ( Guarded.Compile.program program,
+    part ":faults" faults,
+    match envs with [] -> None | _ -> Some (part ":envs" envs) )
+
 let tolerance ~engine ~program ~faults ?(envs = []) ~invariant ?from ?budget
     ?resume ?span ?(require_recurrence_resilience = false) ~name () =
   Explore.Engine.sharing_pool engine @@ fun () ->
   let env = Explore.Engine.env engine in
   let obs = Explore.Engine.obs engine in
-  let guard = Explore.Engine.guard engine in
-  let guard_on = Rt.Guard.active guard in
   let from =
     match from with Some f -> f | None -> Explore.Engine.Pred invariant
   in
-  let cp = Guarded.Compile.program program in
-  let fp =
-    Guarded.Compile.program
-      (Guarded.Program.make
-         ~name:(Guarded.Program.name program ^ ":faults")
-         env faults)
-  in
-  let ep =
-    match envs with
-    | [] -> None
-    | _ ->
-        Some
-          (Guarded.Compile.program
-             (Guarded.Program.make
-                ~name:(Guarded.Program.name program ^ ":envs")
-                env envs))
-  in
+  let cp, fp, ep = programs env ~program ~faults ~envs in
   let span =
     match span with
     | Some s -> s  (* caller-supplied, for the same configuration *)
@@ -159,79 +152,6 @@ let tolerance ~engine ~program ~faults ?(envs = []) ~invariant ?from ?budget
           ~faults:fp ~from ()
   in
   let span_states = Explore.Faultspan.states span in
-  let n = Explore.Faultspan.count span in
-  (* A span scan's guard poll before index [i]; a trip reports the whole
-     span as seen. *)
-  let poll_scan i =
-    if guard_on then
-      match Rt.Guard.poll guard ~states:i ~bytes:0 with
-      | None -> ()
-      | Some reason ->
-          raise
-            (Explore.Engine.Interrupted
-               { reason; states_seen = n; frontier_size = 0; snapshot = None })
-  in
-  (* Stream the span by index in {!Explore.Faultspan.iter} order —
-     decode-on-demand into a stepper instead of materializing |T| boxed
-     states — for the first state satisfying [pre] with an [acts] step
-     whose post-state fails [inside] (given its key and the stepped
-     buffer), in state order × action order. The scan runs in slices of
-     2048 states per worker with a guard poll before each; a slice's
-     chunks reduce in index order, so every job count reports the same
-     first violation. *)
-  let first_violation ~acts ~pre ~inside ~outside =
-    let pp = Guarded.State.pp env in
-    let slice_violation st lo hi =
-      let buf = Explore.Engine.stepper_state st in
-      let violation = ref None in
-      (try
-         for i = lo to hi - 1 do
-           Explore.Engine.load st (Explore.Faultspan.nth_key span i);
-           if pre buf then
-             Array.iter
-               (fun (ca : Guarded.Compile.action) ->
-                 if ca.enabled buf then begin
-                   let key = Explore.Engine.step st ca in
-                   if inside key buf then Explore.Engine.undo st
-                   else begin
-                     let post = Guarded.State.copy buf in
-                     Explore.Engine.undo st;
-                     violation :=
-                       Some
-                         (Format.asprintf "%a  --[%s]-->  %a  (outside %s)" pp
-                            buf
-                            (Guarded.Action.name ca.Guarded.Compile.source)
-                            pp post outside);
-                     raise Exit
-                   end
-                 end)
-               acts
-         done
-       with Exit -> ());
-      !violation
-    in
-    Explore.Engine.with_workers engine @@ fun pool ->
-    let steppers =
-      Array.init (Par.Pool.jobs pool) (fun _ -> Explore.Engine.stepper engine)
-    in
-    let slice = 2048 * Par.Pool.jobs pool in
-    let rec scan lo =
-      if lo >= n then None
-      else begin
-        poll_scan lo;
-        match
-          Par.Pool.map_reduce pool ~n:(min slice (n - lo))
-            ~map:(fun ~worker a b ->
-              slice_violation steppers.(worker) (lo + a) (lo + b))
-            (fun acc v -> match acc with Some _ -> acc | None -> v)
-            None
-        with
-        | Some _ as v -> v
-        | None -> scan (lo + slice)
-      end
-    in
-    scan 0
-  in
   let span_check =
     let hist = Explore.Faultspan.depth_histogram span in
     check_info
@@ -252,54 +172,88 @@ let tolerance ~engine ~program ~faults ?(envs = []) ~invariant ?from ?budget
                     (fun d c -> Printf.sprintf "%d:%d" d c)
                     hist))))
   in
-  let closure_check =
+  let include_faults = budget = None in
+  let closure_acts =
+    Array.concat
+      (List.map
+         (fun (p : Guarded.Compile.program) -> p.actions)
+         ((cp :: Option.to_list ep) @ if include_faults then [ fp ] else []))
+  in
+  (* The first [acts] step from the loaded state whose post-state fails
+     [inside] (given its key and the stepped buffer), rendered. *)
+  let pp = Guarded.State.pp env in
+  let violation st acts ~inside ~outside =
+    let buf = Explore.Engine.stepper_state st in
+    Array.find_map
+      (fun (ca : Guarded.Compile.action) ->
+        if not (ca.enabled buf) then None
+        else
+          let key = Explore.Engine.step st ca in
+          let post =
+            if inside key buf then None else Some (Guarded.State.copy buf)
+          in
+          Explore.Engine.undo st;
+          Option.map
+            (fun post ->
+              Format.asprintf "%a  --[%s]-->  %a  (outside %s)" pp buf
+                (Guarded.Action.name ca.source) pp post outside)
+            post)
+      acts
+  in
+  (* One sweep of the span in its iteration order discharges closure of
+     T under [closure_acts] and, with an environment, closure of S under
+     its actions: the environment can fire at any time — inside S
+     included — so an environment step that breaks legitimacy makes
+     stabilization unachievable (the perturbation recurs forever,
+     unbudgeted). Each keeps its first violation in span order × action
+     order; [found] holds what the slices before found. *)
+  let found = ref (None, None) in
+  let in_t key _ = Explore.Faultspan.mem_key span key
+  and in_s _ post = invariant post in
+  let visit () st _ (t, s) =
+    let t0, s0 = !found in
+    ( (if t0 <> None || t <> None then t
+       else violation st closure_acts ~outside:"T" ~inside:in_t),
+      match ep with
+      | Some e
+        when s0 = None && s = None
+             && invariant (Explore.Engine.stepper_state st) ->
+          violation st e.Guarded.Compile.actions ~outside:"S" ~inside:in_s
+      | _ -> s )
+  in
+  let first a b = if a = None then b else a in
+  let closure_fail, env_fail =
     unresumable_phase @@ fun () ->
     Obs.Ctx.time obs "certify.closure" @@ fun () ->
-    let include_faults = budget = None in
-    let label =
-      Printf.sprintf "closure: every program%s%s action maps T into T"
-        (if ep = None then "" else ", environment")
-        (if include_faults then
-           if ep = None then " and fault" else ", and fault"
-         else "")
-    in
-    let acts =
-      let base =
-        match ep with
-        | None -> cp.Guarded.Compile.actions
-        | Some e ->
-            Array.append cp.Guarded.Compile.actions e.Guarded.Compile.actions
-      in
-      if include_faults then Array.append base fp.Guarded.Compile.actions
-      else base
-    in
-    match
-      first_violation ~acts ~pre:(fun _ -> true) ~outside:"T"
-        ~inside:(fun key _ -> Explore.Faultspan.mem_key span key)
-    with
+    Explore.Engine.sweep engine
+      (Explore.Engine.Keys
+         (Explore.Faultspan.count span, Explore.Faultspan.nth_key span))
+      ~scratch:ignore ~visit ~empty:(None, None)
+      ~fold:(fun (t0, s0) (t, s) ->
+        found := (first t0 t, first s0 s);
+        !found)
+      ~stop:(fun (t, s) -> t <> None && (ep = None || s <> None))
+      (None, None)
+  in
+  let verdict label = function
     | None -> check_pass label
     | Some d -> check_fail label ~detail:d
   in
-  (* The environment can fire at any time — inside S included — so S must
-     be closed under every environment action: an environment step that
-     breaks legitimacy makes stabilization unachievable (the perturbation
-     recurs forever, unbudgeted). Scanned over the span's S-states. *)
+  let closure_check =
+    verdict
+      (Printf.sprintf "closure: every program%s%s action maps T into T"
+         (if ep = None then "" else ", environment")
+         (if include_faults then
+            if ep = None then " and fault" else ", and fault"
+          else ""))
+      closure_fail
+  in
   let env_closure_check =
-    match ep with
-    | None -> None
-    | Some ecp ->
-        Some
-          ( unresumable_phase @@ fun () ->
-            Obs.Ctx.time obs "certify.env_closure" @@ fun () ->
-            let label =
-              "environment closure: every environment action maps S into S"
-            in
-            match
-              first_violation ~acts:ecp.Guarded.Compile.actions ~pre:invariant
-                ~outside:"S" ~inside:(fun _ post -> invariant post)
-            with
-            | None -> check_pass label
-            | Some d -> check_fail label ~detail:d )
+    Option.map
+      (fun _ ->
+        verdict "environment closure: every environment action maps S into S"
+          env_fail)
+      ep
   in
   (* Recovery happens while the environment keeps stepping: convergence
      (and the recurrence analysis below) runs over program ∪ environment,

@@ -50,6 +50,19 @@ val check_info : string -> detail:string -> check
     recurring-fault livelock cycle of a {!tolerance} certificate, which
     does not invalidate nonmasking tolerance but must be shown. *)
 
+val programs :
+  Guarded.Env.t ->
+  program:Guarded.Program.t ->
+  faults:Guarded.Action.t list ->
+  envs:Guarded.Action.t list ->
+  Guarded.Compile.program
+  * Guarded.Compile.program
+  * Guarded.Compile.program option
+(** The compiled program, fault actions (["<program>:faults"]) and
+    environment actions (["<program>:envs"], [None] when none) that
+    {!tolerance} runs on; a budget sweep's fault-span search uses the
+    same three. *)
+
 val tolerance :
   engine:Explore.Engine.t ->
   program:Guarded.Program.t ->
@@ -104,10 +117,12 @@ val tolerance :
     match; a mismatched span yields a certificate about the wrong [T].
 
     The certification pipeline polls the engine's guard throughout: the
-    span search at its chunk/wave boundaries, the closure scan every few
-    thousand states, the convergence and recurrence phases through their
-    internal region searches. A trip raises {!Explore.Engine.Interrupted};
-    only an interruption {e during the span search} carries a resumable
+    span search at its chunk/wave boundaries, the closure sweep of the
+    span (one {!Explore.Engine.sweep}, which also discharges environment
+    closure) before every slice, the convergence and recurrence phases
+    through their internal region searches. A trip raises
+    {!Explore.Engine.Interrupted}; only an interruption {e during the
+    span search} carries a resumable
     snapshot ([resume] feeds it back to {!Explore.Faultspan.compute}) —
     the later phases re-derive from the span, so their interrupts carry
     [None] and a resumed run repeats them.

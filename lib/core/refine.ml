@@ -23,6 +23,11 @@ type t = {
 
 let ok t = match t.result with Ok () -> true | Error _ -> false
 
+(* steps counted and the first failure, over a run of states *)
+type tally = { stutter : int; simulated : int; failure : failure option }
+
+let no_steps = { stutter = 0; simulated = 0; failure = None }
+
 let check ?(within = fun _ -> true) ~abstract_env ~engine ~abstract_program
     ~concrete_program ~projection ~abstract_invariant ~concrete_invariant () =
   let abs_env = abstract_env in
@@ -51,77 +56,84 @@ let check ?(within = fun _ -> true) ~abstract_env ~engine ~abstract_program
       (Guarded.Program.actions abstract_program)
   in
   let conc_cp = Compile.program concrete_program in
-  let stutter = ref 0 and simulated = ref 0 in
-  let failure = ref None in
-  let conc_post = State.make (Engine.env engine) in
-  (* 1 + 2: simulation and invariant agreement over every concrete state *)
-  (try
-     Engine.iter_states engine (fun cs ->
-       if within cs then begin
-         let abs_pre = project cs in
-         if concrete_invariant cs <> abstract_invariant abs_pre then begin
-           failure := Some (Invariant_mismatch (State.copy cs));
-           raise Exit
-         end;
-         Array.iter
-           (fun (ca : Compile.action) ->
-             if ca.enabled cs then begin
-               ca.apply_into cs conc_post;
-               let abs_post = project conc_post in
-               if State.equal abs_pre abs_post then incr stutter
-               else begin
-                 let simulated_by_abstract =
-                   Array.exists
-                     (fun (aa : Compile.action) ->
-                       aa.enabled abs_pre
-                       && State.equal (aa.apply abs_pre) abs_post)
-                     abs_actions
-                 in
-                 if simulated_by_abstract then incr simulated
-                 else begin
-                   failure :=
-                     Some
-                       (Unsimulated_step
-                          {
-                            action = Guarded.Action.name ca.source;
-                            pre = State.copy cs;
-                            post = State.copy conc_post;
-                          });
-                   raise Exit
-                 end
-               end
-             end)
-           conc_cp.Compile.actions
-       end)
-   with Exit -> ());
+  (* 1 + 2: simulation and invariant agreement over every concrete
+     state. A chunk counts up to its first failure, and the fold adds
+     chunks in id order up to the first that fails: what one id-order
+     loop stopping at the first failure counts. *)
+  let step cs abs_pre conc_post (t : tally) (ca : Compile.action) =
+    if Option.is_some t.failure || not (ca.enabled cs) then t
+    else begin
+      ca.apply_into cs conc_post;
+      let abs_post = project conc_post in
+      if State.equal abs_pre abs_post then { t with stutter = t.stutter + 1 }
+      else if
+        Array.exists
+          (fun (aa : Compile.action) ->
+            aa.enabled abs_pre && State.equal (aa.apply abs_pre) abs_post)
+          abs_actions
+      then { t with simulated = t.simulated + 1 }
+      else
+        let action = Guarded.Action.name ca.source in
+        let pre = State.copy cs and post = State.copy conc_post in
+        { t with failure = Some (Unsimulated_step { action; pre; post }) }
+    end
+  in
+  let visit conc_post st _ (t : tally) =
+    let cs = Engine.stepper_state st in
+    if Option.is_some t.failure || not (within cs) then t
+    else
+      let abs_pre = project cs in
+      if concrete_invariant cs <> abstract_invariant abs_pre then
+        { t with failure = Some (Invariant_mismatch (State.copy cs)) }
+      else
+        Array.fold_left (step cs abs_pre conc_post) t conc_cp.Compile.actions
+  in
+  let tally =
+    Engine.sweep engine Engine.Whole_space
+      ~scratch:(fun () -> State.make (Engine.env engine))
+      ~visit ~empty:no_steps
+      ~fold:(fun acc c ->
+        if Option.is_some acc.failure then acc
+        else
+          {
+            stutter = acc.stutter + c.stutter;
+            simulated = acc.simulated + c.simulated;
+            failure = c.failure;
+          })
+      ~stop:(fun t -> Option.is_some t.failure)
+      no_steps
+  in
   (* 3: no stutter cycles outside the concrete invariant. The region of
      states where [within ∧ ¬invariant] holds, restricted to stutter edges
      (projected pre = projected post), must be acyclic. *)
-  (if !failure = None then
-     let region =
-       Engine.region engine conc_cp ~from:Engine.All
-         ~target:(fun s -> (not (within s)) || concrete_invariant s)
-     in
-     let abs_of = Array.map (fun key -> project (Engine.decode_key engine key))
-         region.Engine.node_key
-     in
-     let stutters (e : _ Dgraph.Digraph.edge) =
-       State.equal abs_of.(e.src) abs_of.(e.dst)
-     in
-     let g = Dgraph.Digraph.filter_edges stutters region.Engine.graph in
-     match Dgraph.Topo.find_cycle g with
-     | Some cycle ->
-         failure :=
-           Some
-             (Stutter_divergence
-                (List.map (fun v -> Engine.state_of_node engine region v) cycle))
-     | None -> ());
+  let stutter_cycle () =
+    let region =
+      Engine.region engine conc_cp ~from:Engine.All
+        ~target:(fun s -> (not (within s)) || concrete_invariant s)
+    in
+    let abs_of =
+      Array.map
+        (fun key -> project (Engine.decode_key engine key))
+        region.Engine.node_key
+    in
+    let stutters (e : _ Dgraph.Digraph.edge) =
+      State.equal abs_of.(e.src) abs_of.(e.dst)
+    in
+    let g = Dgraph.Digraph.filter_edges stutters region.Engine.graph in
+    match Dgraph.Topo.find_cycle g with
+    | Some cycle ->
+        Error
+          (Stutter_divergence
+             (List.map (Engine.state_of_node engine region) cycle))
+    | None -> Ok ()
+  in
   {
     abstract_name = Guarded.Program.name abstract_program;
     concrete_name = Guarded.Program.name concrete_program;
-    stutter_steps = !stutter;
-    simulated_steps = !simulated;
-    result = (match !failure with None -> Ok () | Some f -> Error f);
+    stutter_steps = tally.stutter;
+    simulated_steps = tally.simulated;
+    result =
+      (match tally.failure with Some f -> Error f | None -> stutter_cycle ());
   }
 
 let pp ppf t =

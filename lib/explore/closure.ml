@@ -40,24 +40,34 @@ let witness_at ob s post =
           Some (Violation { pre = State.copy s; action = action.source; post })
       end
 
-let scan engine obligations =
+(* A chunk lists each open obligation's first witness in it; the fold
+   keeps the earliest chunk's. *)
+let scan ?(over = Engine.Whole_space) engine obligations =
   let found = Array.map (fun _ -> None) obligations in
-  let remaining = ref (Array.length obligations) in
-  let post = State.make (Engine.env engine) in
-  (try
-     if !remaining > 0 then
-       Engine.iter_states engine (fun s ->
-           Array.iteri
-             (fun i ob ->
-               if Option.is_none found.(i) then
-                 match witness_at ob s post with
-                 | None -> ()
-                 | w ->
-                     found.(i) <- w;
-                     decr remaining)
-             obligations;
-           if !remaining = 0 then raise Exit)
-   with Exit -> ());
+  let k = Array.length obligations in
+  let rec visit post s i chunk =
+    if i = k then chunk
+    else if
+      Option.is_some found.(i) || (chunk != [] && List.mem_assoc i chunk)
+    then visit post s (i + 1) chunk
+    else
+      match witness_at obligations.(i) s post with
+      | None -> visit post s (i + 1) chunk
+      | Some w -> visit post s (i + 1) ((i, w) :: chunk)
+  in
+  let fold n (i, w) =
+    if Option.is_some found.(i) then n
+    else begin
+      found.(i) <- Some w;
+      n - 1
+    end
+  in
+  if k > 0 then
+    ignore
+      (Engine.sweep engine over
+         ~scratch:(fun () -> State.make (Engine.env engine))
+         ~visit:(fun post st _ -> visit post (Engine.stepper_state st) 0)
+         ~empty:[] ~fold:(List.fold_left fold) ~stop:(( = ) 0) k);
   found
 
 let preserves ~pred (action : Compile.action) =

@@ -32,14 +32,18 @@ type obligation =
 (** A failing state ({!Implies}) or step ({!Step}). *)
 type witness = Counterexample of Guarded.State.t | Violation of violation
 
-val scan : Engine.t -> obligation array -> witness option array
-(** One ascending sweep ({!Engine.iter_states}) that decodes each state
-    once and tests the obligations still open, in index order. Entry [i]
-    is [None] when obligation [i] holds, else its {e first} witness in id
-    order — the one a sweep of that obligation alone finds. The sweep
-    stops once every obligation has one; an empty array sweeps nothing.
-    @raise Engine.Region_overflow when the space exceeds a lazy engine's
-    budget. @raise Engine.Interrupted when the engine's guard trips. *)
+val scan :
+  ?over:Engine.domain -> Engine.t -> obligation array -> witness option array
+(** One {!Engine.sweep} of [over] (default: the whole space in id order)
+    that tests, at each state, the obligations still open, in index
+    order. Entry [i] is [None] when obligation [i] holds, else its
+    {e first} witness in domain order — the one a sweep of that
+    obligation alone finds — at every job count. The sweep stops after
+    the slice in which every obligation has one; an empty array sweeps
+    nothing. The obligations' predicates run on the engine's workers.
+    @raise Engine.Region_overflow when the whole space exceeds a lazy
+    engine's budget. @raise Engine.Interrupted when the engine's guard
+    trips. *)
 
 val preserves :
   pred:(Guarded.State.t -> bool) -> Guarded.Compile.action -> obligation

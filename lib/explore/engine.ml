@@ -224,8 +224,8 @@ let make_visited t =
   else Flatset.probed ()
 
 (* The guard point of a stream with no resumable wavefront (the eager
-   relation's build, the whole-space sweep, [iter_reachable]): a trip
-   stops it unsnapshotted. *)
+   relation's build, [sweep], [iter_reachable]): a trip stops it
+   unsnapshotted. *)
 let poll_stream t ~states ~bytes ~frontier =
   match Rt.Guard.poll t.guard ~states ~bytes with
   | None -> ()
@@ -876,56 +876,92 @@ let region ?resume t cp ~from ~target =
 
 let state_of_node t region v = decode_key t region.node_key.(v)
 
-let iter_states t f =
-  (match t.backend with
-  | Eager -> ()
-  | Lazy | Parallel -> check_budget t (Space.size t.space));
+(* --- the sweep ---
+
+   A slice's chunks fold in chunk order after the join, so the caller
+   sees the same chunk results at every job count. Each worker makes
+   its stepper and scratch on first use, in its own domain; a chunk of
+   the whole space decodes its first id and steps the odometer on. *)
+
+type domain = Whole_space | Keys of int * (int -> int)
+
+let sweep t over ~scratch ~visit ~empty ~fold ~stop init =
+  let n =
+    match over with
+    | Keys (n, _) -> n
+    | Whole_space ->
+        if t.backend <> Eager then check_budget t (Space.size t.space);
+        Space.size t.space
+  in
   let guard_on = Rt.Guard.active t.guard in
-  Space.iter t.space (fun id s ->
-      if guard_on && id land 1023 = 0 then
-        poll_stream t ~states:id ~bytes:0 ~frontier:0;
-      f s)
+  with_workers t @@ fun pool ->
+  let own = Array.make (Par.Pool.jobs pool) None in
+  let chunk ~worker lo hi =
+    if Option.is_none own.(worker) then
+      own.(worker) <- Some (stepper t, scratch ());
+    let st, w = Option.get own.(worker) in
+    let acc = ref empty in
+    for i = lo to hi - 1 do
+      (match over with
+      | Keys (_, key) -> load st (key i)
+      | Whole_space when i = lo -> load st i
+      | Whole_space ->
+          Codec.next_into t.codec st.buf;
+          st.key <- i);
+      acc := visit w st i !acc
+    done;
+    !acc
+  in
+  let slice = 1024 * Par.Pool.jobs pool in
+  let rec go lo acc =
+    if lo >= n || stop acc then acc
+    else begin
+      if guard_on then poll_stream t ~states:lo ~bytes:0 ~frontier:0;
+      go (lo + slice)
+        (Par.Pool.map_reduce pool ~n:(min slice (n - lo))
+           ~map:(fun ~worker a b -> chunk ~worker (lo + a) (lo + b))
+           fold acc)
+    end
+  in
+  go 0 init
 
 let iter_reachable t cp ~from f =
-  match from with
-  | All -> iter_states t f
-  | Pred _ | Seeds _ ->
-      let actions = cp.Compile.actions in
-      let visited = make_visited t in
-      let queue = Flatqueue.create () in
-      let explored = ref 0 in
-      let visit key =
-        if not (Flatset.mem visited key) then begin
-          incr explored;
-          check_budget t !explored;
-          Flatset.add visited key 0;
-          Flatqueue.push queue key
-        end
-      in
-      seed_roots t ~from ~mem:(Flatset.mem visited) (fun key _ -> visit key);
-      let st = stepper t in
-      let buf = stepper_state st in
-      let guard_on = Rt.Guard.active t.guard in
-      let pops = ref 0 in
-      while not (Flatqueue.is_empty queue) do
-        if guard_on && !pops land 1023 = 0 then
-          poll_stream t ~states:!explored
-            ~bytes:(Flatset.bytes visited + Flatqueue.bytes queue)
-            ~frontier:(Flatqueue.length queue);
-        let key = Flatqueue.pop queue in
-        incr pops;
-        load st key;
-        f buf;
-        Array.iter
-          (fun (ca : Compile.action) ->
-            if ca.enabled buf then begin
-              visit (step st ca);
-              undo st
-            end)
-          actions
-      done;
-      t.last_visited_bytes <- Flatset.bytes visited;
-      t.last_frontier_bytes <- Flatqueue.peak_bytes queue
+  let actions = cp.Compile.actions in
+  let visited = make_visited t in
+  let queue = Flatqueue.create () in
+  let explored = ref 0 in
+  let visit key =
+    if not (Flatset.mem visited key) then begin
+      incr explored;
+      check_budget t !explored;
+      Flatset.add visited key 0;
+      Flatqueue.push queue key
+    end
+  in
+  seed_roots t ~from ~mem:(Flatset.mem visited) (fun key _ -> visit key);
+  let st = stepper t in
+  let buf = stepper_state st in
+  let guard_on = Rt.Guard.active t.guard in
+  let pops = ref 0 in
+  while not (Flatqueue.is_empty queue) do
+    if guard_on && !pops land 1023 = 0 then
+      poll_stream t ~states:!explored
+        ~bytes:(Flatset.bytes visited + Flatqueue.bytes queue)
+        ~frontier:(Flatqueue.length queue);
+    let key = Flatqueue.pop queue in
+    incr pops;
+    load st key;
+    f buf;
+    Array.iter
+      (fun (ca : Compile.action) ->
+        if ca.enabled buf then begin
+          visit (step st ca);
+          undo st
+        end)
+      actions
+  done;
+  t.last_visited_bytes <- Flatset.bytes visited;
+  t.last_frontier_bytes <- Flatqueue.peak_bytes queue
 
 let ball env ~center ~radius =
   let vars = Env.vars env in

@@ -152,8 +152,7 @@ val with_workers : t -> (Par.Pool.t -> 'a) -> 'a
     its work over: the parallel backend's pool (its own, the one
     {!sharing_pool} lent it, or a fresh one of [jobs t] workers), else a
     one-worker pool, which starts no domain and runs every chunk inline.
-    The fault-span search, the certificate's closure scan and the
-    adversary's expansion share this one rule. *)
+    The fault-span search and every {!sweep} share this one rule. *)
 
 val obs : t -> Obs.Ctx.t
 (** The engine's observability context. Analyses layered on the engine
@@ -215,9 +214,11 @@ val decode_key_into : t -> int -> Guarded.State.t -> unit
     [slots] and [rhs]): [key + Σ (new - old) · place_i], with the place
     values of {!Codec.places}. Every keyed
     successor loop (the lazy and parallel searches, {!Faultspan}, the
-    certification scans) runs on it; the eager {!Tsys} build and the
-    simulators keep [apply_into], so the fuzz oracles compare the two
-    paths. *)
+    tolerance certificate's span checks, the adversary) runs on it; the
+    eager {!Tsys} build, the obligation scan ({!Closure.scan}),
+    refinement and the simulators keep [apply_into], so the fuzz
+    oracles compare the two paths. {!sweep} hands each visit a stepper
+    loaded with its state. *)
 
 type stepper
 (** A state buffer plus the scratch one pending step needs. Not
@@ -334,13 +335,37 @@ val seed_roots :
 val state_of_node : t -> region -> int -> Guarded.State.t
 (** Decode a region node's state (fresh copy). *)
 
-val iter_states : t -> (Guarded.State.t -> unit) -> unit
-(** Visit every in-domain state in id order ({!Space.iter}: a shared
-    buffer — copy it to retain it, never write it), polling the guard
-    every 1024 states. @raise Region_overflow when the space exceeds a
-    lazy engine's budget — use a reachability query instead.
+(** What a {!sweep} visits: [Whole_space], every in-domain state in id
+    order; or [Keys (n, key)], the states [key 0 .. key (n - 1)] in that
+    order (a fault span's [Faultspan.nth_key], say). *)
+type domain = Whole_space | Keys of int * (int -> int)
+
+val sweep :
+  t ->
+  domain ->
+  scratch:(unit -> 'w) ->
+  visit:('w -> stepper -> int -> 'c -> 'c) ->
+  empty:'c ->
+  fold:('a -> 'c -> 'a) ->
+  stop:('a -> bool) ->
+  'a ->
+  'a
+(** The one pass that checks or records something at every state of a
+    domain: {!Closure.scan}, refinement, the tolerance certificate's span
+    checks and the adversary run on it. [sweep t over ~scratch ~visit
+    ~empty ~fold ~stop init] runs on {!with_workers} in slices of 1024
+    indices per worker, polling the guard before each slice. A chunk of
+    a slice starts from [empty] and calls [visit w st i acc] at each
+    index [i] in order, [st] being the worker's stepper {!load}ed with
+    the state and [w] its [scratch]. Visits run on several domains at
+    once: each must {!undo} its {!step}s and write only its own index's
+    entries. After the join the chunk results fold in chunk order, the
+    same sequence at every job count; the sweep ends with the domain, or
+    when [stop] holds before a slice.
+    @raise Region_overflow on [Whole_space] when the space exceeds a
+    lazy or parallel engine's budget — use a reachability query instead.
     @raise Interrupted on a trip, with no snapshot and [states_seen] the
-    ids swept. *)
+    index the slice would have started at. *)
 
 val iter_reachable :
   t ->

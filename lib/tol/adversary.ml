@@ -16,9 +16,9 @@
    actions, never touching [Engine.region] — which is what lets it
    validate the certificate's claim rather than restate it.
 
-   On the parallel backend, successor expansion (the state-decoding,
-   action-applying bulk) is chunk-parallel over the span via
-   [Par.Pool], and successors are indexed through the span's own
+   Successor expansion (the state-decoding, action-stepping bulk) is
+   one [Engine.sweep] over the span, on the engine's workers and
+   polling its guard; successors are indexed through the span's own
    visited table ([Faultspan.index_key]), which the workers only read.
    Wave ranking reads only ranks assigned in strictly earlier waves, so
    it parallelizes over the frontier waves the same way. Results are
@@ -61,7 +61,6 @@ let pp_verdict env ppf = function
       Format.fprintf ppf "unbounded: a step escapes T at %a" (State.pp env) s
 
 let worst_case engine ~program ?envs ~span ~invariant () =
-  let env = Engine.env engine in
   let n = Faultspan.count span in
   let acts =
     let p = (program : Compile.program).Compile.actions in
@@ -74,97 +73,65 @@ let worst_case engine ~program ?envs ~span ~invariant () =
   let escaped = Bytes.make n '\000' in
   (* per non-S state: deduped span indices of its non-S successors *)
   let succs = Array.make n [||] in
-  let expand st scratch lo hi =
+  (* [scratch] holds the state's distinct successor indices so far; a
+     chunk counts its states outside S *)
+  let expand scratch st i outside =
     let buf = Engine.stepper_state st in
-    for i = lo to hi - 1 do
-      Engine.load st (Faultspan.nth_key span i);
-      if invariant buf then Bytes.unsafe_set in_s i '\001'
-      else begin
-        let cnt = ref 0 in
-        Array.iter
-          (fun (ca : Compile.action) ->
-            if ca.Compile.enabled buf then begin
-              Bytes.unsafe_set has_succ i '\001';
-              let key = Engine.step st ca in
-              let outside_s = not (invariant buf) in
-              Engine.undo st;
-              if outside_s then begin
-                (* span index, iter order: the span's own table *)
-                let j = Faultspan.index_key span key in
-                if j < 0 then Bytes.unsafe_set escaped i '\001'
-                else begin
-                  let dup = ref false in
-                  for k = 0 to !cnt - 1 do
-                    if scratch.(k) = j then dup := true
-                  done;
-                  if not !dup then begin
-                    scratch.(!cnt) <- j;
-                    incr cnt
-                  end
+    if invariant buf then begin
+      Bytes.unsafe_set in_s i '\001';
+      outside
+    end
+    else begin
+      let cnt = ref 0 in
+      Array.iter
+        (fun (ca : Compile.action) ->
+          if ca.Compile.enabled buf then begin
+            Bytes.unsafe_set has_succ i '\001';
+            let key = Engine.step st ca in
+            let outside_s = not (invariant buf) in
+            Engine.undo st;
+            if outside_s then begin
+              (* span index, iter order: the span's own table *)
+              let j = Faultspan.index_key span key in
+              if j < 0 then Bytes.unsafe_set escaped i '\001'
+              else begin
+                let rec dup k = k < !cnt && (scratch.(k) = j || dup (k + 1)) in
+                if not (dup 0) then begin
+                  scratch.(!cnt) <- j;
+                  incr cnt
                 end
               end
-            end)
-          acts;
-        succs.(i) <- Array.sub scratch 0 !cnt
-      end
-    done
+            end
+          end)
+        acts;
+      succs.(i) <- Array.sub scratch 0 !cnt;
+      outside + 1
+    end
   in
-  (Engine.with_workers engine @@ fun pool ->
-   let j = Par.Pool.jobs pool in
-   let worker_st = Array.init j (fun _ -> Engine.stepper engine) in
-   let worker_scratch =
-     Array.init j (fun _ -> Array.make (Array.length acts) 0)
-   in
-   Par.Pool.parallel_for pool ~n (fun ~worker lo hi ->
-       expand worker_st.(worker) worker_scratch.(worker) lo hi));
-  let outside = ref 0 in
-  for i = 0 to n - 1 do
-    if Bytes.unsafe_get in_s i = '\000' then incr outside
-  done;
-  let outside = !outside in
-  let nth_state i =
-    let s = State.make env in
-    Faultspan.decode_nth_into span i s;
-    s
+  let outside =
+    Engine.sweep engine
+      (Engine.Keys (n, Faultspan.nth_key span))
+      ~scratch:(fun () -> Array.make (Array.length acts) 0)
+      ~visit:expand ~empty:0 ~fold:( + )
+      ~stop:(fun _ -> false)
+      0
   in
-  let first_flag flags =
+  let nth_state i = Engine.decode_key engine (Faultspan.nth_key span i) in
+  let result ?(ranked = 0) ?(waves = 0) verdict =
+    { verdict; span_states = n; outside; ranked; waves }
+  in
+  let first p =
     let rec go i =
-      if i >= n then None
-      else if Bytes.unsafe_get flags i = '\001' then Some i
-      else go (i + 1)
+      if i >= n then None else if p i then Some i else go (i + 1)
     in
     go 0
   in
-  match first_flag escaped with
-  | Some i ->
-      {
-        verdict = Unbounded (Escape (nth_state i));
-        span_states = n;
-        outside;
-        ranked = 0;
-        waves = 0;
-      }
+  let flagged flags i = Bytes.unsafe_get flags i = '\001' in
+  match first (flagged escaped) with
+  | Some i -> result (Unbounded (Escape (nth_state i)))
   | None -> (
-      let deadlock =
-        let rec go i =
-          if i >= n then None
-          else if
-            Bytes.unsafe_get in_s i = '\000'
-            && Bytes.unsafe_get has_succ i = '\000'
-          then Some i
-          else go (i + 1)
-        in
-        go 0
-      in
-      match deadlock with
-      | Some i ->
-          {
-            verdict = Unbounded (Deadlock (nth_state i));
-            span_states = n;
-            outside;
-            ranked = 0;
-            waves = 0;
-          }
+      match first (fun i -> not (flagged in_s i || flagged has_succ i)) with
+      | Some i -> result (Unbounded (Deadlock (nth_state i)))
       | None ->
           (* reverse adjacency over the non-S successor edges, flat *)
           let pred_cnt = Array.make n 0 in
@@ -194,7 +161,7 @@ let worst_case engine ~program ?envs ~span ~invariant () =
              order — purely cosmetic (ranks are order-independent) but
              keeps traces and witnesses deterministic by construction *)
           for i = n - 1 downto 0 do
-            if Bytes.unsafe_get in_s i = '\000' && pending.(i) = 0 then
+            if (not (flagged in_s i)) && pending.(i) = 0 then
               wave := i :: !wave
           done;
           let worst = ref 0 in
@@ -224,37 +191,25 @@ let worst_case engine ~program ?envs ~span ~invariant () =
                 for k = pred_off.(i) to pred_off.(i + 1) - 1 do
                   let p = pred_arr.(k) in
                   pending.(p) <- pending.(p) - 1;
-                  if pending.(p) = 0 && Bytes.unsafe_get in_s p = '\000' then
+                  if pending.(p) = 0 && not (flagged in_s p) then
                     next := p :: !next
                 done)
               members;
             wave := List.sort compare !next
           done;
-          if !ranked < outside then begin
+          let ranked = !ranked and waves = !waves in
+          if ranked < outside then begin
             let sample = ref [] in
             let taken = ref 0 in
             (try
                for i = 0 to n - 1 do
-                 if Bytes.unsafe_get in_s i = '\000' && rank.(i) < 0 then begin
+                 if (not (flagged in_s i)) && rank.(i) < 0 then begin
                    sample := nth_state i :: !sample;
                    incr taken;
                    if !taken >= 10 then raise Exit
                  end
                done
              with Exit -> ());
-            {
-              verdict = Unbounded (Cycle (List.rev !sample));
-              span_states = n;
-              outside;
-              ranked = !ranked;
-              waves = !waves;
-            }
+            result ~ranked ~waves (Unbounded (Cycle (List.rev !sample)))
           end
-          else
-            {
-              verdict = Bounded !worst;
-              span_states = n;
-              outside;
-              ranked = !ranked;
-              waves = !waves;
-            })
+          else result ~ranked ~waves (Bounded !worst))

@@ -48,11 +48,13 @@ val worst_case :
     exact worst case, derived independently from the span and compiled
     actions. [Unbounded] carries a {!witness}.
 
-    Successor expansion is chunk-parallel over the span when the engine
-    is on the [Parallel] backend with [jobs > 1] (borrowing
-    {!Explore.Engine.pool} when set), and sequential otherwise; results
-    are bit-identical at any job count — the rank fixpoint is
-    order-independent.
+    Successor expansion is one {!Explore.Engine.sweep} over the span:
+    on the parallel backend's workers, and polling the engine's guard
+    before every slice. Results are bit-identical at any job count —
+    the rank fixpoint is order-independent.
+
+    @raise Explore.Engine.Interrupted when the engine's guard trips
+    during the expansion.
 
     Faults are deliberately absent: the daemon schedules program and
     environment steps only, matching the nonmasking-tolerance obligation

@@ -108,23 +108,7 @@ let run ~engine ~program ~faults ?(envs = []) ~invariant ?from ~budgets
   let from =
     match from with Some f -> f | None -> Explore.Engine.Pred invariant
   in
-  let cp = Guarded.Compile.program program in
-  let fp =
-    Guarded.Compile.program
-      (Guarded.Program.make
-         ~name:(Guarded.Program.name program ^ ":faults")
-         env faults)
-  in
-  let ep =
-    match envs with
-    | [] -> None
-    | _ ->
-        Some
-          (Guarded.Compile.program
-             (Guarded.Program.make
-                ~name:(Guarded.Program.name program ^ ":envs")
-                env envs))
-  in
+  let cp, fp, ep = Nonmask.Certify.programs env ~program ~faults ~envs in
   let emit_point p =
     Obs.Ctx.emit obs "tol.point" (point_fields p);
     match on_point with None -> () | Some f -> f p

@@ -79,7 +79,10 @@ let test_eager_engine_respects_cap () =
   Alcotest.(check bool) "lazy create ok" true (Engine.backend engine = Engine.Lazy);
   Alcotest.(check bool) "lazy sweep over budget raises" true
     (try
-       Engine.iter_states engine (fun _ -> ());
+       ignore
+         (Explore.Closure.scan engine
+            [| Explore.Closure.Implies
+                 { hyp = (fun _ -> true); conc = (fun _ -> true) } |]);
        false
      with Engine.Region_overflow n -> n > 999)
 

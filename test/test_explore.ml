@@ -302,26 +302,23 @@ let test_closure_given_hypothesis () =
    [Closure.scan] must return, for every obligation, the witness a plain
    id-order loop over that obligation alone finds first. *)
 
-let reference_scan space ob =
-  let post = State.make (Space.env space) in
-  let rec go id =
-    if id = Space.size space then None
+let reference_scan ~n ~state ob =
+  let rec go i =
+    if i = n then None
     else
-      let s = Space.decode space id in
+      let s = state i in
       match ob with
       | Closure.Implies { hyp; conc } ->
           if hyp s && not (conc s) then Some (Closure.Counterexample s)
-          else go (id + 1)
+          else go (i + 1)
       | Closure.Step { pre; action; post = ok } ->
           if pre s && action.enabled s then begin
-            action.apply_into s post;
-            if ok s post then go (id + 1)
+            let post = action.apply s in
+            if ok s post then go (i + 1)
             else
-              Some
-                (Closure.Violation
-                   { pre = s; action = action.source; post = State.copy post })
+              Some (Closure.Violation { pre = s; action = action.source; post })
           end
-          else go (id + 1)
+          else go (i + 1)
   in
   go 0
 
@@ -357,6 +354,9 @@ let random_obligations rng (m : Gen.Spec.model) ~fail_fast k =
         in
         Closure.Step { pre = pred (); action; post })
 
+(* On the whole space (id order) and on a fault span of the model's
+   legitimate state (span order), at one worker and on the parallel
+   engine at 2 and 4. *)
 let prop_scan_matches_reference =
   QCheck.Test.make ~name:"scan = one reference sweep per obligation"
     ~count:200
@@ -364,14 +364,40 @@ let prop_scan_matches_reference =
     (fun seed ->
       let rng = Prng.create seed in
       let m = Gen.Generate.model rng in
-      let engine = Engine.create m.Gen.Spec.env in
-      let space = Engine.space engine in
+      let env = m.Gen.Spec.env in
+      let space = Space.create env in
       let fail_fast = Prng.int rng 4 = 0 in
       let obs = random_obligations rng m ~fail_fast (1 + Prng.int rng 8) in
-      let found = Closure.scan engine obs in
-      Array.for_all2
-        (fun ob w -> same_witness w (reference_scan space ob))
-        obs found)
+      let span =
+        Explore.Faultspan.compute (Engine.create env)
+          ~program:(Compile.program m.Gen.Spec.program)
+          ~faults:
+            (Compile.program
+               (Program.make ~name:"faults" env m.Gen.Spec.fault_actions))
+          ~from:(Engine.Seeds [ m.Gen.Spec.legit ])
+          ~budget:1 ()
+      in
+      let whole = (Engine.Whole_space, Space.size space, Space.decode space) in
+      let on_span =
+        ( Engine.Keys
+            (Explore.Faultspan.count span, Explore.Faultspan.nth_key span),
+          Explore.Faultspan.count span,
+          fun i -> Space.decode space (Explore.Faultspan.nth_key span i) )
+      in
+      List.for_all
+        (fun engine ->
+          List.for_all
+            (fun (over, n, state) ->
+              let found = Closure.scan ~over engine obs in
+              Array.for_all2
+                (fun ob w -> same_witness w (reference_scan ~n ~state ob))
+                obs found)
+            [ whole; on_span ])
+        [
+          Engine.create env;
+          Engine.create ~backend:Engine.Parallel ~jobs:2 env;
+          Engine.create ~backend:Engine.Parallel ~jobs:4 env;
+        ])
 
 (* Every obligation fails at state 0, so the scan must stop there:
    each hypothesis is evaluated once, and the witnesses are state 0. *)

@@ -34,7 +34,7 @@ let test_generator_well_formed () =
       Array.to_list (Guarded.Program.actions m.Gen.Spec.program)
       @ m.Gen.Spec.fault_actions
     in
-    Engine.iter_states e (fun s ->
+    Explore.Space.iter (Engine.space e) (fun _ s ->
         List.iter
           (fun a ->
             if Guarded.Action.enabled a s then

@@ -405,12 +405,12 @@ let test_certify_parallel_identical () =
         (render (cert Engine.Parallel jobs)))
     [ 1; 2; 4 ]
 
-(* The closure scan runs in slices of 2048 states per worker: a span
+(* The closure sweep runs in slices of 1024 states per worker: a span
    computed without [flip] has 4096 states, indexed in reverse discovery
    order (x = 4095 first), and the full program's [flip] leaves it up to
-   x = 1000, so the first violation (index 3095) sits past the first
-   slice at one worker and inside it at two and four. Every job count
-   must report the same one. *)
+   x = 1000, so the first violation (index 3095) sits in the fourth
+   slice at one worker, the second at two and the first at four. Every
+   job count must report the same one. *)
 let test_certify_closure_violation_across_slices () =
   let em =
     Lang.Driver.compile_string ~file:"walk.nm"
@@ -459,6 +459,91 @@ invariant x = 0 /\ y = 0
         expected
         (closure Engine.Parallel jobs))
     [ 1; 2; 4 ]
+
+(* Refinement and the adversary run on the engine's sweep: refinement's
+   counts and first failure, and the adversary's verdict and wave
+   counts, are the same at every job count. *)
+let test_refine_adversary_jobs_identical () =
+  let module Diffusing = Protocols.Diffusing in
+  let module Lowatomic = Protocols.Diffusing_lowatomic in
+  let tree = Topology.Tree.chain 3 in
+  let d = Diffusing.make tree and l = Lowatomic.make tree in
+  let projection =
+    List.concat_map
+      (fun j ->
+        [
+          (Diffusing.color d j, Lowatomic.color l j);
+          (Diffusing.session d j, Lowatomic.session l j);
+        ])
+      (Topology.Tree.nodes tree)
+  in
+  let env = Lowatomic.env l in
+  let refine ?within engine =
+    let r =
+      Nonmask.Refine.check ?within ~abstract_env:(Diffusing.env d) ~engine
+        ~abstract_program:(Diffusing.combined d)
+        ~concrete_program:(Lowatomic.program l) ~projection
+        ~abstract_invariant:(fun s -> Diffusing.invariant d s)
+        ~concrete_invariant:(fun s -> Lowatomic.invariant l s)
+        ()
+    in
+    let pp = State.pp env in
+    Printf.sprintf "%d simulated, %d stutters, %s"
+      r.Nonmask.Refine.simulated_steps r.Nonmask.Refine.stutter_steps
+      (match r.Nonmask.Refine.result with
+      | Ok () -> "ok"
+      | Error (Nonmask.Refine.Unsimulated_step { action; pre; post }) ->
+          Format.asprintf "%s: %a -> %a" action pp pre pp post
+      | Error (Nonmask.Refine.Invariant_mismatch s) ->
+          Format.asprintf "mismatch at %a" pp s
+      | Error (Nonmask.Refine.Stutter_divergence c) ->
+          Printf.sprintf "stutter cycle of %d" (List.length c))
+  in
+  let tr = Protocols.Token_ring.make ~nodes:5 ~k:6 in
+  let naive = Protocols.Naive_ring.make ~nodes:5 in
+  let adversary program invariant engine =
+    let cp = Compile.program program in
+    let env = Engine.env engine in
+    let faults = Sim.Fault.actions (Sim.Fault.corrupt env ~k:1) in
+    let span =
+      Explore.Faultspan.compute engine ~program:cp
+        ~faults:
+          (Compile.program (Guarded.Program.make ~name:"faults" env faults))
+        ~from:(Engine.Pred invariant) ~budget:2 ()
+    in
+    let r = Tol.Adversary.worst_case engine ~program:cp ~span ~invariant () in
+    Format.asprintf "%a; |T| = %d, outside %d, ranked %d, %d waves"
+      (Tol.Adversary.pp_verdict (Engine.env engine))
+      r.Tol.Adversary.verdict r.Tol.Adversary.span_states
+      r.Tol.Adversary.outside r.Tol.Adversary.ranked r.Tol.Adversary.waves
+  in
+  let cases =
+    [
+      ( "refinement within consistency",
+        env,
+        refine ~within:(fun s -> Lowatomic.consistent l s) );
+      ("refinement from every state", env, refine ?within:None);
+      ( "adversary token ring",
+        Protocols.Token_ring.env tr,
+        adversary (Protocols.Token_ring.combined tr)
+          (fun s -> Protocols.Token_ring.invariant tr s) );
+      ( "adversary naive ring",
+        Protocols.Naive_ring.env naive,
+        adversary (Protocols.Naive_ring.program naive)
+          (fun s -> Protocols.Naive_ring.invariant naive s) );
+    ]
+  in
+  List.iter
+    (fun (name, env, run) ->
+      let expected = run (Engine.create ~backend:Engine.Lazy env) in
+      List.iter
+        (fun jobs ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s jobs=%d" name jobs)
+            expected
+            (run (Engine.create ~backend:Engine.Parallel ~jobs env)))
+        [ 1; 2; 4 ])
+    cases
 
 (* --- parallel storm trials --- *)
 
@@ -552,6 +637,8 @@ let suite =
       test_certify_closure_violation_across_slices;
     Alcotest.test_case "certify: parallel identical" `Quick
       test_certify_parallel_identical;
+    Alcotest.test_case "refine, adversary: identical across jobs" `Quick
+      test_refine_adversary_jobs_identical;
     Alcotest.test_case "storm: deterministic across jobs" `Quick
       test_storm_jobs_deterministic;
     Alcotest.test_case "storm: jobs validation" `Quick

@@ -439,6 +439,51 @@ let test_eager_sweep_builds_each_relation_once () =
 (* Golden rendering: quantiles carry the [observed] label, the sound
    bound its own [bound=] column. Constant samples pin every statistic
    regardless of quantile conventions. *)
+(* The adversary's expansion polls the engine's guard: with an
+   already-cancelled token, [worst_case] stops before its first slice on
+   every backend, and so does a sweep that asks for the adversary. *)
+let test_adversary_honours_guard () =
+  let tr = Token_ring.make ~nodes:4 ~k:5 in
+  let env = Token_ring.env tr in
+  let program = Token_ring.combined tr in
+  let invariant s = Token_ring.invariant tr s in
+  let cp = Compile.program program in
+  let span =
+    Explore.Faultspan.compute (Engine.create env) ~program:cp
+      ~faults:
+        (Compile.program
+           (Guarded.Program.make ~name:"faults" env (corrupt_actions env)))
+      ~from:(Engine.Pred invariant) ~budget:1 ()
+  in
+  let cancelled backend jobs =
+    let cancel = Rt.Cancel.create () in
+    Rt.Cancel.request cancel (Rt.Cancel.Signal "SIGINT");
+    Engine.create ~backend ~jobs ~guard:(Rt.Guard.create ~cancel ()) env
+  in
+  let interrupted name f =
+    match f () with
+    | exception Engine.Interrupted i ->
+        Alcotest.(check bool)
+          (name ^ ": the signal is the reason")
+          true
+          (i.Engine.reason = Rt.Cancel.Signal "SIGINT")
+    | _ -> Alcotest.failf "%s: finished under a cancelled guard" name
+  in
+  List.iter
+    (fun (backend, jobs) ->
+      interrupted
+        (Printf.sprintf "worst_case (%s, jobs=%d)"
+           (Engine.backend_name (cancelled backend jobs))
+           jobs)
+        (fun () ->
+          Tol.Adversary.worst_case (cancelled backend jobs) ~program:cp ~span
+            ~invariant ()))
+    [ (Engine.Eager, 1); (Engine.Lazy, 1); (Engine.Parallel, 2) ];
+  interrupted "sweep with the adversary" (fun () ->
+      Tol.Sweep.run ~engine:(cancelled Engine.Lazy 1) ~program
+        ~faults:(corrupt_actions env) ~invariant ~budgets:[ 0; 1 ]
+        ~adversary:true ~name:"token-ring" ())
+
 let test_storm_bound_labels () =
   let r =
     {
@@ -621,6 +666,8 @@ let suite =
       test_eager_sweep_builds_each_relation_once;
     Alcotest.test_case "cross-backend bit-identity" `Quick
       test_cross_backend_identity;
+    Alcotest.test_case "adversary honours the guard" `Quick
+      test_adversary_honours_guard;
     Alcotest.test_case "storm observed/bound labels" `Quick
       test_storm_bound_labels;
     Alcotest.test_case "frontier rendering" `Quick test_frontier_rendering;
