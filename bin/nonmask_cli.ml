@@ -483,7 +483,10 @@ let install_signal_handlers cancel =
       (fun _ ->
         let reason = Rt.Cancel.Signal name in
         if Rt.Cancel.get cancel <> None then
-          exit (Serve.Job.exit_code (Serve.Job.Cancelled reason))
+          exit
+            (Serve.Job.exit_code
+               (Serve.Job.Interrupted
+                  { reason; states_seen = 0; frontier_size = 0; snapshot = None }))
         else Rt.Cancel.request cancel reason)
   in
   List.iter
@@ -703,8 +706,6 @@ let conclude ~name ~obs ?checkpoint_out ?(failed = fun _ -> "") print answer
             --max-states or shrink --ball"
            name n)
   | Interrupted it -> incomplete it
-  | Cancelled reason ->
-      incomplete { reason; states_seen = 0; frontier_size = 0; snapshot = None }
 
 (* A subcommand body: a Failure is a usage error, one line on stderr. *)
 let usage f =

@@ -14,7 +14,9 @@ type t = {
   members : int list array;  (** Nodes of each component. *)
 }
 
-val compute : 'a Digraph.t -> t
+val compute : ?poll:(unit -> unit) -> 'a Digraph.t -> t
+(** [poll] (default none) runs before the first node is discovered and
+    every 4096 nodes after; an exception it raises propagates. *)
 
 val is_trivial : t -> 'a Digraph.t -> int -> bool
 (** A component is trivial iff it is a single node without a self-loop —

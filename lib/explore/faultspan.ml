@@ -147,8 +147,7 @@ let obs_done t =
 let visit s key =
   if not (Flatset.mem s.index key) then begin
     let i = Vec.len s.keys in
-    if i >= Engine.max_states s.engine then
-      raise (Engine.Region_overflow (i + 1));
+    Engine.check_budget s.engine (i + 1);
     Flatset.add s.index key i;
     ignore (Vec.push s.keys key)
   end
@@ -332,38 +331,10 @@ let restore s ~budget snap =
 
 (* --- the closure and fault phases ---
 
-   Both run in slices of [1024 × workers] keys with a guard poll before
-   each, counted from where the phase started or resumed; at one worker
-   that is a poll every 1024 expansions. *)
-
-type polling = {
-  guard : Rt.Guard.t;
-  guard_on : bool;
-  budget : int option;  (* of the running extension: the snapshot's *)
-  chunks : Par.Chunked.t;  (* phase-A buffers, beyond keys and table *)
-}
-
-let interrupt s b reason =
-  let snapshot =
-    if Engine.wants_snapshots s.engine then Some (snapshot s ~budget:b.budget)
-    else None
-  in
-  let frontier_size =
-    if not s.closed then Vec.len s.keys - s.cursor else fault_remaining s
-  in
-  raise
-    (Engine.Interrupted
-       { reason; states_seen = Vec.len s.keys; frontier_size; snapshot })
-
-let poll s b =
-  if b.guard_on then
-    match
-      Rt.Guard.poll b.guard ~states:(Vec.len s.keys)
-        ~bytes:
-          (Flatset.bytes s.index + Vec.bytes s.keys + Par.Chunked.bytes b.chunks)
-    with
-    | None -> ()
-    | Some reason -> interrupt s b reason
+   Both run in slices of [1024 × workers] keys with an {!Engine.poll}
+   before each, counted from where the phase started or resumed; at one
+   worker that is a poll every 1024 expansions. [stop ~frontier] is that
+   poll, [frontier] being the phase's pending keys. *)
 
 (* Expand [n] keys from discovery index [lo], the highest index first
    under [reverse] — the fault phase's order — visiting successors in
@@ -404,9 +375,9 @@ let expand s pool steppers chunks actions ~lo ~n ~reverse =
 
 (* Drain the closure FIFO, the keys from [cursor] on: slice order ×
    action order is the single queue's pop order. *)
-let closure_phase s b run ~slice =
+let closure_phase s ~stop run ~slice =
   while s.cursor < Vec.len s.keys do
-    poll s b;
+    stop ~frontier:(Vec.len s.keys - s.cursor);
     let lo = s.cursor in
     let n = min slice (Vec.len s.keys - lo) in
     run s.closure_actions ~lo ~n ~reverse:false;
@@ -414,10 +385,10 @@ let closure_phase s b run ~slice =
   done
 
 (* Fault successors of the layer's members, last discovered first. *)
-let fault_phase s b run ~slice =
+let fault_phase s ~stop run ~slice =
   let hi = Vec.get s.bounds (s.level + 1) in
   while fault_remaining s > 0 do
-    poll s b;
+    stop ~frontier:(fault_remaining s);
     let n = min slice (fault_remaining s) in
     run s.faults.Compile.actions ~lo:(hi - s.fault_done - n) ~n ~reverse:true;
     s.fault_done <- s.fault_done + n
@@ -454,18 +425,24 @@ let run_layers s ~closure ~fault budget =
   done
 
 let run_search s budget =
-  let guard = Engine.guard s.engine in
   Engine.with_workers s.engine @@ fun pool ->
   let steppers =
     Array.init (Par.Pool.jobs pool) (fun _ -> Engine.stepper s.engine)
   in
+  (* phase-A buffers, counted beside the keys and the table *)
   let chunks = Par.Chunked.create () in
-  let b = { guard; guard_on = Rt.Guard.active guard; budget; chunks } in
+  let stop ~frontier =
+    Engine.poll s.engine ~states:(Vec.len s.keys)
+      ~bytes:
+        (Flatset.bytes s.index + Vec.bytes s.keys + Par.Chunked.bytes chunks)
+      ~frontier
+      ~snapshot:(fun () -> snapshot s ~budget)
+  in
   let run = expand s pool steppers chunks in
   let slice = 1024 * Par.Pool.jobs pool in
   run_layers s budget
-    ~closure:(fun () -> closure_phase s b run ~slice)
-    ~fault:(fun () -> fault_phase s b run ~slice)
+    ~closure:(fun () -> closure_phase s ~stop run ~slice)
+    ~fault:(fun () -> fault_phase s ~stop run ~slice)
 
 (* The span at [budget]: a prefix when the search already went past it. *)
 let view s budget =

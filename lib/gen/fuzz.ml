@@ -33,7 +33,7 @@ let eval ~oracle_config ~guard tseed spec =
       ~rng:(Prng.create (oracle_seed tseed))
       (Spec.materialize spec)
   with
-  | (Explore.Engine.Interrupted _ | Rt.Cancel.Cancelled _) as e ->
+  | Explore.Engine.Interrupted _ as e ->
       (* watchdog/cancellation trips are control flow, not oracle
          verdicts — never fold them into an "exception" failure *)
       raise e
@@ -75,7 +75,7 @@ let run_trial ~gen_config ~oracle_config ~shrink ~guard ~watchdog i tseed =
   let rec attempt k =
     match eval ~oracle_config ~guard:(attempt_guard ()) tseed spec with
     | r -> `Eval r
-    | exception (Explore.Engine.Interrupted _ | Rt.Cancel.Cancelled _) ->
+    | exception Explore.Engine.Interrupted _ ->
         if global_tripped () then `Stopped
         else if k < max_retries then attempt (k + 1)
         else `Expired (k + 1)
@@ -91,7 +91,7 @@ let run_trial ~gen_config ~oracle_config ~shrink ~guard ~watchdog i tseed =
          counterexample is never lost to the clock. *)
       let shrink_oracle s =
         try eval ~oracle_config ~guard:(attempt_guard ()) tseed s
-        with Explore.Engine.Interrupted _ | Rt.Cancel.Cancelled _ -> None
+        with Explore.Engine.Interrupted _ -> None
       in
       let min_spec, min_failure, stats =
         if shrink then Shrink.minimize ~oracle:shrink_oracle spec failure

@@ -67,7 +67,6 @@ val run :
 
     [guard] (default {!Rt.Guard.inert}) is threaded into every engine
     the oracles build, so a watchdog deadline or cancellation request
-    interrupts a pathological model's exploration mid-oracle —
-    {!Explore.Engine.Interrupted} (or [Rt.Cancel.Cancelled] from the
-    other guarded loops) escapes to the caller; it is {e not} converted
-    into an oracle failure. *)
+    interrupts a pathological model's exploration or analysis
+    mid-oracle — {!Explore.Engine.Interrupted} escapes to the caller; it
+    is {e not} converted into an oracle failure. *)

@@ -39,9 +39,7 @@ let hash (s : t) = Hashtbl.hash s
 let get_index (s : t) i = s.(i)
 let set_index (s : t) i x = s.(i) <- x
 let blit ~src ~dst = Array.blit src 0 dst 0 (Array.length src)
-let dim = Array.length
 let to_array = Array.copy
-let of_array a = a
 
 let pp env ppf s =
   let vs = Env.vars env in

@@ -46,14 +46,8 @@ val set_index : t -> int -> int -> unit
 val blit : src:t -> dst:t -> unit
 (** Overwrite [dst] with [src]'s contents; same environment assumed. *)
 
-val dim : t -> int
-(** Number of slots. *)
-
 val to_array : t -> int array
 (** Fresh snapshot of the underlying values. *)
-
-val of_array : int array -> t
-(** Wrap raw values (no domain check); takes ownership of the array. *)
 
 val pp : Env.t -> Format.formatter -> t -> unit
 (** Print as [{x=1, y=true, c.0=red, ...}] using domain notation. *)

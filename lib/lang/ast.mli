@@ -101,8 +101,5 @@ type item =
 
 type model = { m_loc : Loc.t; m_name : string; m_items : item list }
 
-val strip : model -> model
-(** The same tree with every location replaced by {!Loc.none}. *)
-
 val equal : model -> model -> bool
 (** Structural equality modulo locations. *)

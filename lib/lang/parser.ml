@@ -2,6 +2,9 @@ open Lexer
 
 type state = {
   toks : located array;
+  close : int array;
+      (* [close.(i)]: index of the [RPAREN] matching the [LPAREN] at [i],
+         or [-1] (unmatched, or not a [LPAREN]) *)
   mutable pos : int;
   mutable depth : int;  (* expression nesting levels open at [pos] *)
   src : Source.t;
@@ -19,9 +22,32 @@ let failp p message = Err.fail p.src (loc p) message
 
 (* Expression nesting limit. Brackets (grouping, calls, indexing), [~],
    unary minus, [=>] and quantifiers each open one level. It bounds the
-   recursion on hostile input, and with it the parser's one backtracking
-   point, which re-scans a parenthesised prefix once per open level. *)
+   recursion on hostile input. *)
 let max_nesting = 512
+
+let matching_parens toks =
+  let close = Array.make (Array.length toks) (-1) in
+  let opened = Stack.create () in
+  Array.iteri
+    (fun i { tok; _ } ->
+      match tok with
+      | LPAREN -> Stack.push i opened
+      | RPAREN when not (Stack.is_empty opened) -> close.(Stack.pop opened) <- i
+      | _ -> ())
+    toks;
+  close
+
+(* A '(' in boolean position opens the numeric atom of a comparison
+   exactly when its group is followed by an arithmetic or comparison
+   operator; otherwise it opens a parenthesised boolean. *)
+let opens_number p =
+  let j = p.close.(p.pos) in
+  j >= 0
+  && j + 1 < Array.length p.toks
+  &&
+  match p.toks.(j + 1).tok with
+  | PLUS | MINUS | STAR | SLASH | KW_MOD | EQ | NE | LT | LE | GT | GE -> true
+  | _ -> false
 
 (* Parse [f ()] one level deeper; [l] is where the level opens. *)
 let nested p l f =
@@ -222,19 +248,11 @@ and parse_bool_atom p =
          expression can (like if-then-else), so it only appears as the
          trailing form of a formula *)
       nested p l (fun () -> parse_quant_body p l)
-  | LPAREN -> (
-      (* backtracking: a '(' opens either a numeric atom of a comparison
-         or a parenthesized boolean *)
-      let saved = p.pos and depth = p.depth in
-      match parse_comparison p with
-      | cmp -> cmp
-      | exception Err.Error _ ->
-          p.pos <- saved;
-          p.depth <- depth;
-          advance p;
-          let b = nested p l (fun () -> parse_bexp p) in
-          eat p RPAREN;
-          b)
+  | LPAREN when not (opens_number p) ->
+      advance p;
+      let b = nested p l (fun () -> parse_bexp p) in
+      eat p RPAREN;
+      b
   | _ -> parse_comparison p
 
 and parse_quant_body p l =
@@ -626,7 +644,8 @@ let parse_item p =
            (token_to_string t))
 
 let parse src =
-  let p = { toks = Lexer.lex src; pos = 0; depth = 0; src } in
+  let toks = Lexer.lex src in
+  let p = { toks; close = matching_parens toks; pos = 0; depth = 0; src } in
   let l = loc p in
   eat p KW_MODEL;
   let name = parse_name p ~stop:item_start in

@@ -5,8 +5,5 @@
     hex strings. Correctness is pinned by the FIPS test vectors in the
     test suite. *)
 
-val digest_bytes : string -> string
-(** Raw 32-byte digest of the input. *)
-
 val hex : string -> string
 (** 64-character lowercase hex digest of the input. *)

@@ -11,11 +11,9 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-val to_buffer : Buffer.t -> t -> unit
+val to_string : t -> string
 (** Compact (single-line) rendering. Non-finite floats render as [null]
     — JSON has no representation for them. *)
-
-val to_string : t -> string
 
 val of_string : string -> (t, string) result
 (** Parse one JSON document; trailing garbage is an error. Numbers

@@ -26,9 +26,4 @@ let swap u v =
 
 let to_array v = Array.sub v.a 0 v.len
 
-let of_array a =
-  let n = Array.length a in
-  if n = 0 then create ()
-  else { a = Array.copy a; len = n }
-
 let bytes v = 8 * Array.length v.a

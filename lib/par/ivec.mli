@@ -23,10 +23,6 @@ val swap : t -> t -> unit
 val to_array : t -> int array
 (** Fresh array of the current contents. *)
 
-val of_array : int array -> t
-(** Vector holding a copy of the array — the restore direction of
-    checkpoint round-trips. *)
-
 val bytes : t -> int
 (** Heap footprint of the backing array (capacity, not length) — feeds
     the unified storage accounting behind byte budgets. *)

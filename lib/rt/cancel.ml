@@ -7,8 +7,6 @@ type reason =
 
 type t = reason option Atomic.t
 
-exception Cancelled of reason
-
 let create () = Atomic.make None
 
 (* First request wins. A lost race just means someone else's reason was
@@ -25,8 +23,3 @@ let reason_label = function
   | Max_bytes -> "max-bytes"
   | Signal s -> "signal:" ^ s
   | Requested s -> "requested:" ^ s
-
-let () =
-  Printexc.register_printer (function
-    | Cancelled r -> Some (Printf.sprintf "Rt.Cancel.Cancelled(%s)" (reason_label r))
-    | _ -> None)

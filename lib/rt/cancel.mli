@@ -17,10 +17,6 @@ type reason =
 
 type t
 
-exception Cancelled of reason
-(** Raised by cancellation points that cannot return a partial result
-    (e.g. the eager backend's CSR build). *)
-
 val create : unit -> t
 
 val request : t -> reason -> unit

@@ -44,8 +44,3 @@ let poll t ~states ~bytes =
                     | Some d when Unix.gettimeofday () > d ->
                         trip t Cancel.Deadline
                     | _ -> None))))
-
-let check t ~states ~bytes =
-  match poll t ~states ~bytes with
-  | None -> ()
-  | Some reason -> raise (Cancel.Cancelled reason)

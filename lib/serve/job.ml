@@ -354,7 +354,6 @@ type 'a answer =
   | Unaddressable of { layout : string; bits : int; states : float }
   | Region_overflow of int
   | Interrupted of Explore.Engine.interrupt
-  | Cancelled of Rt.Cancel.reason
 
 let exit_code = function
   | Holds _ -> 0
@@ -362,7 +361,7 @@ let exit_code = function
   | Fails _ -> 2
   | Too_large _ | Unaddressable _ | Counterexamples _ -> 3
   | Region_overflow _ -> 4
-  | Partial _ | Interrupted _ | Cancelled _ -> 5
+  | Partial _ | Interrupted _ -> 5
 
 let catch f =
   try f () with
@@ -371,7 +370,6 @@ let catch f =
       Unaddressable { layout; bits; states }
   | Explore.Engine.Region_overflow n -> Region_overflow n
   | Explore.Engine.Interrupted it -> Interrupted it
-  | Rt.Cancel.Cancelled reason -> Cancelled reason
   | Rt.Snapshot.Corrupt msg -> Error ("cannot resume: " ^ msg)
   | Failure msg | Invalid_argument msg -> Error msg
 
@@ -578,7 +576,6 @@ let reply ?(holds = "done") ?(fails = "failed") ?(complete = fun _ -> true)
   | Interrupted it ->
       stopped ~states:it.Explore.Engine.states_seen "incomplete"
         (Rt.Cancel.reason_label it.Explore.Engine.reason)
-  | Cancelled reason -> stopped "incomplete" (Rt.Cancel.reason_label reason)
 
 let check_fields env (engine, result) =
   let engine = ("engine", Obs.Json.Str engine) in

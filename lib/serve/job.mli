@@ -119,9 +119,7 @@ type 'a answer =
   | Region_overflow of int
       (** lazy or parallel search over [max_states]: exit 4 *)
   | Interrupted of Explore.Engine.interrupt
-      (** the guard tripped mid-search: exit 5 *)
-  | Cancelled of Rt.Cancel.reason
-      (** cancelled outside a search: exit 5 *)
+      (** the guard tripped mid-search or mid-analysis: exit 5 *)
 
 val exit_code : 'a answer -> int
 (** The exit code both front ends report for an answer: 0 holds,

@@ -23,6 +23,7 @@ let () =
       ("properties", Test_properties.suite);
       ("obs", Test_obs.suite);
       ("rt", Test_rt.suite);
+      ("stop", Test_stop.suite);
       ("lang", Test_lang.suite);
       ("gen", Test_gen.suite);
       ("tol", Test_tol.suite);
