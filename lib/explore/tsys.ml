@@ -102,7 +102,7 @@ let succ t id =
 let out_degree t id = t.offsets.(id + 1) - t.offsets.(id)
 let is_terminal t id = out_degree t id = 0
 
-let region t ~roots ~member =
+let region ?poll t ~roots ~member =
   let n = state_count t in
   (* state -> node: [-2] unseen, [-1] seen outside the region, else the
      member's node id; ids fit because [n <= max_states] *)
@@ -128,6 +128,7 @@ let region t ~roots ~member =
   let head = ref 0 in
   while !head < !explored && !explored < n do
     let id = Int32.to_int (Bigarray.Array1.unsafe_get order !head) in
+    Dgraph.Topo.tick poll !head;
     incr head;
     for k = t.offsets.(id) to t.offsets.(id + 1) - 1 do
       let d = dst t k in
@@ -146,6 +147,7 @@ let region t ~roots ~member =
      Every member was expanded, so its destinations are all seen. *)
   let off = Array.make (count + 1) 0 in
   for v = 0 to count - 1 do
+    Dgraph.Topo.tick poll v;
     let id = node_key.(v) in
     let c = ref 0 in
     for k = t.offsets.(id) to t.offsets.(id + 1) - 1 do
@@ -161,6 +163,7 @@ let region t ~roots ~member =
   let label = Array.make (if narrow then 0 else m) 0 in
   let e = ref 0 in
   for v = 0 to count - 1 do
+    Dgraph.Topo.tick poll v;
     let id = node_key.(v) in
     for k = t.offsets.(id) to t.offsets.(id + 1) - 1 do
       let d = node_of (dst t k) in

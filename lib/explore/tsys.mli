@@ -58,6 +58,7 @@ val out_degree : t -> int -> int
 val is_terminal : t -> int -> bool
 
 val region :
+  ?poll:(unit -> unit) ->
   t ->
   roots:(seen:(int -> bool) -> (int -> bool -> unit) -> unit) ->
   member:(int -> bool) ->
@@ -75,4 +76,7 @@ val region :
     each when the program has at most 256 actions). [explored] counts
     the states seen. The walk stops as soon as every state is seen, so
     a sweep of all roots expands nothing. Memory: two int32 arrays over
-    the space (state → node and the queue) plus the graph. *)
+    the space (state → node and the queue) plus the graph. [poll]
+    (default none) runs at the cadence of {!Dgraph.Topo.tick} in the
+    walk and in both passes over the members' rows; an exception it
+    raises propagates. *)
