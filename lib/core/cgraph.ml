@@ -190,9 +190,6 @@ let edge_of_pair t idx =
   | Some x -> x
   | None -> invalid_arg "Cgraph.edge_of_pair: no such pair"
 
-let node_of_var t v =
-  Array.find_opt (fun n -> Var.Set.mem v n.vars) t.nodes
-
 let shape t = Dgraph.Classify.shape t.graph
 let ranks t = Dgraph.Topo.ranks t.graph
 

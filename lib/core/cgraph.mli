@@ -57,8 +57,6 @@ val graph : t -> int Dgraph.Digraph.t
 val edge_of_pair : t -> int -> int * int
 (** [(src node id, dst node id)] of the pair at this index. *)
 
-val node_of_var : t -> Guarded.Var.t -> node option
-
 val shape : t -> Dgraph.Classify.shape
 
 val ranks : t -> int array option

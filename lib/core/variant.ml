@@ -82,11 +82,3 @@ let check ~engine ~spec ~cgraph t =
             (if i < Array.length conv then `Convergence_did_not_decrease
              else `Closure_increased);
         }
-
-let pp_failure env ppf f =
-  Format.fprintf ppf "@[<v>%s %s: pre %a -> post %a@]"
-    (match f.kind with
-    | `Convergence_did_not_decrease ->
-        "convergence action did not decrease the variant:"
-    | `Closure_increased -> "closure action increased the variant:")
-    f.action (State.pp env) f.pre (State.pp env) f.post

@@ -43,5 +43,3 @@ val check :
   (unit, failure) result
 (** Exhaustively verify, over fault-span states: every convergence action
     strictly decreases [V]; every closure action does not increase it. *)
-
-val pp_failure : Guarded.Env.t -> Format.formatter -> failure -> unit

@@ -39,11 +39,6 @@ val spec : ?config:config -> Prng.t -> Spec.t
 val model : ?config:config -> Prng.t -> Spec.model
 (** [Spec.materialize (spec rng)]. *)
 
-val num : Prng.t -> depth:int -> reads:Guarded.Var.t array -> Guarded.Expr.num
-(** Random integer expression over the given variables. Division and
-    modulus only ever appear with non-zero constant divisors, so
-    evaluation never raises. *)
-
 val boolean :
   Prng.t -> depth:int -> reads:Guarded.Var.t array -> Guarded.Expr.boolean
 (** Random predicate over the given variables. *)

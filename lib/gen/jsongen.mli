@@ -9,16 +9,6 @@
     UTF-8); numbers cover [min_int]/[max_int], negative zero, and
     magnitudes that force exponent forms. *)
 
-val string_ : Prng.t -> string
-(** A hostile string: random length 0-24 drawing from quotes, backslashes,
-    newlines, NUL and other control bytes, multi-byte UTF-8, and plain
-    ASCII. *)
-
-val number : Prng.t -> Obs.Json.t
-(** An {!Obs.Json.Int} or finite {!Obs.Json.Float} biased toward edge
-    cases: 0, [min_int], [max_int], [-0.], huge and tiny magnitudes
-    (exponent rendering), and integral floats. *)
-
 val value : ?depth:int -> Prng.t -> Obs.Json.t
 (** An arbitrary roundtrip-safe value: nulls, bools, numbers, strings,
     and nested arrays/objects up to [depth] (default 4). *)

@@ -25,18 +25,3 @@ let make ?deadline_s ?max_states ?max_bytes () =
 
 let is_unlimited t =
   t.deadline = None && t.max_states = None && t.max_bytes = None
-
-let pp ppf t =
-  if is_unlimited t then Format.fprintf ppf "unlimited"
-  else begin
-    let sep = ref "" in
-    let field name pp_v v =
-      Format.fprintf ppf "%s%s=%a" !sep name pp_v v;
-      sep := " "
-    in
-    Option.iter
-      (fun d -> field "deadline" Format.pp_print_float (d -. Unix.gettimeofday ()))
-      t.deadline;
-    Option.iter (fun n -> field "max_states" Format.pp_print_int n) t.max_states;
-    Option.iter (fun n -> field "max_bytes" Format.pp_print_int n) t.max_bytes
-  end

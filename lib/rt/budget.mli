@@ -28,5 +28,3 @@ val make : ?deadline_s:float -> ?max_states:int -> ?max_bytes:int -> unit -> t
     non-positive [max_states] or [max_bytes]. *)
 
 val is_unlimited : t -> bool
-
-val pp : Format.formatter -> t -> unit

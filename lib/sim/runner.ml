@@ -12,11 +12,6 @@ type outcome = {
 
 let converged o = o.reason = Target_reached
 
-let pp_reason ppf = function
-  | Target_reached -> Format.pp_print_string ppf "target reached"
-  | Terminal -> Format.pp_print_string ppf "terminal state"
-  | Budget_exhausted -> Format.pp_print_string ppf "budget exhausted"
-
 (* Simultaneous execution: evaluate all chosen actions against the same
    pre-state. The daemon guarantees non-interference, so the writes
    commute. *)

@@ -43,5 +43,3 @@ val step_chosen :
 
 val converged : outcome -> bool
 (** [reason = Target_reached]. *)
-
-val pp_reason : Format.formatter -> stop_reason -> unit
