@@ -104,7 +104,7 @@ let gather b ~make ~blit =
       pos := !pos + len);
   a
 
-let to_graph b n =
+let to_graph ?poll b n =
   let nodes = Ivec.len b.starts in
   if nodes > n then
     invalid_arg
@@ -118,6 +118,7 @@ let to_graph b n =
     gather b ~make:(fun m -> Array.make m 0) ~blit:(fun c a pos len ->
         Array.blit c.dst 0 a pos len)
   in
+  Option.iter (fun p -> p ()) poll;
   if b.words then
     Dgraph.Digraph.of_csr n ~off ~dst
       ~label:

@@ -40,10 +40,11 @@ val length : t -> int
 val iter : t -> (int -> int -> int -> unit) -> unit
 (** Visit the edges in push order as [f src dst label]. *)
 
-val to_graph : t -> int -> int Dgraph.Digraph.t
+val to_graph : ?poll:(unit -> unit) -> t -> int -> int Dgraph.Digraph.t
 (** [to_graph b n] is the graph on nodes [0 .. n - 1] holding the
     pushed edges, with edge ids in push order — the same graph as
     {!Dgraph.Digraph.of_edges} over the list of them. Its labels take
     one byte each when every label lies in [0 .. 255]. The buffer is
-    left as it was.
+    left as it was. [poll] (default none) runs once, between copying
+    the destinations and the labels; an exception it raises propagates.
     @raise Invalid_argument when an endpoint is outside [0 .. n - 1]. *)
