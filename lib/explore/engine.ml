@@ -246,12 +246,13 @@ let analysis_poll t ~explored =
         with Interrupted i ->
           raise (Interrupted { i with states_seen = explored }))
 
-(* The eager relation of [cp], built at most once per program while it
-   stays among the [csr_keep] most recently used. A relation serves every
-   compiled program with the same action sources, physically equal and in
-   the same order: a tolerance sweep recompiles the program and program ∪
-   faults at each budget, and builds each once. The least recently used
-   relation is dropped before a build, whose guard counts the one kept. *)
+(* The eager relation of [cp], kept while it stays among the [csr_keep]
+   most recently used. A relation serves every compiled program with the
+   same action sources, physically equal and in the same order: a
+   tolerance sweep recompiles the program and program ∪ faults at each
+   budget, creates each relation once, and builds each row at most once
+   across budgets. The least recently used relation is dropped before a
+   new one is created. *)
 let csr_keep = 2
 
 let same_sources (a : Compile.program) (b : Compile.program) =
@@ -267,18 +268,13 @@ let tsys t cp =
       ts
   | [], older ->
       let kept = List.filteri (fun i _ -> i < csr_keep - 1) older in
-      t.csr <- kept;
-      let resident = List.fold_left (fun b ts -> b + Tsys.bytes ts) 0 kept in
-      let poll ~states ~bytes = poll t ~states ~bytes ~frontier:0 in
-      let ts = Tsys.build ~poll ~resident cp t.space in
+      let ts = Tsys.create cp t.space in
       t.csr <- ts :: kept;
-      if Obs.Ctx.enabled t.obs then begin
+      if Obs.Ctx.enabled t.obs then
         Obs.Metrics.incr (Obs.Ctx.counter t.obs "engine.csr_builds");
-        Obs.Metrics.set_max
-          (Obs.Ctx.gauge t.obs "engine.csr_bytes")
-          (resident + Tsys.bytes ts)
-      end;
       ts
+
+let relations t = t.csr
 
 (* Growable int array for node keys discovered in order. *)
 module Vec = Par.Ivec
@@ -501,16 +497,41 @@ let seed_roots ?pool ?(target = fun _ -> false) t ~from ~mem add =
 
 let eager_region t cp ~from ~target =
   let ts = tsys t cp in
+  let resident =
+    List.fold_left (fun b k -> if k == ts then b else b + Tsys.bytes k) 0 t.csr
+  in
+  let rows = Tsys.rows_built ts in
   let buf = State.make (env t) in
-  (* past the build, the walk answers to cancellation and the deadline
-     only, reporting the ids the build covered *)
-  let poll = analysis_poll t ~explored:(Tsys.state_count ts) in
+  (* rows are built as the walk reaches them, under the build poll; the
+     walk itself answers to cancellation and the deadline, reporting the
+     rows built *)
+  let grow ~states ~bytes = poll t ~states ~bytes ~frontier:0 in
+  let poll =
+    if not (Rt.Guard.active t.guard) then None
+    else
+      Some
+        (fun () ->
+          try poll t ~states:0 ~bytes:0 ~frontier:0
+          with Interrupted i ->
+            raise (Interrupted { i with states_seen = Tsys.rows_built ts }))
+  in
   let graph, node_key, explored, node_of_key =
-    Tsys.region ?poll ts
-      ~roots:(fun ~seen add -> seed_roots ~target t ~from ~mem:seen add)
-      ~member:(fun id ->
-        Space.decode_into t.space id buf;
-        not (target buf))
+    Fun.protect
+      ~finally:(fun () ->
+        if Obs.Ctx.enabled t.obs then begin
+          Obs.Metrics.add
+            (Obs.Ctx.counter t.obs "engine.csr_rows")
+            (Tsys.rows_built ts - rows);
+          Obs.Metrics.set_max
+            (Obs.Ctx.gauge t.obs "engine.csr_bytes")
+            (resident + Tsys.bytes ts)
+        end)
+      (fun () ->
+        Tsys.region ?poll ~grow ~resident ts
+          ~roots:(fun ~seen add -> seed_roots ~target t ~from ~mem:seen add)
+          ~member:(fun id ->
+            Space.decode_into t.space id buf;
+            not (target buf)))
   in
   let terminal = Array.map (Tsys.is_terminal ts) node_key in
   { graph; node_key; terminal; explored; node_of_key }

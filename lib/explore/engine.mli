@@ -4,22 +4,27 @@
     {e reachable} from a set of roots; how those states are found is a
     strategy choice:
 
-    - {b Eager} (the classical backend): enumerate the whole mixed-radix
-      state space once, build the complete transition relation in CSR form
-      ({!Tsys}), and answer every query by walking it ({!Tsys.region}):
+    - {b Eager} (the classical backend): answer every query by walking
+      the transition relation in CSR form ({!Tsys}) with {!Tsys.region}:
       the same FIFO walk as the frontier kernel, reading each state's
-      successors off its row instead of stepping the actions. Fast per
-      query, but build time is O(states × actions) regardless of how
-      small the interesting region is, and a relation costs 8 bytes per
-      state plus 5 per transition (12 past 256 actions). The space must
-      fit under the [max_states] cap (2M by default) and under {!Tsys.max_states}
-      ([2^31 - 1], the int32 destination ids), which no budget lifts.
-      The engine keeps the two most recently used relations: a compiled
-      program whose action sources are physically those of a kept
-      relation, in the same order, reuses it, so a tolerance sweep that
-      recompiles the program and program ∪ faults at every budget builds
-      each once. The [engine.csr_builds] counter and [engine.csr_bytes]
-      gauge (the relations held, at most two) report them.
+      successors off its row instead of stepping the actions. A row is
+      built (with [apply_into] and {!Space.encode}) the first time the
+      walk reaches its state, so a query costs the states it reaches; a
+      query that sees every state ([All]) builds the missing rows in id
+      order. A relation costs 4 bytes per state of the space for its row
+      index, plus 8 per built row and 5 per built transition (12 past
+      256 actions). The space must fit under the [max_states] cap (2M
+      by default) and under {!Tsys.max_states} ([2^31 - 1], the int32
+      destination ids), which no budget lifts. The engine keeps the two
+      most recently used relations with the rows they have built: a
+      compiled program whose action sources are physically those of a
+      kept relation, in the same order, reuses it, so a tolerance sweep
+      that recompiles the program and program ∪ faults at every budget
+      creates each once and builds each row at most once. The
+      [engine.csr_builds] counter (relations created), the
+      [engine.csr_rows] counter (rows built) and the [engine.csr_bytes]
+      gauge (the bytes of the relations held after each eager region,
+      at most two; see {!relations}) report them.
 
     - {b Lazy} (on-the-fly frontier search): generate successors on demand
       by stepping the compiled actions in place on a reusable state buffer
@@ -179,13 +184,18 @@ val storage_name : t -> string
 (** Resolved storage representation: ["csr"] (eager), ["direct"], or
     ["probed"]. *)
 
+val relations : t -> Tsys.t list
+(** The eager relations the engine keeps, most recently used first (at
+    most two; none on the other backends), with the rows built so far. *)
+
 val storage_bytes : t -> int
 (** Flat-storage footprint of the most recent lazy/parallel search that
     finished:
     visited-table bytes plus the frontier's high-water bytes (the queue
     at one worker; the wave vectors and phase-A buffers at more).
     [0] before any search and for the eager backend (whose relations
-    report {!Tsys.bytes}, summed in the [engine.csr_bytes] gauge).
+    report {!Tsys.bytes}, summed in the [engine.csr_bytes] gauge; see
+    {!relations}).
     Divide by [region.explored] for the bytes-per-state figure the E19
     experiment reports. *)
 
@@ -207,7 +217,7 @@ val decode_key_into : t -> int -> Guarded.State.t -> unit
     values of {!Codec.places}. Every keyed
     successor loop (the lazy and parallel searches, {!Faultspan}, the
     tolerance certificate's span checks, the adversary) runs on it; the
-    eager {!Tsys} build, the obligation scan ({!Closure.scan}),
+    eager {!Tsys} row builds, the obligation scan ({!Closure.scan}),
     refinement and the simulators keep [apply_into], so the fuzz
     oracles compare the two paths. {!sweep} hands each visit a stepper
     loaded with its state. *)
@@ -251,11 +261,11 @@ exception Region_overflow of int
     cancellation was requested. When the engine was created with
     [~snapshots:true], [snapshot] holds a resumable checkpoint of the
     wavefront (lazy/parallel region and span searches only). The eager
-    relation's build and region walk, {!sweep}, {!iter_reachable}, the
-    copy of a region into its graph and the analyses after a search
-    carry [None]: [states_seen] is then the ids or states the stream had
-    polled at (the relation's state count in the walk), or past a
-    search the region's (or span's) explored count. *)
+    relation's row builds and region walk, {!sweep}, {!iter_reachable},
+    the copy of a region into its graph and the analyses after a search
+    carry [None]: [states_seen] is then the rows, ids or states the
+    stream had polled at (the relation's rows built in the walk), or
+    past a search the region's (or span's) explored count. *)
 type interrupt = {
   reason : Rt.Cancel.reason;
   states_seen : int;
@@ -331,7 +341,8 @@ val region :
     the snapshot, so [from] is ignored.
     @raise Region_overflow when a lazy search exceeds the budget.
     @raise Interrupted when the engine's guard trips — on the eager
-    backend, while it builds the relation (polled every 8192 ids).
+    backend, while it builds the relation's rows (polled every 8192
+    rows built, with the rows built as [states_seen]).
     @raise Rt.Snapshot.Corrupt when [resume] has the wrong kind or a
     mismatched config hash, or on the eager backend. *)
 

@@ -192,8 +192,8 @@ expect 4 check dijkstra --nodes 12 -k 13 --engine parallel --jobs 2 --max-states
 expect 5 check dijkstra --nodes 12 -k 13 --engine lazy --ball 2 --budget-states 1000
 expect 5 check dijkstra --nodes 12 -k 13 --engine parallel --jobs 2 --ball 2 --budget-states 1000
 expect 5 certify token-ring --nodes 4 -k 6 --faults corrupt:k=1 --budget-states 100
-# 5: the eager relation's build polls the same budget, and the stop
-# reports the ids it swept (polled every 8192: it trips at 8192)
+# 5: the eager relation's row builds poll the same budget, and the stop
+# reports the rows built (polled every 8192: it trips at 8192)
 expect 5 check diffusing --size 9 --engine eager --budget-states 1000
 if grep -q '"states_seen":8192,' "$stderr_file"; then
   echo "ok:   eager budget stop reports states_seen 8192"
@@ -201,6 +201,23 @@ else
   echo "FAIL: eager budget stop does not report states_seen 8192"
   failed=1
 fi
+# 0: the eager relation builds only the rows a ball's walk reaches, so
+# the budget bounds the search, not the 117,649-state space, and the
+# answer is the lazy engine's
+expect 0 check token-ring --nodes 6 -k 7 --ball 1 --engine eager --budget-states 50000
+expect 0 check token-ring --nodes 6 -k 7 --ball 2 --engine eager --budget-states 50000
+for r in 1 2; do
+  $CLI check token-ring --nodes 6 -k 7 --ball $r --engine eager \
+    --budget-states 50000 2>/dev/null | sed 's/(eager engine)/(lazy engine)/' >"$out_full"
+  $CLI check token-ring --nodes 6 -k 7 --ball $r --engine lazy \
+    --budget-states 50000 >"$out_resumed" 2>/dev/null
+  if cmp -s "$out_full" "$out_resumed"; then
+    echo "ok:   eager --ball $r under --budget-states prints lazy's answer"
+  else
+    echo "FAIL: eager --ball $r under --budget-states differs from lazy"
+    failed=1
+  fi
+done
 # 5: an already-expired deadline stops at the first polling point
 expect 5 check dijkstra --nodes 12 -k 13 --engine lazy --ball 2 --deadline 0
 # 5: storm and fuzz report a partial sample instead of pretending coverage

@@ -146,8 +146,10 @@ let test_tsys_wide_labels () =
       Alcotest.failf "state %d: successors differ from apply_into" id
   done;
   Alcotest.(check int) "transitions" !edges (Tsys.transition_count ts);
+  Alcotest.(check int) "every row built" (Space.size space) (Tsys.rows_built ts);
+  (* the row index, the offsets of every row, 12 B per transition *)
   Alcotest.(check int) "12 B per transition when wide"
-    ((8 * (Space.size space + 1)) + (12 * !edges))
+    ((4 * Space.size space) + (8 * (Space.size space + 1)) + (12 * !edges))
     (Tsys.bytes ts)
 
 let test_tsys_transition_count () =
@@ -155,8 +157,52 @@ let test_tsys_transition_count () =
   let ts = Tsys.build cp (Space.create env) in
   Alcotest.(check int) "transitions" 73_000 (Tsys.transition_count ts);
   Alcotest.(check int) "5 B per transition"
-    ((8 * (3125 + 1)) + (5 * 73_000))
+    ((4 * 3125) + (8 * (3125 + 1)) + (5 * 73_000))
     (Tsys.bytes ts)
+
+(* The eager region of a radius-2 ball over the 625 states of
+   token_ring.nm N=4 K=5 equals the lazy one, builds exactly the rows its
+   walk expands (every state it saw, as the ball does not reach them
+   all), and a second identical query builds none. *)
+let test_eager_ball_builds_reached_rows () =
+  let em = Test_lang.compile ~params:[ ("N", 4); ("K", 5) ] "token_ring.nm" in
+  let env = em.Lang.Elab.env in
+  let cp = Compile.program em.Lang.Elab.program in
+  let from =
+    Engine.Seeds (Engine.ball env ~center:em.Lang.Elab.init ~radius:2)
+  in
+  let target = em.Lang.Elab.invariant in
+  let region engine = Engine.region engine cp ~from ~target in
+  let lazy_ = region (Engine.create ~backend:Engine.Lazy env) in
+  let obs = Obs.Ctx.create () in
+  let engine = Engine.create ~backend:Engine.Eager ~obs env in
+  let rows () =
+    Obs.Metrics.value
+      (Obs.Metrics.counter (Obs.Ctx.metrics obs) "engine.csr_rows")
+  in
+  let edges (r : Engine.region) =
+    List.map
+      (fun (e : _ Dgraph.Digraph.edge) -> (e.src, e.dst, e.label))
+      (Dgraph.Digraph.edges r.graph)
+  in
+  let same label (r : Engine.region) =
+    Alcotest.(check (array int)) (label ^ ": node_key") lazy_.node_key r.node_key;
+    Alcotest.(check (list (triple int int int))) (label ^ ": edges")
+      (edges lazy_) (edges r);
+    Alcotest.(check (array bool)) (label ^ ": terminal") lazy_.terminal
+      r.terminal;
+    Alcotest.(check int) (label ^ ": explored") lazy_.explored r.explored
+  in
+  let eager = region engine in
+  same "eager" eager;
+  let built = rows () in
+  Alcotest.(check int) "rows built: the states the walk expanded"
+    eager.explored built;
+  if built >= 625 then Alcotest.failf "built %d rows of 625" built;
+  Alcotest.(check (list int)) "the kept relation holds them" [ built ]
+    (List.map Tsys.rows_built (Engine.relations engine));
+  same "again" (region engine);
+  Alcotest.(check int) "a second query builds no row" built (rows ())
 
 (* One variable over [states] values. *)
 let space_of states =
@@ -583,6 +629,8 @@ let suite =
     Alcotest.test_case "tsys wide labels match apply_into" `Quick
       test_tsys_wide_labels;
     Alcotest.test_case "tsys transition count" `Quick test_tsys_transition_count;
+    Alcotest.test_case "eager ball region builds only reached rows" `Quick
+      test_eager_ball_builds_reached_rows;
     Alcotest.test_case "tsys int32 limit refused up front" `Quick
       test_tsys_int32_limit;
     Alcotest.test_case "eager relation cache matches action sources" `Quick

@@ -395,9 +395,9 @@ let test_cross_backend_identity () =
 (* --- one eager relation per program ---------------------------------- *)
 
 (* Every budget recompiles the program and program ∪ faults; the eager
-   engine builds each relation once (the cache matches action sources) and
-   reports both in its metrics, and the curve is the lazy one, byte for
-   byte. *)
+   engine creates each relation once (the cache matches action sources),
+   builds each of their rows at most once across the budgets, and reports
+   both in its metrics; the curve is the lazy one, byte for byte. *)
 let test_eager_sweep_builds_each_relation_once () =
   let em = Test_lang.compile ~params:[ ("N", 4); ("K", 5) ] "token_ring.nm" in
   let env = em.Lang.Elab.env and program = em.Lang.Elab.program in
@@ -417,21 +417,41 @@ let test_eager_sweep_builds_each_relation_once () =
            f.Tol.Sweep.points)
     in
     let metric kind name = kind (Obs.Ctx.metrics obs) name in
+    let counter name = Obs.Metrics.value (metric Obs.Metrics.counter name) in
     ( (json, f.Tol.Sweep.cliff),
-      Obs.Metrics.value (metric Obs.Metrics.counter "engine.csr_builds"),
-      Obs.Metrics.gauge_value (metric Obs.Metrics.gauge "engine.csr_bytes") )
+      counter "engine.csr_builds",
+      counter "engine.csr_rows",
+      Obs.Metrics.gauge_value (metric Obs.Metrics.gauge "engine.csr_bytes"),
+      Engine.relations engine )
   in
-  let eager, builds, bytes = frontier Engine.Eager in
-  let lazy_, lazy_builds, _ = frontier Engine.Lazy in
+  let eager, builds, rows, bytes, relations = frontier Engine.Eager in
+  let lazy_, lazy_builds, _, _, _ = frontier Engine.Lazy in
   Alcotest.(check int) "eager relations built" 2 builds;
   Alcotest.(check int) "lazy relations built" 0 lazy_builds;
-  let relation p =
-    Explore.Tsys.bytes
-      (Explore.Tsys.build (Compile.program p) (Explore.Space.create env))
+  let module Tsys = Explore.Tsys in
+  Alcotest.(check int) "csr rows: both relations"
+    (List.fold_left (fun n ts -> n + Tsys.rows_built ts) 0 relations)
+    rows;
+  (* both programs have at most 256 actions: 5 B per transition *)
+  let layout ts =
+    (4 * Tsys.state_count ts)
+    + (8 * (Tsys.rows_built ts + 1))
+    + (5 * Tsys.transition_count ts)
   in
   Alcotest.(check int) "csr bytes: both relations"
-    (relation program + relation (Guarded.Program.add_actions program faults))
+    (List.fold_left (fun n ts -> n + layout ts) 0 relations)
     bytes;
+  (* a query builds a missing row: once every state's row is asked for,
+     a relation holds one row per state exactly when no row was built
+     twice *)
+  List.iter
+    (fun ts ->
+      for id = 0 to Tsys.state_count ts - 1 do
+        ignore (Tsys.out_degree ts id)
+      done;
+      Alcotest.(check int) "no row built twice" (Tsys.state_count ts)
+        (Tsys.rows_built ts))
+    relations;
   Alcotest.(check (pair string (option int))) "frontier JSON" lazy_ eager
 
 (* --- storm rendering: observations vs the sound bound ----------------- *)

@@ -5,11 +5,14 @@ Run from the root of a source checkout:
 
     python3 tools/perfpair.py --base <rev> --workload tolerance --pairs 10
 
-It exports <rev> into a temporary directory (`git archive`, so the
-repository's own state is untouched), then runs `perfbench/run.py` on
-that base tree and on the working tree, PAIRS times each, alternating
-which side goes first so drift in the host's speed hits both sides
-alike. Each side builds from its own sources. Per end-to-end metric
+It exports <rev> (`git archive`) and the working tree's tracked files,
+uncommitted edits included, into two sibling directories of one
+temporary directory, `base` and `head`, so the repository's own state is
+untouched and both sides run from paths of the same shape: the timings
+of the parallel legs follow the directory a tree runs from. It then runs
+`perfbench/run.py` on each side, PAIRS times, alternating which side
+goes first so drift in the host's speed hits both sides alike. Each side
+builds from its own sources. Per end-to-end metric
 declared in BENCHMARK.json it prints the median with [q1, q3] on each
 side, the change of the medians, and in how many pairs the working tree
 was better. It exits 1 if any run fails to print `correct: true` or
@@ -45,6 +48,23 @@ def export(rev, dest):
     archive.stdout.close()
     if archive.wait() != 0 or untar.returncode != 0:
         raise SystemExit("error: cannot export %s" % rev)
+
+
+def export_worktree(dest):
+    """Copy the working tree's tracked files, as they are on disk, into
+    `dest`; a tracked file deleted on disk is left out."""
+    listing = subprocess.run(["git", "-C", ROOT, "ls-files", "-z"],
+                             capture_output=True, check=True).stdout
+    for rel in listing.decode().split("\0"):
+        src = os.path.join(ROOT, rel)
+        if not rel or not os.path.lexists(src):
+            continue
+        dst = os.path.join(dest, rel)
+        os.makedirs(os.path.dirname(dst), exist_ok=True)
+        if os.path.islink(src):
+            os.symlink(os.readlink(src), dst)
+        else:
+            shutil.copy2(src, dst)
 
 
 def bench(tree, args):
@@ -87,12 +107,15 @@ def main():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         declared = [(m["name"], m["unit"], m["better"]) for m in json.load(f)["end_to_end"]]
 
-    base_dir = tempfile.mkdtemp(prefix="perfpair-base-")
+    tmp = tempfile.mkdtemp(prefix="perfpair-")
+    trees = {side: os.path.join(tmp, side) for side in ("base", "head")}
     runs = {"base": [], "head": []}
     ok = True
     try:
-        export(args.base, base_dir)
-        trees = {"base": base_dir, "head": ROOT}
+        for tree in trees.values():
+            os.mkdir(tree)
+        export(args.base, trees["base"])
+        export_worktree(trees["head"])
         for i in range(args.pairs):
             order = ["base", "head"] if i % 2 == 0 else ["head", "base"]
             pair = {}
@@ -113,7 +136,7 @@ def main():
                 for side in pair:
                     runs[side].append(pair[side])
     finally:
-        shutil.rmtree(base_dir, ignore_errors=True)
+        shutil.rmtree(tmp, ignore_errors=True)
 
     pairs = len(runs["base"])
     print("workload %s, base %s, %d pairs of %gs runs (%s size)" % (
